@@ -29,6 +29,7 @@ from .evolve import evolve as evolve_run
 from .grid import (
     NormConfig,
     Obstacle,
+    PreconditionError,
     build_cutoff,
     build_grid,
     h2_norm,
@@ -39,7 +40,7 @@ from .grid import (
 from .soliton import SolitonParams, functionals, threshold_report
 
 
-class ConfigError(ValueError):
+class ConfigError(ValueError, PreconditionError):
     pass
 
 
@@ -296,6 +297,14 @@ def run_fixed_point(cfg, out: Path) -> dict:
         save_field(out / f"r{k:05d}.bin", u, psi)
     write_csv(out / "remainder_norms.csv", ("t", "L2", "H2"), rows,
               config_hash(cfg))
+    nan = float("nan")
+    write_csv(out / "picard_iterations.csv",
+              ("iteration", "iterate_norm", "diff_norm", "ratio"),
+              [(it, norm,
+                report.diff_norms[it - 1] if it >= 1 else nan,
+                report.contraction_ratios[it - 2] if it >= 2 else nan)
+               for it, norm in enumerate(report.iterate_norms)],
+              config_hash(cfg))
     summary = {
         "converged": report.converged,
         "non_contracting": report.non_contracting,
@@ -391,7 +400,7 @@ def run(subcommand: str, cfg: dict, out_dir, in_path=None) -> int:
             summary = RUNNERS[subcommand](cfg, out, in_path)
         else:
             summary = RUNNERS[subcommand](cfg, out)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
@@ -422,13 +431,17 @@ def run_sweep(sub: str, base_cfg: dict, param: str, values, out_dir,
     if not values:
         print("error: empty sweep grid", file=sys.stderr)
         return 2
+    try:
+        parsed = [parse_config_text(f"{param}={val}")[param] for val in values]
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     jobs = []
-    parser = CONFIG_KEYS[param][0]
-    for val in values:
+    for val, parsed_val in zip(values, parsed):
         cfg = dict(base_cfg)
-        cfg[param] = parser(val)
+        cfg[param] = parsed_val
         jobs.append((sub, cfg, out / f"{param}_{val}", in_path))
     workers = int(os.environ.get("OSL_THREADS", "0")) or min(len(jobs), os.cpu_count())
     if workers > 1:

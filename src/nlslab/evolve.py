@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, Grid, h1_norm, l2_norm, laplacian_matrix
+from .grid import Field, Grid, h1_norm, laplacian_dirichlet, laplacian_matrix
 from .soliton import SolitonParams, functionals
 
 
@@ -79,9 +79,11 @@ class CrankNicolsonStepper:
             rhs = rhs - 1j * self.dt * forcing
         out = self._solver.solve(rhs)
         scale = np.linalg.norm(rhs)
+        if not np.isfinite(scale):
+            raise LinearSolveError(f"non-finite CN right-hand side (norm {scale})")
         if scale > 0:
             resid = np.linalg.norm(self._minus @ out - rhs) / scale
-            if resid > self.lin_tol:
+            if not resid <= self.lin_tol:   # NaN fails too
                 raise LinearSolveError(
                     f"CN solve residual {resid:.2e} above lin_tol={self.lin_tol}"
                 )
@@ -165,19 +167,27 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
                       conservation=rows, p=p, params=params)
 
 
+def residual_l2(u_lo: np.ndarray, u: np.ndarray, u_hi: np.ndarray, dt2: float,
+                lap: np.ndarray, p: float, grid: Grid) -> float:
+    """L2 norm of i u_t + lap u + |u|^(p-1) u at the middle of three lattice
+    arrays, with u_t the centered difference over the time span dt2."""
+    res = 1j * ((u_hi - u_lo) / dt2) + lap + np.abs(u) ** (p - 1.0) * u
+    res[~grid.mask] = 0.0
+    out = float(np.sqrt(np.sum(np.abs(res) ** 2)) * np.sqrt(grid.cell_volume()))
+    if not np.isfinite(out):
+        raise EvolveError(f"non-finite equation residual {out}")
+    return out
+
+
 def nls_residual(traj: Trajectory) -> np.ndarray:
     """Centered-difference residual of the equation on interior snapshots."""
     if len(traj) < 3:
         raise EvolveError("need at least 3 snapshots for a time derivative")
     out = []
     for k in range(1, len(traj) - 1):
-        dt2 = traj.times[k + 1] - traj.times[k - 1]
-        du = (traj.snapshots[k + 1].values - traj.snapshots[k - 1].values) / dt2
         u = traj.snapshots[k]
-        from .grid import laplacian_dirichlet
-
-        lap = laplacian_dirichlet(u)
-        res = 1j * du + lap.values + np.abs(u.values) ** (traj.p - 1.0) * u.values
-        res[~u.grid.mask] = 0.0
-        out.append(l2_norm(Field(u.grid, res)))
+        out.append(residual_l2(traj.snapshots[k - 1].values, u.values,
+                               traj.snapshots[k + 1].values,
+                               traj.times[k + 1] - traj.times[k - 1],
+                               laplacian_dirichlet(u).values, traj.p, u.grid))
     return np.asarray(out)

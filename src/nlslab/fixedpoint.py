@@ -20,14 +20,63 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Field, Grid, NormConfig, h2_norm, l2_norm, laplacian_dirichlet
+from .grid import (
+    ActiveStencil,
+    Field,
+    Grid,
+    NormConfig,
+    PreconditionError,
+    from_active,
+    l2_norm,
+    laplacian_dirichlet,
+    to_active,
+)
 from .ground_state import GroundState
-from .evolve import CrankNicolsonStepper, EvolveConfig, Trajectory, nls_residual
-from .soliton import SolitonParams, phase_factor, soliton_field
+from .evolve import (
+    CrankNicolsonStepper,
+    EvolveConfig,
+    EvolveError,
+    Trajectory,
+    residual_l2,
+)
+from .soliton import SolitonError, SolitonParams, _check_center, phase_factor
+from .soliton import soliton_field  # noqa: F401  (bench/tests reads this binding)
 
 
 class FixedPointError(RuntimeError):
     pass
+
+
+class FixedPointInputError(FixedPointError, PreconditionError):
+    pass
+
+
+def _a1(R, r, p):
+    if p == 3.0:
+        return -(R**2) * np.conj(r) - 2.0 * np.abs(R) ** 2 * r
+    mod = np.abs(R)
+    phase2 = np.where(mod > 0, (R / np.where(mod > 0, mod, 1.0)) ** 2, 0.0)
+    return -(0.5 * (p + 1.0) * mod ** (p - 1.0) * r
+             + 0.5 * (p - 1.0) * mod ** (p - 1.0) * phase2 * np.conj(r))
+
+
+def _a2(R, r, p):
+    if p == 3.0:
+        return -np.conj(R) * r**2 - 2.0 * R * np.abs(r) ** 2
+    full = np.abs(R + r) ** (p - 1.0) * (R + r)
+    base = np.abs(R) ** (p - 1.0) * R
+    return -(full - base) - _a1(R, r, p)
+
+
+def _a3(R, r, p):
+    if p == 3.0:
+        return -np.abs(r) ** 2 * r
+    return np.zeros_like(r)
+
+
+# feedback terms of the ansatz R and the remainder r, any array shape
+_FEEDBACK = {"a1": _a1, "a2": _a2, "a3": _a3}
+_ALL_SOURCES = ("a0", "a1", "a2", "a3")
 
 
 class SourceSet:
@@ -88,31 +137,13 @@ class SourceSet:
         return Field(self.grid, full)
 
     def a1(self, r: Field, t) -> Field:
-        rv = self._ansatz(t)
-        if self.p == 3.0:
-            out = -(rv**2) * np.conj(r.values) - 2.0 * np.abs(rv) ** 2 * r.values
-        else:
-            mod = np.abs(rv)
-            phase2 = np.where(mod > 0, (rv / np.where(mod > 0, mod, 1.0)) ** 2, 0.0)
-            out = -(0.5 * (self.p + 1.0) * mod ** (self.p - 1.0) * r.values
-                    + 0.5 * (self.p - 1.0) * mod ** (self.p - 1.0) * phase2
-                    * np.conj(r.values))
-        return Field(self.grid, out)
+        return Field(self.grid, _a1(self._ansatz(t), r.values, self.p))
 
     def a2(self, r: Field, t) -> Field:
-        rv = self._ansatz(t)
-        if self.p == 3.0:
-            out = -np.conj(rv) * r.values**2 - 2.0 * rv * np.abs(r.values) ** 2
-        else:
-            full = np.abs(rv + r.values) ** (self.p - 1.0) * (rv + r.values)
-            base = np.abs(rv) ** (self.p - 1.0) * rv
-            out = -(full - base) - self.a1(r, t).values
-        return Field(self.grid, out)
+        return Field(self.grid, _a2(self._ansatz(t), r.values, self.p))
 
     def a3(self, r: Field, t) -> Field:
-        if self.p == 3.0:
-            return Field(self.grid, -np.abs(r.values) ** 2 * r.values)
-        return Field.zeros(self.grid)
+        return Field(self.grid, _a3(self._ansatz(t), r.values, self.p))
 
     def total_active(self, r: Field | None, t, which) -> np.ndarray:
         grid = self.grid
@@ -139,9 +170,84 @@ def _time_mesh(T0: float, Tmax: float, dt: float):
     return T0 + (Tmax - T0) / n * np.arange(n + 1), (Tmax - T0) / n
 
 
+class _MeshSources:
+    """A SourceSet evaluated once on a time mesh, as active vectors.
+
+    a0(t_k) is kept on its support (the cutoff window); the ansatz R(t_k),
+    which the feedback terms need, is one (nt, n_active) array, built only
+    when ``ansatz`` is set.
+    """
+
+    def __init__(self, sources: SourceSet, ts, with_a0: bool, ansatz: bool):
+        mask = sources.grid.mask
+        self.p = sources.p
+        self.n_active = sources.grid.n_active
+        self.a0 = []
+        if with_a0:
+            for t in ts:
+                vals = sources.a0(t).values[mask]
+                idx = np.flatnonzero(vals)
+                self.a0.append((idx, vals[idx]))
+        self.R = None
+        if ansatz:
+            self.R = np.empty((len(ts), self.n_active), dtype=complex)
+            for k, t in enumerate(ts):
+                self.R[k] = sources._ansatz(t)[mask]
+
+    def source(self, which, rows):
+        """k -> the selected sources at t_k on rows[k] (rows may be None).
+
+        Same terms, in the same order, as `SourceSet.total_active`.
+        """
+        terms = [_FEEDBACK[name] for name in ("a1", "a2", "a3") if name in which]
+        if rows is None:
+            terms = []     # the feedback of r = 0 vanishes
+        with_a0 = "a0" in which
+
+        def at(k):
+            if terms:
+                f = terms[0](self.R[k], rows[k], self.p)
+            else:
+                f = np.zeros(self.n_active, dtype=complex)
+            if with_a0:
+                idx, vals = self.a0[k]
+                f[idx] += vals
+            for term in terms[1:]:
+                f += term(self.R[k], rows[k], self.p)
+            return f
+
+        return at
+
+
+def _sweep(stepper: CrankNicolsonStepper, nt: int, source, out=None, on_row=None):
+    """Solve i w_t + lap w = F backward from w(t_{nt-1}) = 0 on active vectors.
+
+    source(k) gives F(t_k); it is called once per k, in decreasing k, before
+    row k of ``out`` is written, so it may read the previous iterate from
+    ``out`` itself.  on_row(k, w_k) sees each new row before it is stored.
+    """
+    vec = np.zeros(stepper.grid.n_active, dtype=complex)
+    f_hi = source(nt - 1)
+    for k in range(nt - 1, -1, -1):
+        if k < nt - 1:
+            f_lo = source(k)
+            vec = stepper.linear_step(vec, 0.5 * (f_lo + f_hi))
+            f_hi = f_lo
+        if on_row is not None:
+            on_row(k, vec)
+        if out is not None:
+            out[k] = vec
+
+
+def _trajectory(sources: SourceSet, ts, rows) -> Trajectory:
+    snaps = [from_active(sources.grid, row) for row in rows]
+    return Trajectory(times=ts, snapshots=snaps, conservation=[], p=sources.p,
+                      params=sources.params)
+
+
 def duhamel_apply(sources: SourceSet, r_traj: Trajectory | None, T0: float,
                   Tmax: float, evolve_config: EvolveConfig,
-                  which=("a0", "a1", "a2", "a3")) -> Trajectory:
+                  which=_ALL_SOURCES) -> Trajectory:
     """Solve i w_t + lap w = F(t), w(Tmax) = 0, backward on [T0, Tmax].
 
     F is the selected sources evaluated on r_traj (which must sit on the same
@@ -150,49 +256,55 @@ def duhamel_apply(sources: SourceSet, r_traj: Trajectory | None, T0: float,
     grid = sources.grid
     ts, dt = _time_mesh(T0, Tmax, evolve_config.dt)
     nt = len(ts)
+    rows = None
     if r_traj is not None:
         if len(r_traj) != nt or abs(r_traj.times[0] - T0) > 1e-12:
-            raise FixedPointError("input trajectory not on the duhamel time mesh")
+            raise FixedPointInputError("input trajectory not on the duhamel time mesh")
+        rows = np.array([to_active(u) for u in r_traj.snapshots])
+    mesh = _MeshSources(sources, ts, "a0" in which,
+                        ansatz=rows is not None and any(a in which for a in _FEEDBACK))
+    out = rows if rows is not None else np.zeros((nt, grid.n_active), dtype=complex)
+    _sweep(CrankNicolsonStepper(grid, -dt, evolve_config.lin_tol), nt,
+           mesh.source(which, rows), out)
+    return _trajectory(sources, ts, out)
 
-    def source_at(k):
-        r_here = r_traj.snapshots[k] if r_traj is not None else None
-        return sources.total_active(r_here, ts[k], which)
 
-    stepper = CrankNicolsonStepper(grid, -dt, evolve_config.lin_tol)
-    snaps = [None] * nt
-    snaps[-1] = Field.zeros(grid)
-    vec = np.zeros(grid.n_active, dtype=complex)
-    f_hi = source_at(nt - 1)
-    for k in range(nt - 2, -1, -1):
-        f_lo = source_at(k)
-        vec = stepper.linear_step(vec, 0.5 * (f_lo + f_hi))
-        full = np.zeros((grid.n,) * grid.dim, dtype=complex)
-        full[grid.mask] = vec
-        snaps[k] = Field(grid, full)
-        f_hi = f_lo
-    return Trajectory(times=ts, snapshots=snaps, conservation=[], p=sources.p,
-                      params=sources.params)
+class _ENorm:
+    """exp(delta sqrt(omega) |v| t) (|v|^-3 H2 + L2) of active vectors.
+
+    Agrees bit for bit with the same formula on `h2_norm` and `l2_norm`, and
+    raises on a non-finite value instead of letting a sup drop it.
+    """
+
+    def __init__(self, grid: Grid, cfg: NormConfig):
+        s = cfg.speed()
+        if s <= 0:
+            raise FixedPointInputError("the weighted norm needs |v| > 0")
+        self._stencil = ActiveStencil(grid)
+        self._rate = cfg.delta * np.sqrt(cfg.omega) * s
+        self._s3 = s**3
+
+    def weight(self, t) -> float:
+        return np.exp(self._rate * t)
+
+    def __call__(self, w, vecs) -> np.ndarray:
+        """Weighted norms of the rows of vecs, all at the time of weight w."""
+        h2, l2 = self._stencil.h2_l2(vecs)
+        vals = w * (h2 / self._s3 + l2)
+        if not np.all(np.isfinite(vals)):
+            raise FixedPointError(f"non-finite weighted norm {vals} (weight {w})")
+        return vals
 
 
 def e_norm(traj: Trajectory, cfg: NormConfig) -> float:
     """sup over snapshots of exp(delta sqrt(omega) |v| t) (|v|^-3 H2 + L2)."""
-    s = cfg.speed()
-    if s <= 0:
-        raise FixedPointError("the weighted norm needs |v| > 0")
+    if cfg.speed() <= 0:
+        raise FixedPointInputError("the weighted norm needs |v| > 0")
     best = 0.0
-    for t, u in zip(traj.times, traj.snapshots):
-        w = np.exp(cfg.delta * np.sqrt(cfg.omega) * s * t)
-        best = max(best, w * (h2_norm(u) / s**3 + l2_norm(u)))
-    return best
-
-
-def _diff_norm(a: Trajectory, b: Trajectory, cfg: NormConfig) -> float:
-    s = cfg.speed()
-    best = 0.0
-    for t, ua, ub in zip(a.times, a.snapshots, b.snapshots):
-        w = np.exp(cfg.delta * np.sqrt(cfg.omega) * s * t)
-        d = ua - ub
-        best = max(best, w * (h2_norm(d) / s**3 + l2_norm(d)))
+    if len(traj):
+        norm = _ENorm(traj.snapshots[0].grid, cfg)
+        for t, u in zip(traj.times, traj.snapshots):
+            best = max(best, norm(norm.weight(t), to_active(u)[None])[0])
     return best
 
 
@@ -205,6 +317,8 @@ class PicardReport:
     non_contracting: bool
     final_residual: float | None = None
     tail_criterion: float | None = None
+    # diff_norms[i] = E-norm of iterate i+1 minus iterate i
+    diff_norms: list = field(default_factory=list)
 
 
 def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
@@ -212,60 +326,74 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
            residual_stride: int = 1, j_diagnostics: bool = True):
     """Iterate the Duhamel map from r = 0 and measure everything.
 
+    The sources that do not depend on the iterate (a0 and the ansatz) are
+    evaluated once on the time mesh.  The iterate is one (nt, n_active)
+    array that each backward sweep overwrites in place; the weighted norms
+    of the iterate and of its change are taken as each row is produced.
+
     Returns the report and the last trajectory; a growing tail of iterate
     norms is reported as non-contraction, not raised.
     """
     if n_iters < 3:
-        raise FixedPointError("need at least 3 iterations")
+        raise FixedPointInputError("need at least 3 iterations")
     if sources.params.speed() <= 0:
-        raise FixedPointError("the construction needs |v| > 0")
-    traj = duhamel_apply(sources, None, T0, Tmax, evolve_config)
-    norms = [e_norm(traj, enorm_cfg)]
+        raise FixedPointInputError("the construction needs |v| > 0")
+    grid = sources.grid
+    ts, dt = _time_mesh(T0, Tmax, evolve_config.dt)
+    nt = len(ts)
+    norm = _ENorm(grid, enorm_cfg)
+    weights = [norm.weight(t) for t in ts]
+    mesh = _MeshSources(sources, ts, with_a0=True, ansatz=True)
+    stepper = CrankNicolsonStepper(grid, -dt, evolve_config.lin_tol)
+    rows = np.zeros((nt, grid.n_active), dtype=complex)
+
+    sup = [0.0, 0.0]   # iterate, difference
+
+    def iterate_norm(k, vec):
+        sup[0] = max(sup[0], norm(weights[k], vec[None])[0])
+
+    def both_norms(k, vec):
+        it, d = norm(weights[k], np.stack([vec, vec - rows[k]]))
+        sup[0], sup[1] = max(sup[0], it), max(sup[1], d)
+
+    _sweep(stepper, nt, mesh.source(_ALL_SOURCES, None), rows, iterate_norm)
+    norms = [sup[0]]
     j0_norm = norms[0]
     diffs = []
     ratios = []
-    prev = traj
     grow = 0
     non_contracting = False
     for it in range(1, n_iters):
-        nxt = duhamel_apply(sources, prev, T0, Tmax, evolve_config)
-        norms.append(e_norm(nxt, enorm_cfg))
-        d = _diff_norm(nxt, prev, enorm_cfg)
+        sup[:] = [0.0, 0.0]
+        _sweep(stepper, nt, mesh.source(_ALL_SOURCES, rows), rows, both_norms)
+        norms.append(sup[0])
+        d = sup[1]
         diffs.append(d)
         if len(diffs) >= 2 and diffs[-2] > 0:
             ratios.append(diffs[-1] / diffs[-2])
         grow = grow + 1 if (len(norms) >= 2 and norms[-1] > norms[-2]) else 0
-        prev = nxt
         if grow >= 3:
             non_contracting = True
             break
         if d < 1e-14 * max(norms[-1], 1.0):
             break
-    traj = prev
 
     rnorm = max(norms[-1], 1e-300)
     j = {"J0": j0_norm}
     if j_diagnostics:
         for name, sel in (("J1", "a1"), ("J2", "a2"), ("J3", "a3")):
-            part = duhamel_apply(sources, traj, T0, Tmax, evolve_config, which=(sel,))
-            j[name] = e_norm(part, enorm_cfg)
+            sup[0] = 0.0
+            _sweep(stepper, nt, mesh.source((sel,), rows), on_row=iterate_norm)
+            j[name] = sup[0]
         j["J1_over_r"] = j["J1"] / rnorm
         j["J2_over_r2"] = j["J2"] / rnorm**2
         j["J3_over_r3"] = j["J3"] / rnorm**3
 
     final_residual = None
     if not non_contracting:
-        # residual of u = R + r on a thinned snapshot set
-        idx = range(0, len(traj), residual_stride)
-        ts = traj.times[list(idx)]
-        snaps = []
-        for k in idx:
-            R = soliton_field(sources.params, sources.gs, traj.times[k],
-                              sources.grid, sources.psi)
-            snaps.append(R + traj.snapshots[k])
-        utraj = Trajectory(times=ts, snapshots=snaps, conservation=[],
-                           p=sources.p, params=sources.params)
-        final_residual = float(np.max(nls_residual(utraj)))
+        final_residual = _residual(sources, mesh.R, rows, ts, residual_stride)
+    mesh = None    # free the ansatz before the Fields are built
+    traj = _trajectory(sources, ts, rows)
 
     s = enorm_cfg.speed()
     tail = float(np.exp(-enorm_cfg.delta * np.sqrt(enorm_cfg.omega) * s * (Tmax - T0)))
@@ -277,8 +405,40 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
         non_contracting=non_contracting,
         final_residual=final_residual,
         tail_criterion=tail,
+        diff_norms=diffs,
     )
     return report, traj
+
+
+def _residual(sources: SourceSet, ansatz, rows, ts, stride: int) -> float:
+    """max over interior times of the `nls_residual` of u = R + r.
+
+    Streams over three consecutive thinned rows of R + r instead of building
+    the `soliton_field` + r snapshots, keeping their check of the soliton's
+    distance from the box edge.
+    """
+    params, gs, grid, p = sources.params, sources.gs, sources.grid, sources.p
+    if not np.isclose(gs.omega, params.omega):
+        raise SolitonError("ground state frequency does not match parameters")
+    idx = range(0, len(ts), stride)
+    if len(idx) < 3:
+        raise EvolveError("need at least 3 snapshots for a time derivative")
+    stencil = ActiveStencil(grid)
+
+    def u_at(j):
+        _check_center(params, gs, ts[idx[j]], grid)
+        vec = ansatz[idx[j]] + rows[idx[j]]
+        return vec, stencil.full(vec[None])[0]
+
+    window = [u_at(0), u_at(1)]
+    worst = []
+    for j in range(1, len(idx) - 1):
+        window.append(u_at(j + 1))
+        (_, u_lo), (vec, u), (_, u_hi) = window
+        worst.append(residual_l2(u_lo, u, u_hi, ts[idx[j + 1]] - ts[idx[j - 1]],
+                                 stencil.laplacian(vec[None])[0], p, grid))
+        window.pop(0)
+    return max(worst)
 
 
 def remainder_decay_rate(traj: Trajectory) -> float:

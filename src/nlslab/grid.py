@@ -28,6 +28,12 @@ class GridMismatchError(GridError):
     pass
 
 
+class PreconditionError(Exception):
+    """Marker for errors in the caller's arguments, as opposed to numerical
+    failures.  A module's error class gains it through a subclass; the CLI
+    maps it to exit code 2 whatever the module's base class is."""
+
+
 @dataclass(frozen=True)
 class Obstacle:
     """Centered ball (interval for d=1) of radius a, or nothing."""
@@ -338,6 +344,95 @@ def from_active(grid: Grid, vec: np.ndarray) -> Field:
     out = np.zeros((grid.n,) * grid.dim, dtype=np.complex128)
     out[grid.mask] = vec
     return Field(grid, out)
+
+
+class ActiveStencil:
+    """Laplacian and H2/L2 norms of stacks of active vectors.
+
+    A stack is a (k, n_active) array, one vector per row.  Each row is
+    zero-extended to the lattice and then goes through the same operations,
+    in the same order, as `laplacian_dirichlet`, `gradient`, `h2_norm` and
+    `l2_norm` on the corresponding Field, so the results agree bit for bit.
+    (Dividing a complex array by a real scalar is the same in numpy as
+    multiplying by the reciprocal, which is cheaper.)  The masks that decide
+    where `gradient` falls back to one-sided differences are worked out once
+    here instead of on every call.
+    """
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        padded = np.pad(grid.mask, 1)
+        self._scatter = np.flatnonzero(padded)
+        self._inner = (slice(None),) + (slice(1, -1),) * grid.dim
+        self._off = (slice(None),) + np.nonzero(~grid.mask)
+        self._onesided = []   # per axis: (right-sided, left-sided, zero) points
+        for ax in range(grid.dim):
+            # masks of the right and left neighbors ([1:] drops the stack axis)
+            mp = padded[self._neighbor(ax, +1)[1:]]
+            mm = padded[self._neighbor(ax, -1)[1:]]
+            self._onesided.append(tuple(
+                (slice(None),) + np.nonzero(sel)
+                for sel in (grid.mask & mp & ~mm, grid.mask & ~mp & mm,
+                            ~grid.mask | (~mp & ~mm))))
+
+    def _neighbor(self, ax, step):
+        """Index of a padded stack that reads each point's neighbor."""
+        idx = list(self._inner)
+        idx[ax + 1] = slice(2, None) if step > 0 else slice(None, -2)
+        return tuple(idx)
+
+    def _padded(self, vecs):
+        g = self.grid
+        pad = np.zeros((len(vecs), (g.n + 2) ** g.dim), dtype=np.complex128)
+        for row, vec in zip(pad, vecs):
+            row[self._scatter] = vec
+        return pad.reshape((len(vecs),) + (g.n + 2,) * g.dim)
+
+    def full(self, vecs: np.ndarray) -> np.ndarray:
+        """The zero-extended rows, as lattice arrays (k, n, ..., n)."""
+        return self._padded(vecs)[self._inner]
+
+    def laplacian(self, vecs: np.ndarray) -> np.ndarray:
+        """`laplacian_dirichlet` of each row, as lattice arrays (k, n, ..., n)."""
+        pad = self._padded(vecs)
+        out = np.empty(pad[self._inner].shape, dtype=np.complex128)
+        self._laplacian(pad, out)
+        return out
+
+    def _laplacian(self, pad, out):
+        g = self.grid
+        np.multiply(pad[self._inner], -2.0 * g.dim, out=out)
+        for ax in range(g.dim):
+            out += pad[self._neighbor(ax, -1)]
+            out += pad[self._neighbor(ax, +1)]
+        out *= 1.0 / g.spacing**2
+        out[self._off] = 0.0
+
+    def h2_l2(self, vecs: np.ndarray):
+        """(h2_norm, l2_norm) of each row, as two arrays of length k."""
+        g = self.grid
+        k = len(vecs)
+        pad = self._padded(vecs)
+        v = pad[self._inner]
+        # slot 0: u, slots 1..dim: gradient components, last slot: Laplacian
+        parts = np.empty((g.dim + 2,) + v.shape, dtype=np.complex128)
+        parts[0] = v
+        for ax, (right, left, zero) in enumerate(self._onesided):
+            vp, vm = pad[self._neighbor(ax, +1)], pad[self._neighbor(ax, -1)]
+            d = parts[1 + ax]
+            np.subtract(vp, vm, out=d)
+            d *= 1.0 / (2.0 * g.spacing)
+            d[right] = (vp[right] - v[right]) * (1.0 / g.spacing)
+            d[left] = (v[left] - vm[left]) * (1.0 / g.spacing)
+            d[zero] = 0.0
+        self._laplacian(pad, parts[-1])
+        sums = np.sum((np.abs(parts) ** 2).reshape(g.dim + 2, k, -1), axis=-1)
+        s = 0
+        for ax in range(g.dim):
+            s = s + sums[1 + ax]
+        tot = sums[0] + s + sums[-1]
+        vol = g.cell_volume()
+        return np.sqrt(tot * vol), np.sqrt(sums[0]) * np.sqrt(vol)
 
 
 # --- serialization: one JSON header line, then little-endian complex64 ------

@@ -17,13 +17,17 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import make_interp_spline
 from scipy.special import k0, k1
 
-from .grid import Field, Grid
+from .grid import Field, Grid, PreconditionError
 
 GRAFT_LEVEL = 1e-6   # switch to the analytic tail once Q drops below this * q0
 TAIL_LEVEL = 1e-12   # last stored abscissa has Q ~ this * q0
 
 
 class GroundStateError(RuntimeError):
+    pass
+
+
+class GroundStateInputError(GroundStateError, PreconditionError):
     pass
 
 
@@ -160,9 +164,9 @@ FINE_RTOL = 1e-13
 def solve_ground_state(p: float, omega: float, dim: int, tol: float = 4e-15,
                        dr: float | None = None) -> GroundState:
     if not p > 1:
-        raise GroundStateError("need p > 1")
+        raise GroundStateInputError("need p > 1")
     if not omega > 0:
-        raise GroundStateError("need omega > 0")
+        raise GroundStateInputError("need omega > 0")
     if dr is None:
         dr = 0.01 / np.sqrt(omega)
 
@@ -257,9 +261,9 @@ def fit_decay(gs: GroundState) -> float:
 def rescale(gs: GroundState, omega: float) -> GroundState:
     """Frequency scaling  Q_omega(x) = omega^{1/(p-1)} Q(sqrt(omega) x)."""
     if not np.isclose(gs.omega, 1.0):
-        raise GroundStateError("rescale starts from the omega = 1 profile")
+        raise GroundStateInputError("rescale starts from the omega = 1 profile")
     if not omega > 0:
-        raise GroundStateError("need omega > 0")
+        raise GroundStateInputError("need omega > 0")
     s = np.sqrt(omega)
     amp = omega ** (1.0 / (gs.p - 1.0))
     out = GroundState(
@@ -281,7 +285,7 @@ def sample_on_grid(gs: GroundState, grid: Grid, center=None) -> Field:
         center = np.zeros(grid.dim)
     center = np.asarray(center, dtype=float)
     if np.any(np.abs(center) >= grid.half_width):
-        raise GroundStateError("center outside box")
+        raise GroundStateInputError("center outside box")
     vals = gs(grid.radius(center))
     return Field(grid, vals.astype(np.complex128))
 

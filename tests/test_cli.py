@@ -12,6 +12,7 @@ from nlslab.cli import (
     config_text,
     default_config,
     load_config,
+    main,
     parse_config_text,
     run,
     run_sweep,
@@ -74,6 +75,44 @@ def test_numerical_failure_exit_code(tmp_path, gs3):
     code = run("evolve", cfg, tmp_path / "out", in_path=tmp_path / "u0.bin")
     assert code == 3
     assert (tmp_path / "out" / "failure.json").exists()
+
+
+def test_ground_state_bad_p_is_precondition(tmp_path, capsys):
+    assert main(["ground-state", "--p", "1", "--out", str(tmp_path)]) == 2
+    assert "need p > 1" in capsys.readouterr().err
+    assert not (tmp_path / "failure.json").exists()
+
+
+def test_fixed_point_too_few_iters_is_precondition(tmp_path, capsys):
+    assert main(["fixed-point", "--iters", "2", "--n", "255",
+                 "--out", str(tmp_path)]) == 2
+    assert "at least 3 iterations" in capsys.readouterr().err
+
+
+def test_sweep_bad_value_is_precondition(tmp_path, capsys):
+    code = main(["sweep", "--sub", "ground-state", "--param", "p",
+                 "--values", "3,abc", "--out", str(tmp_path)])
+    assert code == 2
+    assert "abc" in capsys.readouterr().err
+    assert not (tmp_path / "aggregate.csv").exists()
+
+
+def test_fixed_point_writes_iteration_diagnostics(tmp_path):
+    cfg = default_config()
+    cfg.update({"v": (8.0,), "n": 255, "a": 1.0, "dt": 0.004, "iters": 4,
+                "snapshot_every": 100})
+    assert run("fixed-point", cfg, tmp_path) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert "diff_norms" not in summary
+    lines = (tmp_path / "picard_iterations.csv").read_text().splitlines()
+    assert lines[0] == f"# config={config_hash(cfg)}"
+    assert lines[1] == "iteration,iterate_norm,diff_norm,ratio"
+    rows = [[float(x) for x in line.split(",")] for line in lines[2:]]
+    assert [r[0] for r in rows] == list(range(len(summary["iterate_norms"])))
+    assert [r[1] for r in rows] == summary["iterate_norms"]
+    assert np.isnan(rows[0][2]) and np.isnan(rows[1][3])
+    assert all(r[2] > 0 for r in rows[1:])
+    assert [r[3] for r in rows[2:]] == summary["contraction_ratios"]
 
 
 def test_missing_input_rejected(tmp_path):

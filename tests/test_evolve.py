@@ -5,8 +5,10 @@ from nlslab.grid import Field, Obstacle, build_grid, l2_norm
 from nlslab.ground_state import solve_ground_state
 from nlslab.evolve import (
     BlowUpError,
+    CrankNicolsonStepper,
     EvolveConfig,
     EvolveError,
+    LinearSolveError,
     Trajectory,
     evolve,
     nls_residual,
@@ -39,6 +41,19 @@ def test_linear_step_is_isometry(grid):
     # p-term disabled: p=1 makes the phase rotation a global constant
     v = step(u, 0.01, 1.0)
     assert l2_norm(v) == pytest.approx(l2_norm(u), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linear_step_rejects_nonfinite_input(grid, bad):
+    stepper = CrankNicolsonStepper(grid, -0.01)
+    vec = np.zeros(grid.n_active, dtype=complex)
+    poisoned = vec.copy()
+    poisoned[grid.n_active // 2] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(LinearSolveError):
+            stepper.linear_step(poisoned)
+        with pytest.raises(LinearSolveError):
+            stepper.linear_step(vec, poisoned)
 
 
 def test_nonlinear_substep_preserves_modulus(grid):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlslab.grid import Field, NormConfig, Obstacle, build_cutoff, build_grid, h2_norm, l2_norm
-from nlslab.evolve import EvolveConfig, Trajectory
+from nlslab.evolve import EvolveConfig, LinearSolveError, Trajectory
 from nlslab.fixedpoint import (
     FixedPointError,
     duhamel_apply,
@@ -251,6 +251,73 @@ def test_tmax_doubling_insensitive(gs3, box):
     rep2, _, _ = run_picard(gs3, box, 8.0, n_iters=4, horizon=14.0)
     a, b = rep1.iterate_norms[-1], rep2.iterate_norms[-1]
     assert abs(a - b) / a < 0.01
+
+
+# Recorded from the Picard loop that kept every snapshot as a Field and
+# re-evaluated the sources in each sweep; the active-vector sweep reproduces
+# them bit for bit, and 1e-12 relative leaves room only for roundoff.
+PICARD_V8_RECORDED = {
+    "iterate_norms": [7.897458862670558, 7.905534979774593, 7.905047475453346,
+                      7.905041186844821, 7.905042133094933, 7.905042184027972],
+    "contraction_ratios": [0.07829348016007805, 0.12949679872361083,
+                           0.10554388725577907, 0.0875186609199155],
+    "diff_norms": [0.09479482123559625, 0.0074218164556873,
+                   0.000961101471725721, 0.00010143838537318283,
+                   8.877751653739305e-06],
+    "final_residual": 0.3352979299223377,
+    "J1": 0.0661161891991686,
+    "J2": 0.025480718273379895,
+    "J3": 0.02372169521320122,
+}
+
+
+def test_picard_v8_matches_recorded_values(picard_v8):
+    rep, _, _ = picard_v8
+    got = {
+        "iterate_norms": rep.iterate_norms,
+        "contraction_ratios": rep.contraction_ratios,
+        "diff_norms": rep.diff_norms,
+        "final_residual": rep.final_residual,
+        "J1": rep.j_norms["J1"],
+        "J2": rep.j_norms["J2"],
+        "J3": rep.j_norms["J3"],
+    }
+    for key, ref in PICARD_V8_RECORDED.items():
+        assert np.asarray(got[key]) == pytest.approx(np.asarray(ref), rel=1e-12), key
+
+
+def test_in_sweep_norm_equals_e_norm(picard_v8):
+    rep, traj, cfg = picard_v8
+    assert e_norm(traj, cfg) == rep.iterate_norms[-1]
+
+
+def test_diff_norms_give_the_ratios(picard_v8):
+    rep, _, _ = picard_v8
+    d = rep.diff_norms
+    assert len(d) == len(rep.iterate_norms) - 1
+    assert rep.contraction_ratios == [b / a for a, b in zip(d, d[1:])]
+
+
+def test_nonfinite_source_in_sweep_raises(gs3, box):
+    # a NaN in the ansatz at one mesh time poisons the feedback source there;
+    # the sweep must stop on it rather than let max() drop a NaN norm
+    src, _ = sources_at(gs3, box, 8.0)
+    cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(8.0,), T0=0.5)
+    ansatz = src._ansatz
+    src._ansatz = lambda t: ansatz(t) * (np.nan if abs(t - 1.0) < 1e-9 else 1.0)
+    with pytest.raises(LinearSolveError):
+        picard(src, 0.5, 2.0, cfg, 3, EvolveConfig(dt=0.004), j_diagnostics=False)
+
+
+def test_enorm_raises_instead_of_dropping_nan(box):
+    # an overflowing H2 norm under an underflowing weight makes 0 * inf = NaN
+    grid, _ = box
+    cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(2.0,), T0=0.0)
+    huge = Field(grid, np.full(grid.n, 1e300, dtype=complex))
+    traj = Trajectory(times=np.array([-1e4]), snapshots=[huge], conservation=[],
+                      p=3.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FixedPointError):
+        e_norm(traj, cfg)
 
 
 def test_picard_preconditions(gs3, box):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nlslab.grid import (
+    ActiveStencil,
     CutoffPsi,
     Field,
     GridError,
@@ -247,3 +248,28 @@ def test_masked_points_stay_zero():
     assert np.all(laplacian_dirichlet(u).values[~g.mask] == 0.0)
     for c in gradient(u):
         assert np.all(c.values[~g.mask] == 0.0)
+
+
+@pytest.mark.parametrize("dim,L,n,a", [
+    (1, 40.0, 2047, 1.0),   # h a power of two
+    (1, 9.0, 300, 1.3),
+    (1, 20.0, 255, 0.0),
+    (2, 10.0, 301, 1.5),    # more than one summation block of numpy's sum
+    (3, 10.0, 31, 2.0),
+])
+def test_active_stencil_matches_field_operators_exactly(dim, L, n, a):
+    g = build_grid(dim, L, n, Obstacle("ball", a) if a else Obstacle())
+    rng = np.random.default_rng(dim * 1000 + n)
+    fields = [random_field(g, rng) for _ in range(3)]
+    fields.append(Field(g, 1e-3 * fields[0].values))
+    stack = np.array([to_active(u) for u in fields])
+    st = ActiveStencil(g)
+    h2, l2 = st.h2_l2(stack)
+    lap = st.laplacian(stack)
+    for k, u in enumerate(fields):
+        assert h2[k] == h2_norm(u)
+        assert l2[k] == l2_norm(u)
+        assert np.array_equal(lap[k], laplacian_dirichlet(u).values)
+        assert np.array_equal(st.full(stack[k:k + 1])[0], u.values)
+    one_h2, one_l2 = st.h2_l2(stack[1:2])
+    assert one_h2[0] == h2[1] and one_l2[0] == l2[1]
