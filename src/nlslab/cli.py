@@ -149,7 +149,14 @@ def write_csv(path: Path, header, rows, cfg_hash: str) -> None:
         writer = csv.writer(f)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(float(x)) for x in row])
+            writer.writerow([x if isinstance(x, str) else repr(float(x))
+                             for x in row])
+
+
+def write_search_history(path: Path, history, cfg_hash: str) -> None:
+    """One row per shot of the alpha+ search, in the order they were run."""
+    write_csv(path, ("shot", "alpha", "exit_time", "exit_reason", "alpha_plus_exit"),
+              [(k, *shot) for k, shot in enumerate(history)], cfg_hash)
 
 
 def _grid_from(cfg, with_obstacle=True):
@@ -351,6 +358,8 @@ def run_shoot(cfg, out: Path) -> dict:
         summary["bracket_width"] = result.bracket_width
         summary["found"] = result.found
         summary["shoots"] = len(result.history)
+        write_search_history(out / "search_history.csv", result.history,
+                             config_hash(cfg))
         if result.found:
             c_fit, _ = mod.uniform_distance_fit(ctx, log)
             summary["fitted_C"] = c_fit
@@ -394,7 +403,6 @@ def run(subcommand: str, cfg: dict, out_dir, in_path=None) -> int:
     """Execute one subcommand; returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.random.seed(cfg["seed"])  # legacy global seed for any stray consumers
     try:
         if subcommand in NEEDS_INPUT:
             summary = RUNNERS[subcommand](cfg, out, in_path)

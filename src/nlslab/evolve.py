@@ -43,7 +43,6 @@ class EvolveConfig:
     dt: float
     t0: float = 0.0
     t1: float = 1.0
-    scheme: str = "strang_cn"
     lin_tol: float = 1e-10
     snapshot_every: int = 1
     c_stab: float = 200.0
@@ -52,8 +51,6 @@ class EvolveConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise EvolveError("dt is a positive magnitude; direction comes from t0, t1")
-        if self.scheme != "strang_cn":
-            raise EvolveError(f"unknown scheme {self.scheme!r}")
         if self.snapshot_every < 1:
             raise EvolveError("snapshot_every must be >= 1")
 

@@ -121,8 +121,7 @@ class SourceSet:
         params, gs = self.params, self.gs
         c = params.center(t)
         r = np.sqrt(sum((xc - ck) ** 2 for xc, ck in zip(self._wcoords, c)))
-        q = gs(r)
-        dq = gs.derivative(r)
+        q, dq = gs.evaluate(r)
         safe = np.where(r > 0, r, 1.0)
         phi = sum(0.5 * params.v[k] * self._wcoords[k] for k in range(self.grid.dim))
         phi = phi - 0.25 * params.speed() ** 2 * t + params.omega * t + params.theta0

@@ -82,6 +82,7 @@ class EigenModes:
     p: float
     residuals: dict = field(default_factory=dict)
     _pair: LinearizedPair = None
+    _interp: tuple = field(default=None, repr=False)
 
     def mode(self, sign: int) -> Field:
         """The complex eigenmode y1 + i sign y2 (sign=+1 decays forward)."""
@@ -257,6 +258,9 @@ def solve_unstable_pair(pair: LinearizedPair, tol: float = 1e-12) -> EigenModes:
 
 
 def _interpolators(modes: EigenModes):
+    """The y1, y2 interpolants, built on first use and kept on the modes."""
+    if modes._interp is not None:
+        return modes._interp
     grid = modes.y1.grid
     if grid.dim == 1:
         x = grid.axes[0]
@@ -270,12 +274,16 @@ def _interpolators(modes: EigenModes):
             out[inside] = spline(pts[inside])
             return out
 
-        return (lambda pts: ev(s1, pts[..., 0])), (lambda pts: ev(s2, pts[..., 0]))
-    r1 = RegularGridInterpolator(grid.axes, modes.y1.values.real,
-                                 bounds_error=False, fill_value=0.0)
-    r2 = RegularGridInterpolator(grid.axes, modes.y2.values.real,
-                                 bounds_error=False, fill_value=0.0)
-    return r1, r2
+        modes._interp = ((lambda pts: ev(s1, pts[..., 0])),
+                         (lambda pts: ev(s2, pts[..., 0])))
+    else:
+        modes._interp = (
+            RegularGridInterpolator(grid.axes, modes.y1.values.real,
+                                    bounds_error=False, fill_value=0.0),
+            RegularGridInterpolator(grid.axes, modes.y2.values.real,
+                                    bounds_error=False, fill_value=0.0),
+        )
+    return modes._interp
 
 
 def evaluate_mode_parts(modes: EigenModes, grid: Grid, center) -> tuple[Field, Field]:

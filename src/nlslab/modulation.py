@@ -5,7 +5,8 @@ the translation y and phase mu solve the d+1 orthogonality conditions
 
     Re int r  dQ~_j Psi conj(phase) = 0,      Im int r conj(R~) = 0,
 
-by Newton iteration (analytic diagonal Jacobian, finite-difference refresh).
+by Newton iteration.  Each iterate makes one pass over the profile: the
+exact Jacobian is built from the same Q, Q' and phase as the residual.
 The unstable/stable spectral coefficients are alpha+- = Im int Y~_(-+) conj(r).
 
 Shooting integrates backward from modulated final data R(Tn) + i lambda.Y(Tn)
@@ -17,6 +18,7 @@ bisection on alpha+, the one-dimensional shadow of the degree argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +60,19 @@ class ModulationContext:
         return delta * np.sqrt(self.params.omega) * self.params.speed()
 
 
+class _Ansatz(NamedTuple):
+    """Q~ Psi at one modulation (t, y, mu), from one pass over the profile."""
+
+    c: np.ndarray          # modulated centre c(t) + y
+    rr: np.ndarray         # |x - c|
+    q: np.ndarray          # Q(|x - c|)
+    dq: np.ndarray         # Q'(|x - c|)
+    units: list            # (x_k - c_k) / |x - c|, 0 at the centre
+    qpsi: np.ndarray       # Q~ Psi
+    dq_fields: list        # Psi d_k Q~
+    ph: np.ndarray         # the boosted phase with mu added
+
+
 @dataclass(eq=False)
 class ModulationState:
     y: np.ndarray
@@ -66,7 +81,8 @@ class ModulationState:
     alpha_plus: float
     alpha_minus: float
     t: float
-    newton_iters: int = 0
+    newton_iters: int = 0    # residual checks made, the last one converged
+    _ansatz: _Ansatz = field(default=None, repr=False)
 
     def h(self, ctx: ModulationContext) -> Field:
         """e^{-i phase~} r, the co-rotating remainder (computed on demand)."""
@@ -74,33 +90,63 @@ class ModulationState:
         return Field(self.r.grid, self.r.values * np.conj(ph))
 
 
-def _tilde_pieces(ctx: ModulationContext, t: float, y: np.ndarray, mu: float):
-    """Q~ Psi, its gradient fields, and the phase for given modulation."""
+def _tilde_pieces(ctx: ModulationContext, t: float, y: np.ndarray,
+                  mu: float) -> _Ansatz:
+    """Q~ Psi, its gradient fields and the phase for given modulation."""
     grid = ctx.grid
     c = ctx.params.center(t) + y
     rr = grid.radius(c)
-    q = ctx.gs(rr)
-    dq = ctx.gs.derivative(rr)
+    q, dq = ctx.gs.evaluate(rr)
     safe = np.where(rr > 0, rr, 1.0)
+    units = [(grid.coordinate(k) - c[k]) / safe for k in range(grid.dim)]
     pvals = ctx.psi.psi if ctx.psi is not None else 1.0
-    qpsi = q * pvals
-    dq_fields = [dq * (grid.coordinate(k) - c[k]) / safe * pvals
-                 for k in range(grid.dim)]
     ph = phase_factor(ctx.params, t, grid, extra=mu)
-    return qpsi, dq_fields, ph, c
+    return _Ansatz(c, rr, q, dq, units, q * pvals, [dq * e * pvals for e in units],
+                   ph)
 
 
 def _orthogonality(ctx: ModulationContext, u: Field, t: float, y, mu):
     """Residuals of the d+1 conditions and the pieces needed around them."""
-    qpsi, dq_fields, ph, c = _tilde_pieces(ctx, t, y, mu)
-    r_vals = u.values - qpsi * ph
+    a = _tilde_pieces(ctx, t, y, mu)
+    r_vals = u.values - a.qpsi * a.ph
     w = ctx.grid.cell_volume()
-    conj_ph = np.conj(ph)
-    res = [float(np.sum((r_vals * conj_ph).real * dqf)) * w for dqf in dq_fields]
-    res.append(float(np.sum((r_vals * conj_ph).imag * qpsi)) * w)
-    scales = [float(np.sum(dqf**2)) * w for dqf in dq_fields]
-    scales.append(float(np.sum(qpsi**2)) * w)
-    return np.asarray(res), np.asarray(scales), r_vals, c
+    h = r_vals * np.conj(a.ph)
+    res = [float(np.sum(h.real * dqf)) * w for dqf in a.dq_fields]
+    res.append(float(np.sum(h.imag * a.qpsi)) * w)
+    scales = [float(np.sum(dqf**2)) * w for dqf in a.dq_fields]
+    scales.append(float(np.sum(a.qpsi**2)) * w)
+    return np.asarray(res), np.asarray(scales), r_vals, a
+
+
+def _jacobian(ctx: ModulationContext, r_vals: np.ndarray, a: _Ansatz) -> np.ndarray:
+    """Exact Jacobian of the orthogonality residuals in (y, mu).
+
+    With h = e^{-i phase~} r:  dh/dy_k = Psi d_k Q~,  dh/dmu = -i (h + Q~ Psi),
+    and d(Psi d_j Q~)/dy_k = -Psi d_j d_k Q~.  The Hessian of the radial
+    profile needs Q'', taken from the profile equation
+    Q'' = omega Q - Q^p - (d-1) Q'/rho, with Q'/rho -> Q''(0) at the centre.
+    """
+    gs, grid = ctx.gs, ctx.grid
+    d, w = grid.dim, grid.cell_volume()
+    h = r_vals * np.conj(a.ph)
+    pvals = ctx.psi.psi if ctx.psi is not None else 1.0
+    source = gs.omega * a.q - a.q**gs.p
+    at_centre = a.rr <= 0
+    q_rho = np.where(at_centre, source / gs.dim,
+                     a.dq / np.where(at_centre, 1.0, a.rr))
+    q2 = source - (gs.dim - 1) * q_rho
+    hr_psi = h.real * pvals
+    jac = np.empty((d + 1, d + 1))
+    for j in range(d):
+        for k in range(d):
+            ee = a.units[j] * a.units[k]
+            hess = q2 * ee + q_rho * (float(j == k) - ee)
+            jac[j, k] = float(np.sum(a.dq_fields[j] * a.dq_fields[k]
+                                     - hr_psi * hess)) * w
+        jac[j, d] = float(np.sum(h.imag * a.dq_fields[j])) * w
+        jac[d, j] = -jac[j, d]
+    jac[d, d] = -float(np.sum((h.real + a.qpsi) * a.qpsi)) * w
+    return jac
 
 
 def decompose(ctx: ModulationContext, u: Field, t: float,
@@ -117,61 +163,53 @@ def decompose(ctx: ModulationContext, u: Field, t: float,
         )
     z = np.zeros(d + 1) if guess is None else np.asarray(guess, dtype=float).copy()
 
-    def residual(zv):
-        return _orthogonality(ctx, u, t, zv[:d], zv[d])
-
-    res, scales, r_vals, _ = residual(z)
-    jac = None
+    res, scales, r_vals, a = _orthogonality(ctx, u, t, z[:d], z[d])
     iters = 0
     for iters in range(1, ctx.max_newton + 1):
         if np.all(np.abs(res) <= ctx.newton_tol * scales):
             break
-        if jac is None or iters % 5 == 0:
-            # finite-difference Jacobian refresh around the analytic diagonal
-            jac = np.diag(np.concatenate([scales[:d], [-scales[d]]]))
-            step = 1e-7
-            for j in range(d + 1):
-                zp = z.copy()
-                zp[j] += step
-                rp, _, _, _ = residual(zp)
-                jac[:, j] = (rp - res) / step
         try:
-            dz = np.linalg.solve(jac, res)
+            dz = np.linalg.solve(_jacobian(ctx, r_vals, a), res)
         except np.linalg.LinAlgError as exc:
             raise ModulationFailure(f"singular modulation Jacobian at t={t}") from exc
         z = z - dz
-        res, scales, r_vals, _ = residual(z)
+        res, scales, r_vals, a = _orthogonality(ctx, u, t, z[:d], z[d])
     else:
         raise ModulationFailure(
             f"modulation Newton did not converge at t={t}: residuals {res}"
         )
 
-    y, mu = z[:d], float(z[d])
-    r = Field(grid, r_vals)
-    center = ctx.params.center(t) + y
-    y1c, y2c = evaluate_mode_parts(ctx.modes, grid, center)
+    y1c, y2c = evaluate_mode_parts(ctx.modes, grid, a.c)
     pvals = ctx.psi.psi if ctx.psi is not None else 1.0
-    ph = phase_factor(ctx.params, t, grid, extra=mu)
     w = grid.cell_volume()
-    y_minus = (y1c.values.real - 1j * y2c.values.real) * pvals * ph
-    y_plus = (y1c.values.real + 1j * y2c.values.real) * pvals * ph
+    y_minus = (y1c.values.real - 1j * y2c.values.real) * pvals * a.ph
+    y_plus = (y1c.values.real + 1j * y2c.values.real) * pvals * a.ph
     alpha_plus = float(np.sum(y_minus * np.conj(r_vals)).imag) * w
     alpha_minus = float(np.sum(y_plus * np.conj(r_vals)).imag) * w
-    return ModulationState(y=y, mu=mu, r=r, alpha_plus=alpha_plus,
-                           alpha_minus=alpha_minus, t=t, newton_iters=iters)
+    return ModulationState(y=z[:d], mu=float(z[d]), r=Field(grid, r_vals),
+                           alpha_plus=alpha_plus, alpha_minus=alpha_minus, t=t,
+                           newton_iters=iters, _ansatz=a)
 
 
-def final_data(ctx: ModulationContext, Tn: float, lam) -> Field:
-    """u(Tn) = R(Tn) + i (lam+ Y+(Tn) + lam- Y-(Tn))."""
-    lam = np.asarray(lam, dtype=float)
+def _final_data_map(ctx: ModulationContext, Tn: float):
+    """lam -> u(Tn), with R(Tn) and Y+-(Tn) built once (u is affine in lam)."""
     R = soliton_field(ctx.params, ctx.gs, Tn, ctx.grid, ctx.psi)
-    c = ctx.params.center(Tn)
-    y1c, y2c = evaluate_mode_parts(ctx.modes, ctx.grid, c)
+    y1c, y2c = evaluate_mode_parts(ctx.modes, ctx.grid, ctx.params.center(Tn))
     pvals = ctx.psi.psi if ctx.psi is not None else 1.0
     ph = phase_factor(ctx.params, Tn, ctx.grid)
     yp = (y1c.values.real + 1j * y2c.values.real) * pvals * ph
     ym = (y1c.values.real - 1j * y2c.values.real) * pvals * ph
-    return Field(ctx.grid, R.values + 1j * (lam[0] * yp + lam[1] * ym))
+
+    def at(lam) -> Field:
+        lam = np.asarray(lam, dtype=float)
+        return Field(ctx.grid, R.values + 1j * (lam[0] * yp + lam[1] * ym))
+
+    return at
+
+
+def final_data(ctx: ModulationContext, Tn: float, lam) -> Field:
+    """u(Tn) = R(Tn) + i (lam+ Y+(Tn) + lam- Y-(Tn))."""
+    return _final_data_map(ctx, Tn)(lam)
 
 
 def solve_modulated_final_data(ctx: ModulationContext, Tn: float,
@@ -180,9 +218,10 @@ def solve_modulated_final_data(ctx: ModulationContext, Tn: float,
     """Newton on lam so that alpha+(Tn) hits the target and alpha-(Tn) = 0."""
     lam = np.zeros(2)
     target = np.array([alpha_plus_target, 0.0])
+    data = _final_data_map(ctx, Tn)
 
     def alphas(lv):
-        st = decompose(ctx, final_data(ctx, Tn, lv), Tn)
+        st = decompose(ctx, data(lv), Tn)
         return np.array([st.alpha_plus, st.alpha_minus])
 
     scale = max(abs(alpha_plus_target), 1e-12)
@@ -265,31 +304,30 @@ def _resolve_bounds(ctx: ModulationContext, cfg: ShootConfig, r_h1_final: float)
     return delta, rate, M, Mp, eps
 
 
+def _ansatz_lyapunov(ctx: ModulationContext, a: _Ansatz) -> float:
+    grid = ctx.grid
+    w = grid.cell_volume()
+    kin = 0.0
+    for k in range(grid.dim):
+        slope = a.dq_fields[k]
+        if ctx.psi is not None:
+            slope = slope + a.q * ctx.psi.grad_psi[k]
+        kin += float(np.sum(slope**2)) * w
+    mass = float(np.sum(a.qpsi**2)) * w
+    pot = float(np.sum(a.qpsi ** (ctx.params.p + 1.0))) * w
+    return 0.5 * kin - pot / (ctx.params.p + 1.0) + 0.5 * ctx.params.omega * mass
+
+
 def tilde_lyapunov(ctx: ModulationContext, t: float, y) -> float:
     """The conserved combination of the modulated ansatz R~(t).
 
     The velocity terms cancel algebraically, leaving
     1/2 |grad(Q~ Psi)|^2 - 1/(p+1) |Q~ Psi|^(p+1) + omega/2 |Q~ Psi|^2
     evaluated with exact derivatives; its time drift is pure cutoff overlap.
+    backward_shoot logs the same value from the pieces of the converged
+    Newton iterate instead of evaluating the profile again.
     """
-    grid = ctx.grid
-    w = grid.cell_volume()
-    c = ctx.params.center(t) + np.asarray(y)
-    rr = grid.radius(c)
-    q = ctx.gs(rr)
-    dq = ctx.gs.derivative(rr)
-    safe = np.where(rr > 0, rr, 1.0)
-    pvals = ctx.psi.psi if ctx.psi is not None else 1.0
-    amp = q * pvals
-    kin = 0.0
-    for k in range(grid.dim):
-        slope = dq * (grid.coordinate(k) - c[k]) / safe * pvals
-        if ctx.psi is not None:
-            slope = slope + q * ctx.psi.grad_psi[k]
-        kin += float(np.sum(slope**2)) * w
-    mass = float(np.sum(amp**2)) * w
-    pot = float(np.sum(amp ** (ctx.params.p + 1.0))) * w
-    return 0.5 * kin - pot / (ctx.params.p + 1.0) + 0.5 * ctx.params.omega * mass
+    return _ansatz_lyapunov(ctx, _tilde_pieces(ctx, t, np.asarray(y), 0.0))
 
 
 def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
@@ -322,7 +360,7 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
         nn = (np.exp(rate * t) * st.alpha_plus) ** 2
         rows.append((t, l2_norm(st.r), h1_norm(st.r), st.y.copy(), st.mu,
                      st.alpha_plus, st.alpha_minus, f.lyapunov, nn,
-                     tilde_lyapunov(ctx, t, st.y)))
+                     _ansatz_lyapunov(ctx, st._ansatz)))
         if cfg.keep_snapshots:
             snaps.append((t, u_here))
 
@@ -531,10 +569,9 @@ def coercivity_along_trajectory(ctx: ModulationContext, log: ShootLog,
     out = []
     for (t, u), y, mu, ap, am in zip(log.snapshots, log.y, log.mu,
                                      log.alpha_plus, log.alpha_minus):
-        qpsi, _, ph, c = _tilde_pieces(ctx, t, y, mu)
-        r_vals = u.values - qpsi * ph
-        h_vals = r_vals * np.conj(ph)
-        pot = ctx.gs(grid.radius(c)) ** (ctx.params.p - 1.0)
+        a = _tilde_pieces(ctx, t, y, mu)
+        h_vals = (u.values - a.qpsi * a.ph) * np.conj(a.ph)
+        pot = a.q ** (ctx.params.p - 1.0)
         form = 0.0
         for part, coef in ((h_vals.real, ctx.params.p), (h_vals.imag, 1.0)):
             f = Field(grid, part.astype(complex))

@@ -135,8 +135,7 @@ def ansatz_functionals(params: SolitonParams, gs: GroundState, t: float,
     w = g.cell_volume()
     c = params.center(t)
     r = g.radius(c)
-    q = gs(r)
-    dq = gs.derivative(r)
+    q, dq = gs.evaluate(r)
     pvals = psi.psi if psi is not None else 1.0
     amp = q * pvals
     mass = float(np.sum(amp**2)) * w

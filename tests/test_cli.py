@@ -16,6 +16,7 @@ from nlslab.cli import (
     parse_config_text,
     run,
     run_sweep,
+    write_search_history,
 )
 from nlslab.grid import build_grid, save_field
 from nlslab.soliton import SolitonParams, soliton_field
@@ -113,6 +114,23 @@ def test_fixed_point_writes_iteration_diagnostics(tmp_path):
     assert np.isnan(rows[0][2]) and np.isnan(rows[1][3])
     assert all(r[2] > 0 for r in rows[1:])
     assert [r[3] for r in rows[2:]] == summary["contraction_ratios"]
+
+
+def test_search_history_csv(tmp_path, winning_search):
+    path = tmp_path / "search_history.csv"
+    write_search_history(path, winning_search.history, "abc123")
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# config=abc123"
+    assert lines[1] == "shot,alpha,exit_time,exit_reason,alpha_plus_exit"
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == len(winning_search.history)
+    for k, (row, shot) in enumerate(zip(rows, winning_search.history)):
+        alpha, exit_time, reason, alpha_plus = shot
+        assert float(row[0]) == k
+        assert float(row[1]) == alpha and float(row[2]) == exit_time
+        assert row[3] == reason
+        assert float(row[4]) == alpha_plus
+    assert rows[-1][3] == "reached_T0"
 
 
 def test_missing_input_rejected(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.interpolate import make_interp_spline
 
 from nlslab.grid import build_grid
 from nlslab.ground_state import (
+    GroundState,
     GroundStateError,
     fit_decay,
     ode_residual,
@@ -46,6 +48,45 @@ def test_closed_form_p7(gs_septic):
 def test_3d_matches_frozen_oracle():
     gs = solve_ground_state(3, 1.0, 3)
     assert gs.q0 == pytest.approx(Q0_CUBIC_3D, abs=1e-9)
+
+
+@pytest.mark.parametrize("p, dim, omega", [(3, 1, 1.0), (7, 1, 1.0), (3, 3, 1.0),
+                                           (3, 1, 4.0)])
+def test_evaluator_matches_quintic_spline(p, dim, omega):
+    gs = solve_ground_state(p, 1.0, dim)
+    if omega != 1.0:
+        gs = rescale(gs, omega)
+    r = np.concatenate([-gs.r_samples[:0:-1], gs.r_samples])
+    spline = make_interp_spline(
+        r, np.concatenate([gs.q_samples[:0:-1], gs.q_samples]), k=5)
+    x = np.concatenate([np.linspace(0.0, gs.r_end, 20001), gs.r_samples,
+                        np.random.default_rng(5).uniform(0.0, gs.r_end, 20000)])
+    q, dq = gs.evaluate(x)
+    assert np.max(np.abs(q - np.maximum(spline(x), 0.0))) <= 1e-14 * gs.q0
+    assert np.max(np.abs(dq - spline.derivative()(x))) <= 1e-14 * gs.q0
+    assert np.array_equal(gs(x), q) and np.array_equal(gs.derivative(x), dq)
+    assert np.all(q >= 0.0)
+    beyond = gs.r_end * np.array([1.0 + 1e-12, 1.01, 2.0, 1e3])
+    q_out, dq_out = gs.evaluate(beyond)
+    assert np.all(q_out == 0.0) and np.all(dq_out == 0.0)
+
+
+def test_evaluator_clips_negative_values(gs_cubic):
+    # a tail sample pushed below zero makes the spline negative around it
+    q_samples = gs_cubic.q_samples.copy()
+    q_samples[-40] = -1e-3 * gs_cubic.q0
+    gs = GroundState(p=3.0, omega=1.0, dim=1, r_samples=gs_cubic.r_samples,
+                     q_samples=q_samples, qprime_samples=gs_cubic.qprime_samples,
+                     q0=gs_cubic.q0)
+    x = gs.r_samples[-60:-20]
+    r = np.concatenate([-gs.r_samples[:0:-1], gs.r_samples])
+    spline = make_interp_spline(r, np.concatenate([q_samples[:0:-1], q_samples]),
+                                k=5)
+    q, dq = gs.evaluate(x)
+    assert spline(x[20]) < 0.0
+    assert q[20] == 0.0
+    assert np.array_equal(q, np.where(spline(x) > 0.0, spline(x), 0.0))
+    assert np.array_equal(dq, spline.derivative()(x))  # only Q is clipped
 
 
 def test_profile_shape_invariants(gs_cubic):

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+
+import nlslab.linearized as linearized
 
 from nlslab.grid import build_grid, l2_norm, real_inner, to_active
 from nlslab.ground_state import solve_ground_state
@@ -10,6 +14,7 @@ from nlslab.linearized import (
     assemble,
     biorthogonal_family,
     coercivity_certificate,
+    evaluate_mode_parts,
     kernel_residuals,
     measure_scaling_exponent,
     quadratic_form,
@@ -149,6 +154,28 @@ def test_measured_scaling_exponent(gs7, work):
     # the measured law is e_omega = omega * e0; the omega^(3/2) claim is not
     # reproduced by the operator scaling (see the scaling-report docs)
     assert kappa == pytest.approx(1.0, abs=0.01)
+
+
+def test_mode_interpolants_built_once(work, monkeypatch):
+    _, modes = work
+    built = []
+
+    class CountingSpline(linearized.CubicSpline):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(linearized, "CubicSpline", CountingSpline)
+    grid = build_grid(1, 20.0, 1023)
+    fresh = dataclasses.replace(modes, _interp=None)
+    evaluate_mode_parts(fresh, grid, [0.3])
+    second = evaluate_mode_parts(fresh, grid, [-1.7])
+    assert len(built) == 2  # y1 and y2, once each
+    reference = evaluate_mode_parts(dataclasses.replace(modes, _interp=None),
+                                    grid, [-1.7])
+    assert len(built) == 4
+    for got, ref in zip(second, reference):
+        assert np.array_equal(got.values, ref.values)
 
 
 def test_rescale_rejects_bad_args(work):

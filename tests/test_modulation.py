@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from nlslab.grid import Field, l2_norm
+import nlslab.modulation as modulation
+from nlslab.grid import Field, Obstacle, build_cutoff, build_grid, l2_norm
+from nlslab.ground_state import solve_ground_state
 from nlslab.modulation import (
+    ModulationContext,
     ModulationError,
     ShootConfig,
     alpha_minus_monitor,
@@ -16,15 +19,15 @@ from nlslab.modulation import (
     solve_modulated_final_data,
     uniform_distance_fit,
 )
-from nlslab.modulation import _tilde_pieces
-from nlslab.soliton import soliton_field
+from nlslab.modulation import _jacobian, _orthogonality, _tilde_pieces
+from nlslab.soliton import SolitonParams, soliton_field
 
 T_REF = 6.0
 
 
 def make_state(ctx, t, y, mu, extra=None):
-    qpsi, _, ph, _ = _tilde_pieces(ctx, t, np.atleast_1d(y), mu)
-    vals = qpsi * ph
+    a = _tilde_pieces(ctx, t, np.atleast_1d(y), mu)
+    vals = a.qpsi * a.ph
     if extra is not None:
         vals = vals + extra
     return Field(ctx.grid, vals)
@@ -56,10 +59,67 @@ def test_orthogonality_residuals_hold(shoot_ctx):
     bump = 0.02 * np.exp(-((x - 12.2) ** 2)) * (1.0 + 0.5j)
     u = make_state(shoot_ctx, T_REF, 0.01, 0.02, extra=bump)
     st = decompose(shoot_ctx, u, T_REF)
-    from nlslab.modulation import _orthogonality
-
     res, scales, _, _ = _orthogonality(shoot_ctx, u, T_REF, st.y, st.mu)
     assert np.all(np.abs(res) <= 1e-10 * scales)
+
+
+def central_difference_jacobian(ctx, u, t, z, step=1e-6):
+    d = len(z) - 1
+    cols = []
+    for j in range(d + 1):
+        zp, zm = z.copy(), z.copy()
+        zp[j] += step
+        zm[j] -= step
+        rp = _orthogonality(ctx, u, t, zp[:d], zp[d])[0]
+        rm = _orthogonality(ctx, u, t, zm[:d], zm[d])[0]
+        cols.append((rp - rm) / (2.0 * step))
+    return np.column_stack(cols)
+
+
+def assert_exact_jacobian(ctx, u, t, z):
+    d = len(z) - 1
+    _, _, r_vals, pieces = _orthogonality(ctx, u, t, z[:d], z[d])
+    exact = _jacobian(ctx, r_vals, pieces)
+    fd = central_difference_jacobian(ctx, u, t, z)
+    assert np.max(np.abs(exact - fd)) <= 1e-6 * np.max(np.abs(fd))
+    assert np.all(np.abs(np.diag(exact) - np.diag(fd)) <= 1e-6 * np.abs(np.diag(fd)))
+
+
+def test_exact_jacobian_matches_finite_differences(shoot_ctx):
+    x = shoot_ctx.grid.axes[0]
+    bump = 0.02 * np.exp(-((x - 12.2) ** 2)) * (1.0 + 0.5j)
+    u = make_state(shoot_ctx, T_REF, 0.05, -0.06, extra=bump)
+    assert_exact_jacobian(shoot_ctx, u, T_REF, np.array([0.02, -0.03]))
+
+
+def test_exact_jacobian_matches_finite_differences_2d():
+    gs = solve_ground_state(3, 1.0, 2)
+    grid = build_grid(2, 8.0, 95, Obstacle("ball", 1.0))
+    psi = build_cutoff(grid, 1.5, 3.0)
+    params = SolitonParams(omega=1.0, v=(1.0, 0.5), p=3.0)
+    ctx = ModulationContext(params=params, gs=gs, modes=None, psi=psi, grid=grid)
+    t = 2.4  # centre (2.4, 1.2): the profile overlaps the cutoff's slope
+    a = _tilde_pieces(ctx, t, np.array([0.04, -0.03]), 0.05)
+    xx, yy = grid.coordinate(0), grid.coordinate(1)
+    bump = 0.02 * np.exp(-((xx - 3.0) ** 2 + (yy - 0.5) ** 2)) * (1.0 - 0.7j)
+    u = Field(grid, a.qpsi * a.ph + bump)
+    assert_exact_jacobian(ctx, u, t, np.array([0.01, 0.02, -0.01]))
+
+
+def test_newton_iters_counts_residual_checks(shoot_ctx, monkeypatch):
+    calls = []
+    original = modulation._orthogonality
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(modulation, "_orthogonality", counting)
+    u = make_state(shoot_ctx, T_REF, 0.05, -0.06)
+    st = decompose(shoot_ctx, u, T_REF)
+    assert st.newton_iters == len(calls)
+    # the finite-difference Jacobian took 6 residual checks on this state
+    assert st.newton_iters <= 6
 
 
 def test_decompose_idempotent_on_orthogonal_remainder(shoot_ctx):
