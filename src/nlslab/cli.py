@@ -209,13 +209,9 @@ def run_spectrum(cfg, out: Path) -> dict:
         "kernel_residuals": lin.kernel_residuals(pair),
         "eigen_residuals": modes.residuals,
     }
-    if 2 * grid.n_active <= 6000:
-        rep = lin.coercivity_certificate(pair, modes, seed=cfg["seed"])
-        summary["lambda_min"] = rep.lambda_min
-        summary["unconstrained_lplus_min"] = rep.unconstrained_lplus_min
-    else:
-        summary["lambda_min"] = None
-        summary["certificate_note"] = "grid too large for the dense certificate"
+    rep = lin.coercivity_certificate(pair, modes, seed=cfg["seed"])
+    summary["lambda_min"] = rep.lambda_min
+    summary["unconstrained_lplus_min"] = rep.unconstrained_lplus_min
     if len(cfg["omegas"]) >= 2:
         kappa, resid, es = lin.measure_scaling_exponent(gs, grid, cfg["omegas"])
         summary["scaling_exponent"] = kappa

@@ -119,9 +119,12 @@ class GroundState:
 
 
 def _rhs(p: float, omega: float, dim: int):
+    # Python floats: numpy scalar arithmetic cost more than the integration
+    # step itself.  The same IEEE operations as np.sign(q) * np.abs(q) ** p.
     def fun(r, y):
-        q, dq = y
-        return [dq, -(dim - 1) / r * dq + omega * q - np.sign(q) * np.abs(q) ** p]
+        q, dq = y.tolist()
+        sign = (q > 0.0) - (q < 0.0)
+        return [dq, -(dim - 1) / r * dq + omega * q - sign * abs(q) ** p]
 
     return fun
 

@@ -158,6 +158,29 @@ def test_spectrum_run_and_determinism(tmp_path):
     assert summary["lambda_min"] > 0
 
 
+def test_spectrum_defaults_p7(tmp_path):
+    # L=40, n=2047, omegas 1,2,4: at omega=4 the coarse growth estimate needs
+    # the narrowed box, and the certificate runs on the full grid
+    assert main(["spectrum", "--p", "7", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["lambda_min"] > 0
+    assert len(summary["scaling_rates"]) == 3
+
+
+def test_spectrum_certificate_no_convergence_exits_3(tmp_path, monkeypatch):
+    import nlslab.linearized as linearized
+
+    def stalling(*args, **kwargs):
+        raise linearized.spla.ArpackNoConvergence("stalled", [], [])
+
+    monkeypatch.setattr(linearized.spla, "eigsh", stalling)
+    cfg = default_config()
+    cfg.update({"p": 7.0, "L": 15.0, "n": 1023, "omegas": ()})
+    assert run("spectrum", cfg, tmp_path) == 3
+    failure = json.loads((tmp_path / "failure.json").read_text())
+    assert failure["type"] == "SpectralError"
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_aggregate(tmp_path):

@@ -89,6 +89,24 @@ def test_evaluator_clips_negative_values(gs_cubic):
     assert np.array_equal(dq, spline.derivative()(x))  # only Q is clipped
 
 
+@pytest.mark.parametrize("p, omega, dim", [(3.0, 1.0, 1), (7.0, 2.0, 1), (2.5, 0.7, 3)])
+def test_shooting_rhs_matches_numpy_formula(p, omega, dim):
+    # the right-hand side works on Python floats; it must round exactly as
+    # the array formula does, including at q = 0 and q < 0
+    from nlslab.ground_state import _rhs
+
+    fun = _rhs(p, omega, dim)
+    rng = np.random.default_rng(3)
+    for q, dq in [(0.0, -0.3), (-0.0, 0.2), *rng.normal(0.0, 1.5, (50, 2))]:
+        r = float(rng.uniform(1e-8, 12.0))
+        y = np.array([q, dq])
+        ref = -(dim - 1) / r * y[1] + omega * y[0] - np.sign(y[0]) * np.abs(y[0]) ** p
+        got = fun(r, y)
+        assert got[0] == y[1]
+        assert np.array_equal(np.float64(got[1]), ref) and \
+            np.signbit(got[1]) == np.signbit(ref)
+
+
 def test_profile_shape_invariants(gs_cubic):
     q = gs_cubic.q_samples
     assert np.all(q > 0)

@@ -216,6 +216,76 @@ def test_random_probes_respect_certificate(cert):
     assert rep.probe_min >= rep.lambda_min - 1e-8
 
 
+def dense_certificate(a, b, cmat, l_plus):
+    """The reference reduction: explicit constraint null space, then dense
+    generalized and standard eigensolves."""
+    z = sla.null_space(cmat.T)
+    vals = sla.eigh(z.T @ (a @ z), z.T @ (b @ z), eigvals_only=True,
+                    subset_by_index=[0, 0])
+    unc = sla.eigh(l_plus.toarray(), eigvals_only=True, subset_by_index=[0, 0])
+    return float(vals[0]), float(unc[0])
+
+
+def test_sparse_certificate_matches_dense_reduction(gs7, monkeypatch):
+    pair = assemble(gs7, build_grid(1, 15.0, 511))
+    modes = solve_unstable_pair(pair)
+    seen = []
+    constrained_minimum = linearized._constrained_minimum
+
+    def recording(a, b, cmat, sigma):
+        lam, h = constrained_minimum(a, b, cmat, sigma)
+        seen.append((a, b, cmat, lam, h))
+        return lam, h
+
+    monkeypatch.setattr(linearized, "_constrained_minimum", recording)
+    rep = coercivity_certificate(pair, modes)
+    (a, b, cmat, lam, h), = seen
+    dense_lam, dense_unc = dense_certificate(a, b, cmat, pair.l_plus)
+    assert rep.lambda_min == lam
+    assert rep.lambda_min == pytest.approx(dense_lam, rel=1e-9)
+    assert rep.unconstrained_lplus_min == pytest.approx(dense_unc, rel=1e-9)
+    # the minimizer satisfies the constraints ...
+    cosines = (cmat.T @ h) / (np.linalg.norm(cmat, axis=0) * np.linalg.norm(h))
+    assert np.max(np.abs(cosines)) < 1e-10
+    # ... its a/b Rayleigh quotient is the certified value ...
+    quotient = float(h @ (a @ h)) / float(h @ (b @ h))
+    assert quotient == pytest.approx(rep.lambda_min, rel=1e-12)
+    # ... and it is a constrained eigenvector: (a - lam b) h lies in span(C)
+    resid = a @ h - rep.lambda_min * (b @ h)
+    coef, *_ = np.linalg.lstsq(cmat, resid, rcond=None)
+    assert np.linalg.norm(resid - cmat @ coef) < 1e-9 * np.linalg.norm(a @ h)
+
+
+def test_certificate_repeats_bit_for_bit(cert):
+    pair, modes, rep = cert
+    again = coercivity_certificate(pair, modes)
+    assert (again.lambda_min, again.unconstrained_lplus_min, again.probe_min) == \
+        (rep.lambda_min, rep.unconstrained_lplus_min, rep.probe_min)
+
+
+def test_certificate_on_fine_grid(work):
+    # 2n = 8190 unknowns, beyond any dense reduction
+    pair, modes = work
+    rep = coercivity_certificate(pair, modes)
+    assert rep.ok
+    assert rep.lambda_min == pytest.approx(0.1876, abs=0.02)
+
+
+@pytest.mark.parametrize("failing", ["constrained", "unconstrained"])
+def test_certificate_no_convergence_is_spectral_error(cert, monkeypatch, failing):
+    pair, modes, _ = cert
+    eigsh = linearized.spla.eigsh
+
+    def stalling(a, **kwargs):
+        if ("M" in kwargs) == (failing == "constrained"):
+            raise linearized.spla.ArpackNoConvergence("stalled", [], [])
+        return eigsh(a, **kwargs)
+
+    monkeypatch.setattr(linearized.spla, "eigsh", stalling)
+    with pytest.raises(SpectralError, match="did not converge"):
+        coercivity_certificate(pair, modes)
+
+
 # -------------------------------------------------------- biorthogonal_family
 
 def test_family_biorthogonal(work):
