@@ -1,11 +1,14 @@
 """Strang-split Crank-Nicolson stepping for the focusing equation.
 
-One step is a half phase rotation by the nonlinearity, a Crank-Nicolson solve
-for the free flow, and another half rotation.  The CN matrix is fixed for a
-given (grid, dt), so it is LU-factorized once and the factorization reused
-for every step; the solve is then exact to roundoff and the lin_tol contract
-is enforced as a verified residual bound instead of an iteration target.
-Negative dt steps backward; the scheme is exactly time reversible.
+Every time march in the package is `march` over the active lattice points;
+its caller logs, checks and stops it.  A step is a half phase rotation by the
+nonlinearity, a Crank-Nicolson solve for the free flow (forced, with the
+trapezoid rule, in the Duhamel sweeps), and another half rotation.  The CN
+matrix is fixed for a given (grid, dt), so it is LU-factorized once and the
+factorization reused for every step; the solve is then exact to roundoff and
+the lin_tol contract is enforced as a verified residual bound instead of an
+iteration target.  Negative dt steps backward; the scheme is exactly time
+reversible.
 """
 
 from __future__ import annotations
@@ -16,11 +19,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import Field, Grid, h1_norm, laplacian_dirichlet, laplacian_matrix
+from .grid import (Field, Grid, PreconditionError, from_active, h1_norm,
+                   laplacian_dirichlet, laplacian_matrix, to_active)
 from .soliton import SolitonParams, functionals
 
 
 class EvolveError(RuntimeError):
+    pass
+
+
+class EvolveInputError(EvolveError, PreconditionError):
     pass
 
 
@@ -49,10 +57,10 @@ class EvolveConfig:
     blowup_factor: float = 1e3
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise EvolveError("dt is a positive magnitude; direction comes from t0, t1")
+        if not self.dt > 0:
+            raise EvolveInputError("dt is a positive magnitude; direction comes from t0, t1")
         if self.snapshot_every < 1:
-            raise EvolveError("snapshot_every must be >= 1")
+            raise EvolveInputError("snapshot_every must be >= 1")
 
 
 class CrankNicolsonStepper:
@@ -91,18 +99,37 @@ def _phase_half_step(vals: np.ndarray, dt: float, p: float) -> np.ndarray:
     return vals * np.exp(0.5j * dt * np.abs(vals) ** (p - 1.0))
 
 
+def march(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
+          p: float | None = None, forcing=None):
+    """Advance an active vector n_steps steps of the stepper's signed dt.
+
+    Yields (k, vec) for k = 0 (the start, as given) to n_steps; each later
+    vec is a new array.  With p, every step is Strang split around the CN
+    solve.  With forcing, forcing(k) is F at the start time plus k dt: it is
+    called once per k, in increasing k, before (k, vec) is yielded, and step
+    k solves with the trapezoid average of forcing(k - 1) and forcing(k).
+    """
+    f = forcing(0) if forcing is not None else None
+    yield 0, vec
+    for k in range(1, n_steps + 1):
+        if p is not None:
+            vec = _phase_half_step(vec, stepper.dt, p)
+        if forcing is not None:
+            f_prev, f = f, forcing(k)
+        vec = stepper.linear_step(vec, None if forcing is None else 0.5 * (f + f_prev))
+        if p is not None:
+            vec = _phase_half_step(vec, stepper.dt, p)
+        yield k, vec
+
+
 def step(u: Field, dt: float, p: float, config: EvolveConfig | None = None,
          stepper: CrankNicolsonStepper | None = None) -> Field:
     """One Strang step over signed dt."""
     lin_tol = config.lin_tol if config else 1e-10
     if stepper is None or stepper.dt != dt or stepper.grid != u.grid:
         stepper = CrankNicolsonStepper(u.grid, dt, lin_tol)
-    vals = _phase_half_step(u.values, dt, p)
-    vec = stepper.linear_step(vals[u.grid.mask])
-    vals = np.zeros_like(vals)
-    vals[u.grid.mask] = vec
-    vals = _phase_half_step(vals, dt, p)
-    return Field(u.grid, vals)
+    *_, (_, vec) = march(stepper, to_active(u), 1, p)
+    return from_active(u.grid, vec)
 
 
 @dataclass(eq=False)
@@ -140,26 +167,19 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
     fparams = params or SolitonParams(omega=1e-30, v=(0.0,) * grid.dim, p=p)
 
     guard = config.blowup_factor * max(h1_norm(u0), 1e-300)
-    times = [config.t0]
-    snapshots = [u0]
-    rows = []
-
-    def log(t, u):
-        f = functionals(u, fparams)
-        rows.append((t, f.mass, f.energy, f.lyapunov, h1_norm(u)))
-
-    log(config.t0, u0)
-    u = u0
-    for k in range(1, n_steps + 1):
-        u = step(u, dt, p, config, stepper)
+    times, snapshots, rows = [], [], []
+    for k, vec in march(stepper, to_active(u0), n_steps, p):
+        if k % config.snapshot_every and k != n_steps:
+            continue
         t = config.t0 + k * dt
-        if k % config.snapshot_every == 0 or k == n_steps:
-            hn = h1_norm(u)
-            if hn > guard:
-                raise BlowUpError(t, hn)
-            times.append(t)
-            snapshots.append(u)
-            log(t, u)
+        u = from_active(grid, vec)
+        hn = h1_norm(u)
+        if k and hn > guard:
+            raise BlowUpError(t, hn)
+        f = functionals(u, fparams)
+        times.append(t)
+        snapshots.append(u)
+        rows.append((t, f.mass, f.energy, f.lyapunov, hn))
     return Trajectory(times=np.asarray(times), snapshots=snapshots,
                       conservation=rows, p=p, params=params)
 

@@ -37,9 +37,10 @@ from .evolve import (
     EvolveConfig,
     EvolveError,
     Trajectory,
+    march,
     residual_l2,
 )
-from .soliton import SolitonError, SolitonParams, _check_center, phase_factor
+from .soliton import SolitonError, SolitonParams, _check_center, ansatz
 from .soliton import soliton_field  # noqa: F401  (bench/tests reads this binding)
 
 
@@ -83,7 +84,7 @@ class SourceSet:
     """Forcing terms of the remainder equation, sharing per-time geometry.
 
     a0 only lives where the cutoff varies, so it is evaluated on that window;
-    a1..a3 reuse one ansatz evaluation per time.
+    a1..a3 are the feedback formulas on the ansatz R(t).
     """
 
     def __init__(self, params: SolitonParams, gs: GroundState, psi, grid: Grid,
@@ -99,21 +100,11 @@ class SourceSet:
             self._grad_psi = [c[self._window] for c in psi.grad_psi]
             self._lap_psi = psi.lap_psi[self._window]
             self._wcoords = [grid.coordinate(k)[self._window] for k in range(grid.dim)]
-        self._cache_t = None
-        self._cache_ansatz = None
 
     def _ansatz(self, t):
-        if self._cache_t == t:
-            return self._cache_ansatz
-        c = self.params.center(t)
-        if np.any(np.abs(c) >= self.grid.half_width):
+        if np.any(np.abs(self.params.center(t)) >= self.grid.half_width):
             raise FixedPointError(f"soliton left the box at t={t}")
-        q = self.gs(self.grid.radius(c))
-        if self.psi is not None:
-            q = q * self.psi.psi
-        out = q * phase_factor(self.params, t, self.grid)
-        self._cache_t, self._cache_ansatz = t, out
-        return out
+        return ansatz(self.params, self.gs, t, self.grid, self.psi).values()
 
     def a0(self, t) -> Field:
         if self.psi is None:
@@ -225,13 +216,9 @@ def _sweep(stepper: CrankNicolsonStepper, nt: int, source, out=None, on_row=None
     row k of ``out`` is written, so it may read the previous iterate from
     ``out`` itself.  on_row(k, w_k) sees each new row before it is stored.
     """
-    vec = np.zeros(stepper.grid.n_active, dtype=complex)
-    f_hi = source(nt - 1)
-    for k in range(nt - 1, -1, -1):
-        if k < nt - 1:
-            f_lo = source(k)
-            vec = stepper.linear_step(vec, 0.5 * (f_lo + f_hi))
-            f_hi = f_lo
+    start = np.zeros(stepper.grid.n_active, dtype=complex)
+    for j, vec in march(stepper, start, nt - 1, forcing=lambda i: source(nt - 1 - i)):
+        k = nt - 1 - j
         if on_row is not None:
             on_row(k, vec)
         if out is not None:

@@ -18,18 +18,24 @@ bisection on alpha+, the one-dimensional shadow of the degree argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .evolve import CrankNicolsonStepper, EvolveConfig, _phase_half_step
-from .grid import Field, Grid, h1_norm, l2_norm, real_inner
+from .evolve import CrankNicolsonStepper, EvolveConfig, march
+from .grid import (Field, Grid, PreconditionError, from_active, h1_norm, l2_norm,
+                   real_inner, to_active)
 from .ground_state import GroundState
-from .linearized import EigenModes, evaluate_mode_parts
-from .soliton import SolitonParams, functionals, phase_factor, soliton_field
+from .linearized import EigenModes
+from .linearized import evaluate_mode_parts  # noqa: F401  (bench/tests reads this binding)
+from .soliton import (Ansatz, SolitonError, SolitonParams, _check_center, ansatz,
+                      functionals, mode_pair, soliton_field)
 
 
 class ModulationError(RuntimeError):
+    pass
+
+
+class ModulationInputError(ModulationError, PreconditionError):
     pass
 
 
@@ -49,6 +55,8 @@ class ModulationContext:
     max_newton: int = 50
 
     def __post_init__(self):
+        if not np.isclose(self.gs.omega, self.params.omega):
+            raise SolitonError("ground state frequency does not match parameters")
         if self.eps_mod is None:
             q = self.gs(self.gs.r_samples)
             mass = np.trapezoid(q**2, self.gs.r_samples)
@@ -60,19 +68,6 @@ class ModulationContext:
         return delta * np.sqrt(self.params.omega) * self.params.speed()
 
 
-class _Ansatz(NamedTuple):
-    """Q~ Psi at one modulation (t, y, mu), from one pass over the profile."""
-
-    c: np.ndarray          # modulated centre c(t) + y
-    rr: np.ndarray         # |x - c|
-    q: np.ndarray          # Q(|x - c|)
-    dq: np.ndarray         # Q'(|x - c|)
-    units: list            # (x_k - c_k) / |x - c|, 0 at the centre
-    qpsi: np.ndarray       # Q~ Psi
-    dq_fields: list        # Psi d_k Q~
-    ph: np.ndarray         # the boosted phase with mu added
-
-
 @dataclass(eq=False)
 class ModulationState:
     y: np.ndarray
@@ -82,33 +77,18 @@ class ModulationState:
     alpha_minus: float
     t: float
     newton_iters: int = 0    # residual checks made, the last one converged
-    _ansatz: _Ansatz = field(default=None, repr=False)
-
-    def h(self, ctx: ModulationContext) -> Field:
-        """e^{-i phase~} r, the co-rotating remainder (computed on demand)."""
-        ph = phase_factor(ctx.params, self.t, ctx.grid, extra=self.mu)
-        return Field(self.r.grid, self.r.values * np.conj(ph))
+    _ansatz: Ansatz = field(default=None, repr=False)
 
 
-def _tilde_pieces(ctx: ModulationContext, t: float, y: np.ndarray,
-                  mu: float) -> _Ansatz:
+def _tilde_pieces(ctx: ModulationContext, t: float, y, mu: float) -> Ansatz:
     """Q~ Psi, its gradient fields and the phase for given modulation."""
-    grid = ctx.grid
-    c = ctx.params.center(t) + y
-    rr = grid.radius(c)
-    q, dq = ctx.gs.evaluate(rr)
-    safe = np.where(rr > 0, rr, 1.0)
-    units = [(grid.coordinate(k) - c[k]) / safe for k in range(grid.dim)]
-    pvals = ctx.psi.psi if ctx.psi is not None else 1.0
-    ph = phase_factor(ctx.params, t, grid, extra=mu)
-    return _Ansatz(c, rr, q, dq, units, q * pvals, [dq * e * pvals for e in units],
-                   ph)
+    return ansatz(ctx.params, ctx.gs, t, ctx.grid, ctx.psi, y, mu)
 
 
 def _orthogonality(ctx: ModulationContext, u: Field, t: float, y, mu):
     """Residuals of the d+1 conditions and the pieces needed around them."""
     a = _tilde_pieces(ctx, t, y, mu)
-    r_vals = u.values - a.qpsi * a.ph
+    r_vals = u.values - a.values()
     w = ctx.grid.cell_volume()
     h = r_vals * np.conj(a.ph)
     res = [float(np.sum(h.real * dqf)) * w for dqf in a.dq_fields]
@@ -118,7 +98,7 @@ def _orthogonality(ctx: ModulationContext, u: Field, t: float, y, mu):
     return np.asarray(res), np.asarray(scales), r_vals, a
 
 
-def _jacobian(ctx: ModulationContext, r_vals: np.ndarray, a: _Ansatz) -> np.ndarray:
+def _jacobian(ctx: ModulationContext, r_vals: np.ndarray, a: Ansatz) -> np.ndarray:
     """Exact Jacobian of the orthogonality residuals in (y, mu).
 
     With h = e^{-i phase~} r:  dh/dy_k = Psi d_k Q~,  dh/dmu = -i (h + Q~ Psi),
@@ -129,13 +109,12 @@ def _jacobian(ctx: ModulationContext, r_vals: np.ndarray, a: _Ansatz) -> np.ndar
     gs, grid = ctx.gs, ctx.grid
     d, w = grid.dim, grid.cell_volume()
     h = r_vals * np.conj(a.ph)
-    pvals = ctx.psi.psi if ctx.psi is not None else 1.0
     source = gs.omega * a.q - a.q**gs.p
     at_centre = a.rr <= 0
     q_rho = np.where(at_centre, source / gs.dim,
                      a.dq / np.where(at_centre, 1.0, a.rr))
     q2 = source - (gs.dim - 1) * q_rho
-    hr_psi = h.real * pvals
+    hr_psi = h.real * a.pvals
     jac = np.empty((d + 1, d + 1))
     for j in range(d):
         for k in range(d):
@@ -154,8 +133,9 @@ def decompose(ctx: ModulationContext, u: Field, t: float,
     """Newton on (y, mu) for the orthogonality conditions at time t."""
     grid = ctx.grid
     d = grid.dim
-    ref = soliton_field(ctx.params, ctx.gs, t, grid, ctx.psi)
-    dist = l2_norm(u - ref)
+    _check_center(ctx.params, ctx.gs, t, grid)
+    diff = np.where(grid.mask, u.values - _tilde_pieces(ctx, t, 0.0, 0.0).values(), 0.0)
+    dist = float(np.sqrt(np.sum(np.abs(diff) ** 2)) * np.sqrt(grid.cell_volume()))
     if dist > ctx.eps_mod:
         raise ModulationError(
             f"state too far from the soliton for modulation: |u-R| = {dist:.3e} "
@@ -179,11 +159,8 @@ def decompose(ctx: ModulationContext, u: Field, t: float,
             f"modulation Newton did not converge at t={t}: residuals {res}"
         )
 
-    y1c, y2c = evaluate_mode_parts(ctx.modes, grid, a.c)
-    pvals = ctx.psi.psi if ctx.psi is not None else 1.0
+    y_plus, y_minus = mode_pair(ctx.modes, grid, a.c, a.pvals, a.ph)
     w = grid.cell_volume()
-    y_minus = (y1c.values.real - 1j * y2c.values.real) * pvals * a.ph
-    y_plus = (y1c.values.real + 1j * y2c.values.real) * pvals * a.ph
     alpha_plus = float(np.sum(y_minus * np.conj(r_vals)).imag) * w
     alpha_minus = float(np.sum(y_plus * np.conj(r_vals)).imag) * w
     return ModulationState(y=z[:d], mu=float(z[d]), r=Field(grid, r_vals),
@@ -193,16 +170,14 @@ def decompose(ctx: ModulationContext, u: Field, t: float,
 
 def _final_data_map(ctx: ModulationContext, Tn: float):
     """lam -> u(Tn), with R(Tn) and Y+-(Tn) built once (u is affine in lam)."""
-    R = soliton_field(ctx.params, ctx.gs, Tn, ctx.grid, ctx.psi)
-    y1c, y2c = evaluate_mode_parts(ctx.modes, ctx.grid, ctx.params.center(Tn))
-    pvals = ctx.psi.psi if ctx.psi is not None else 1.0
-    ph = phase_factor(ctx.params, Tn, ctx.grid)
-    yp = (y1c.values.real + 1j * y2c.values.real) * pvals * ph
-    ym = (y1c.values.real - 1j * y2c.values.real) * pvals * ph
+    _check_center(ctx.params, ctx.gs, Tn, ctx.grid)
+    a = _tilde_pieces(ctx, Tn, 0.0, 0.0)
+    R = a.values()
+    yp, ym = mode_pair(ctx.modes, ctx.grid, a.c, a.pvals, a.ph)
 
     def at(lam) -> Field:
         lam = np.asarray(lam, dtype=float)
-        return Field(ctx.grid, R.values + 1j * (lam[0] * yp + lam[1] * ym))
+        return Field(ctx.grid, R + 1j * (lam[0] * yp + lam[1] * ym))
 
     return at
 
@@ -258,11 +233,9 @@ class ShootConfig:
 
     def __post_init__(self):
         if not self.Tn > self.T0 > 0:
-            raise ModulationError("need Tn > T0 > 0")
-
-
-EXIT_REASONS = ("reached_T0", "r_bound", "y_mu_bound", "alpha_bound",
-                "modulation_failure")
+            raise ModulationInputError("need Tn > T0 > 0")
+        if self.log_every < 1:
+            raise ModulationInputError("log_every must be >= 1")
 
 
 @dataclass(eq=False)
@@ -304,14 +277,10 @@ def _resolve_bounds(ctx: ModulationContext, cfg: ShootConfig, r_h1_final: float)
     return delta, rate, M, Mp, eps
 
 
-def _ansatz_lyapunov(ctx: ModulationContext, a: _Ansatz) -> float:
-    grid = ctx.grid
-    w = grid.cell_volume()
+def _ansatz_lyapunov(ctx: ModulationContext, a: Ansatz) -> float:
+    w = ctx.grid.cell_volume()
     kin = 0.0
-    for k in range(grid.dim):
-        slope = a.dq_fields[k]
-        if ctx.psi is not None:
-            slope = slope + a.q * ctx.psi.grad_psi[k]
+    for slope in a.slopes():
         kin += float(np.sum(slope**2)) * w
     mass = float(np.sum(a.qpsi**2)) * w
     pot = float(np.sum(a.qpsi ** (ctx.params.p + 1.0))) * w
@@ -376,53 +345,27 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
         return None
 
     log_row(cfg.Tn, state, u)
-    vals = u.values
-    t = cfg.Tn
-    for k in range(1, n_steps + 1):
-        vals = _phase_half_step(vals, dt, ctx.params.p)
-        vec = stepper.linear_step(vals[grid.mask])
-        vals = np.zeros_like(vals)
-        vals[grid.mask] = vec
-        vals = _phase_half_step(vals, dt, ctx.params.p)
+    for k, vec in march(stepper, to_active(u), n_steps, ctx.params.p):
+        if k == 0 or (k % cfg.log_every and k != n_steps):
+            continue
         t = cfg.Tn + k * dt
-        if k % cfg.log_every == 0 or k == n_steps:
-            u_here = Field(grid, vals)
-            try:
-                state = decompose(ctx, u_here, t, guess)
-            except ModulationError:
-                exit_reason, exit_time = "modulation_failure", t
-                break
-            guess = np.concatenate([state.y, [state.mu]])
-            log_row(t, state, u_here)
-            reason = violated(t, state)
-            if reason is not None:
-                exit_reason, exit_time = reason, t
-                break
-    else:
-        exit_time = cfg.T0
+        u_here = from_active(grid, vec)
+        try:
+            state = decompose(ctx, u_here, t, guess)
+        except ModulationError:
+            exit_reason, exit_time = "modulation_failure", t
+            break
+        guess = np.concatenate([state.y, [state.mu]])
+        log_row(t, state, u_here)
+        reason = violated(t, state)
+        if reason is not None:
+            exit_reason, exit_time = reason, t
+            break
 
-    rows_arr = list(zip(*rows))
-    return ShootLog(
-        t=np.asarray(rows_arr[0]),
-        r_l2=np.asarray(rows_arr[1]),
-        r_h1=np.asarray(rows_arr[2]),
-        y=np.asarray(rows_arr[3]),
-        mu=np.asarray(rows_arr[4]),
-        alpha_plus=np.asarray(rows_arr[5]),
-        alpha_minus=np.asarray(rows_arr[6]),
-        lyapunov=np.asarray(rows_arr[7]),
-        nn=np.asarray(rows_arr[8]),
-        tilde_lyapunov=np.asarray(rows_arr[9]),
-        exit_time=exit_time,
-        exit_reason=exit_reason,
-        alpha_target=alpha_plus,
-        lam=lam,
-        M=M,
-        Mprime=Mp,
-        delta=delta,
-        rate=rate,
-        snapshots=snaps,
-    )
+    # a row holds ShootLog's first ten fields, in order
+    return ShootLog(*map(np.asarray, zip(*rows)), exit_time=exit_time,
+                    exit_reason=exit_reason, alpha_target=alpha_plus, lam=lam, M=M,
+                    Mprime=Mp, delta=delta, rate=rate, snapshots=snaps)
 
 
 class ShootSearchError(ModulationError):
@@ -562,7 +505,7 @@ def coercivity_along_trajectory(ctx: ModulationContext, log: ShootLog,
     """
     if not log.snapshots:
         raise ModulationError("need retained snapshots")
-    from .grid import gradient, laplacian_dirichlet
+    from .grid import laplacian_dirichlet
 
     grid = ctx.grid
     w = grid.cell_volume()
@@ -570,7 +513,7 @@ def coercivity_along_trajectory(ctx: ModulationContext, log: ShootLog,
     for (t, u), y, mu, ap, am in zip(log.snapshots, log.y, log.mu,
                                      log.alpha_plus, log.alpha_minus):
         a = _tilde_pieces(ctx, t, y, mu)
-        h_vals = (u.values - a.qpsi * a.ph) * np.conj(a.ph)
+        h_vals = (u.values - a.values()) * np.conj(a.ph)
         pot = a.q ** (ctx.params.p - 1.0)
         form = 0.0
         for part, coef in ((h_vals.real, ctx.params.p), (h_vals.imag, 1.0)):

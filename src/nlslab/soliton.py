@@ -8,7 +8,8 @@ mod 2 pi before exponentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,16 +69,61 @@ def _check_center(params: SolitonParams, gs: GroundState, t: float, grid: Grid):
     return c
 
 
+class Ansatz(NamedTuple):
+    """Q~ Psi and its phase at one modulation (t, y, mu), on the whole lattice."""
+
+    psi: object            # the cutoff, or None for Psi = 1
+    pvals: object          # Psi, or 1.0
+    c: np.ndarray          # modulated centre c(t) + y
+    rr: np.ndarray         # |x - c|
+    q: np.ndarray          # Q(|x - c|)
+    dq: np.ndarray         # Q'(|x - c|)
+    units: list            # (x_k - c_k) / |x - c|, 0 at the centre
+    qpsi: np.ndarray       # Q~ Psi
+    dq_fields: list        # Psi d_k Q~
+    ph: np.ndarray         # the boosted phase with mu added
+
+    def values(self) -> np.ndarray:
+        """R~ = Q~ Psi e^{i phase}."""
+        return self.qpsi * self.ph
+
+    def slopes(self) -> list:
+        """The exact gradient of Q~ Psi: Psi d_k Q~ + Q~ d_k Psi."""
+        if self.psi is None:
+            return self.dq_fields
+        return [dqf + self.q * g for dqf, g in zip(self.dq_fields, self.psi.grad_psi)]
+
+
+def ansatz(params: SolitonParams, gs: GroundState, t: float, grid: Grid,
+           psi=None, y=0.0, mu=0.0) -> Ansatz:
+    """R~(t) centred at x0 + t v + y with mu added to the phase, from one pass
+    over the profile.  Only `fixedpoint.SourceSet.a0` evaluates the ansatz on
+    its own, in the order the Picard numbers are pinned to.  No checks."""
+    c = params.center(t) + y
+    rr = grid.radius(c)
+    q, dq = gs.evaluate(rr)
+    safe = np.where(rr > 0, rr, 1.0)
+    units = [(grid.coordinate(k) - c[k]) / safe for k in range(grid.dim)]
+    pvals = psi.psi if psi is not None else 1.0
+    return Ansatz(psi, pvals, c, rr, q, dq, units, q * pvals,
+                  [dq * e * pvals for e in units],
+                  phase_factor(params, t, grid, extra=mu))
+
+
+def mode_pair(modes: EigenModes, grid: Grid, c, pvals, ph):
+    """Y+- = (y1 +- i y2)(x - c) Psi e^{i phase} as lattice arrays."""
+    y1c, y2c = evaluate_mode_parts(modes, grid, c)
+    y1, y2 = y1c.values.real, y2c.values.real
+    return (y1 + 1j * y2) * pvals * ph, (y1 - 1j * y2) * pvals * ph
+
+
 def soliton_field(params: SolitonParams, gs: GroundState, t: float, grid: Grid,
                   psi=None) -> Field:
     """The cutoff traveling wave R(t); psi=None means Psi identically 1."""
     if not np.isclose(gs.omega, params.omega):
         raise SolitonError("ground state frequency does not match parameters")
-    c = _check_center(params, gs, t, grid)
-    vals = sample_on_grid(gs, grid, c).values.real
-    if psi is not None:
-        vals = vals * psi.psi
-    return Field(grid, vals * phase_factor(params, t, grid))
+    _check_center(params, gs, t, grid)
+    return Field(grid, ansatz(params, gs, t, grid, psi).values())
 
 
 def eigenmode_field(params: SolitonParams, modes: EigenModes, t: float,
@@ -88,11 +134,9 @@ def eigenmode_field(params: SolitonParams, modes: EigenModes, t: float,
     c = params.center(t)
     if np.any(np.abs(c) > grid.half_width):
         raise SolitonError(f"mode center {c} outside box at t={t}")
-    y1c, y2c = evaluate_mode_parts(modes, grid, c)
-    vals = y1c.values.real + 1j * sign * y2c.values.real
-    if psi is not None:
-        vals = vals * psi.psi
-    return Field(grid, vals * phase_factor(params, t, grid))
+    pvals = psi.psi if psi is not None else 1.0
+    y_plus, y_minus = mode_pair(modes, grid, c, pvals, phase_factor(params, t, grid))
+    return Field(grid, y_plus if sign > 0 else y_minus)
 
 
 @dataclass(frozen=True)
@@ -131,23 +175,14 @@ def ansatz_functionals(params: SolitonParams, gs: GroundState, t: float,
     """
     if not np.isclose(gs.omega, params.omega):
         raise SolitonError("ground state frequency does not match parameters")
-    g = grid
-    w = g.cell_volume()
-    c = params.center(t)
-    r = g.radius(c)
-    q, dq = gs.evaluate(r)
-    pvals = psi.psi if psi is not None else 1.0
-    amp = q * pvals
-    mass = float(np.sum(amp**2)) * w
-    safe = np.where(r > 0, r, 1.0)
+    w = grid.cell_volume()
+    a = ansatz(params, gs, t, grid, psi)
+    mass = float(np.sum(a.qpsi**2)) * w
     kinetic = 0.0
-    for k in range(g.dim):
-        slope = dq * (g.coordinate(k) - c[k]) / safe * pvals
-        if psi is not None:
-            slope = slope + q * psi.grad_psi[k]
+    for vk, slope in zip(params.v, a.slopes()):
         # |grad H|_k^2 = slope^2 + (v_k/2)^2 amp^2, cross term is imaginary
-        kinetic += float(np.sum(slope**2 + (0.5 * params.v[k] * amp) ** 2)) * w
-    potential = float(np.sum(amp ** (params.p + 1))) * w
+        kinetic += float(np.sum(slope**2 + (0.5 * vk * a.qpsi) ** 2)) * w
+    potential = float(np.sum(a.qpsi ** (params.p + 1))) * w
     energy = 0.5 * kinetic - potential / (params.p + 1.0)
     momentum = tuple(0.5 * vk * mass for vk in params.v)
     lyap = energy + (params.omega / 2.0 + params.speed() ** 2 / 8.0) * mass \

@@ -78,6 +78,22 @@ def test_numerical_failure_exit_code(tmp_path, gs3):
     assert (tmp_path / "out" / "failure.json").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dt", "-0.01", "dt is a positive magnitude"),
+    ("--snapshot-every", "0", "snapshot_every must be >= 1"),
+])
+def test_evolve_bad_stepping_argument_is_precondition(tmp_path, capsys, gs3, flag,
+                                                      value, message):
+    grid = build_grid(1, 20.0, 511)
+    save_field(tmp_path / "u0.bin",
+               soliton_field(SolitonParams(1.0, (1.0,), 3.0), gs3, 0.0, grid))
+    code = main(["evolve", "--in", str(tmp_path / "u0.bin"), flag, value,
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "failure.json").exists()
+
+
 def test_ground_state_bad_p_is_precondition(tmp_path, capsys):
     assert main(["ground-state", "--p", "1", "--out", str(tmp_path)]) == 2
     assert "need p > 1" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlslab.grid import Field, Obstacle, build_grid, l2_norm
+from nlslab.grid import Field, Obstacle, build_grid, h1_norm, l2_norm
 from nlslab.ground_state import solve_ground_state
 from nlslab.evolve import (
     BlowUpError,
@@ -11,6 +11,7 @@ from nlslab.evolve import (
     LinearSolveError,
     Trajectory,
     evolve,
+    _phase_half_step,
     nls_residual,
     step,
 )
@@ -153,6 +154,60 @@ def test_blowup_guard_raises(gs, grid):
     cfg = EvolveConfig(dt=0.01, t0=0.0, t1=1.0, blowup_factor=1.0 - 1e-9)
     with pytest.raises(BlowUpError):
         evolve(u0, cfg, 3.0, PARAMS)
+
+
+def _reference_snapshots(u0, cfg, p):
+    """evolve's snapshots from a loop of public `step` calls, and from a loop
+    that rotates the phase on the whole lattice (masked points included)."""
+    n = max(1, int(round(abs(cfg.t1 - cfg.t0) / cfg.dt)))
+    dt = (cfg.t1 - cfg.t0) / n
+    grid = u0.grid
+    stepper = CrankNicolsonStepper(grid, dt, cfg.lin_tol)
+    by_step, full = [u0], [u0]
+    u, vals = u0, u0.values
+    for k in range(1, n + 1):
+        u = step(u, dt, p, cfg, stepper)
+        vals = _phase_half_step(vals, dt, p)
+        vals[grid.mask] = stepper.linear_step(vals[grid.mask])
+        vals = _phase_half_step(vals, dt, p)
+        if k % cfg.snapshot_every == 0 or k == n:
+            by_step.append(u)
+            full.append(Field(grid, vals))
+    return by_step, full
+
+
+@pytest.mark.parametrize("dim, t0, t1", [(1, 0.0, 0.3), (1, 0.3, 0.0),
+                                         (2, 0.0, 0.05), (2, 0.05, 0.0)])
+def test_evolve_equals_a_loop_of_steps(gs, dim, t0, t1):
+    if dim == 1:
+        g = build_grid(1, 20.0, 1023, Obstacle("ball", 1.0))
+        pa = SolitonParams(omega=1.0, v=(1.0,), p=3.0, x0=(5.0,))
+        u0 = soliton_field(pa, gs, 0.0, g)
+    else:
+        g = build_grid(2, 16.0, 63, Obstacle("ball", 0.9))
+        pa = SolitonParams(omega=1.0, v=(0.5, 0.2), p=3.0, x0=(4.0, 0.0))
+        u0 = soliton_field(pa, solve_ground_state(3, 1.0, 2), 0.0, g)
+    cfg = EvolveConfig(dt=0.005, t0=t0, t1=t1, snapshot_every=4)
+    traj = evolve(u0, cfg, 3.0, pa)
+    by_step, full = _reference_snapshots(u0, cfg, 3.0)
+    assert len(traj) == len(by_step) == len(full)
+    for snap, ref, ref_full in zip(traj.snapshots, by_step, full):
+        assert np.array_equal(snap.values, ref.values)
+        assert np.array_equal(snap.values, ref_full.values)
+        assert np.all(snap.values[~g.mask] == 0.0)
+
+
+def test_blowup_guard_fires_at_the_first_snapshot_past_it(gs, grid):
+    u0 = soliton_field(PARAMS, gs, 0.0, grid)
+    cfg = EvolveConfig(dt=0.01, t0=0.0, t1=1.0, snapshot_every=7,
+                       blowup_factor=1.0 - 1e-9)
+    with pytest.raises(BlowUpError) as exc:
+        evolve(u0, cfg, 3.0, PARAMS)
+    guard = cfg.blowup_factor * h1_norm(u0)
+    by_step, _ = _reference_snapshots(u0, cfg, 3.0)
+    k = next(k for k, u in enumerate(by_step) if k and h1_norm(u) > guard)
+    assert exc.value.t == 0.0 + min(7 * k, 100) * 0.01
+    assert exc.value.norm == h1_norm(by_step[k])
 
 
 def test_dt_accuracy_bound(gs, grid):

@@ -1,12 +1,16 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import nlslab.modulation as modulation
-from nlslab.grid import Field, Obstacle, build_cutoff, build_grid, l2_norm
+from nlslab.fixedpoint import make_sources
+from nlslab.grid import Field, Obstacle, PreconditionError, build_cutoff, build_grid, l2_norm
 from nlslab.ground_state import solve_ground_state
 from nlslab.modulation import (
     ModulationContext,
     ModulationError,
+    ModulationInputError,
     ShootConfig,
     alpha_minus_monitor,
     backward_shoot,
@@ -19,8 +23,8 @@ from nlslab.modulation import (
     solve_modulated_final_data,
     uniform_distance_fit,
 )
-from nlslab.modulation import _jacobian, _orthogonality, _tilde_pieces
-from nlslab.soliton import SolitonParams, soliton_field
+from nlslab.modulation import _final_data_map, _jacobian, _orthogonality, _tilde_pieces
+from nlslab.soliton import SolitonParams, eigenmode_field, soliton_field
 
 T_REF = 6.0
 
@@ -31,6 +35,24 @@ def make_state(ctx, t, y, mu, extra=None):
     if extra is not None:
         vals = vals + extra
     return Field(ctx.grid, vals)
+
+
+# --------------------------------------------------- one ansatz evaluator
+
+@pytest.mark.parametrize("t", [1.1, T_REF, 8.0])
+def test_every_ansatz_copy_agrees_bit_for_bit(shoot_ctx, t):
+    # t = 1.1 puts the profile on the cutoff's ramp, next to the obstacle
+    ctx = shoot_ctx
+    R = soliton_field(ctx.params, ctx.gs, t, ctx.grid, ctx.psi).values
+    src = make_sources(ctx.params, ctx.gs, ctx.psi, ctx.grid)
+    a = _tilde_pieces(ctx, t, 0, 0)
+    assert np.array_equal(Field(ctx.grid, src._ansatz(t)).values, R)
+    assert np.array_equal(Field(ctx.grid, a.qpsi * a.ph).values, R)
+    data = inspect.getclosurevars(_final_data_map(ctx, t)).nonlocals
+    assert np.array_equal(Field(ctx.grid, data["R"]).values, R)
+    for sign, key in ((+1, "yp"), (-1, "ym")):
+        y = eigenmode_field(ctx.params, ctx.modes, t, ctx.grid, ctx.psi, sign)
+        assert np.array_equal(Field(ctx.grid, data[key]).values, y.values)
 
 
 # ----------------------------------------------------------------- decompose
@@ -202,6 +224,16 @@ def test_amplitude_ratio_bounded_under_halving(shoot_ctx, shoot_cfg):
 
 
 # ------------------------------------------------------------ backward_shoot
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(T0=8.0, Tn=4.0), "need Tn > T0 > 0"),
+    (dict(T0=4.0, Tn=8.0, log_every=0), "log_every must be >= 1"),
+])
+def test_shoot_config_argument_errors_are_preconditions(kwargs, message):
+    with pytest.raises(ModulationInputError, match=message) as exc:
+        ShootConfig(**kwargs)
+    assert isinstance(exc.value, PreconditionError)
+
 
 def test_short_horizon_zero_alpha_reaches_T0(shoot_ctx, evolve_cfg):
     cfg = ShootConfig(T0=7.3, Tn=8.0, delta=0.4, log_every=10)
