@@ -199,7 +199,7 @@ def run_ground_state(cfg, out: Path) -> dict:
 
 def run_spectrum(cfg, out: Path) -> dict:
     gs = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"], cfg["tol"])
-    gs_w = gs if np.isclose(cfg["omega"], 1.0) else gsmod.rescale(gs, cfg["omega"])
+    gs_w = gsmod.rescale(gs, cfg["omega"])
     grid = _grid_from(cfg, with_obstacle=False)
     pair = lin.assemble(gs_w, grid)
     modes = lin.solve_unstable_pair(pair)
@@ -281,7 +281,7 @@ def run_fixed_point(cfg, out: Path) -> dict:
     if speed <= 0:
         raise ConfigError("fixed-point needs |v| > 0")
     gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"], cfg["tol"])
-    gs = gs1 if np.isclose(cfg["omega"], 1.0) else gsmod.rescale(gs1, cfg["omega"])
+    gs = gsmod.rescale(gs1, cfg["omega"])
     delta = cfg["delta"] if cfg["delta"] is not None else 0.8 * gs.delta_fit
     t0 = cfg["T0"]
     tmax = cfg["Tmax"] if cfg["Tmax"] is not None else \
@@ -328,7 +328,7 @@ def run_fixed_point(cfg, out: Path) -> dict:
 def _shoot_context(cfg):
     params = _params_from(cfg)
     gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"], cfg["tol"])
-    gs = gs1 if np.isclose(cfg["omega"], 1.0) else gsmod.rescale(gs1, cfg["omega"])
+    gs = gsmod.rescale(gs1, cfg["omega"])
     spectral = build_grid(cfg["dim"], 30.0 / np.sqrt(cfg["omega"]), 4095)
     modes = lin.solve_unstable_pair(lin.assemble(gs, spectral))
     grid = _grid_from(cfg)
@@ -456,12 +456,9 @@ def run_sweep(sub: str, base_cfg: dict, param: str, values, out_dir,
     rows = []
     for val, (code, summary) in zip(values, results):
         status = {0: "ok", 2: "precondition_error", 3: "numerical_failure"}[code]
-        rows.append((val, status, json.dumps(json.loads(summary), sort_keys=True)))
-    with open(out / "aggregate.csv", "w", newline="") as f:
-        f.write(f"# config={config_hash(base_cfg)}\n")
-        writer = csv.writer(f)
-        writer.writerow((param, "status", "summary"))
-        writer.writerows(rows)
+        rows.append((str(val), status, json.dumps(json.loads(summary), sort_keys=True)))
+    write_csv(out / "aggregate.csv", (param, "status", "summary"), rows,
+              config_hash(base_cfg))
     return 0
 
 

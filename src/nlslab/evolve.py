@@ -152,7 +152,8 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
     """March from t0 to t1 (either direction), logging conserved quantities.
 
     The lyapunov column uses `params`; without them it degenerates to the
-    plain energy (omega = 0, v = 0).
+    plain energy (omega = 0, v = 0).  A non-finite logged state or conserved
+    quantity raises EvolveError.
     """
     grid = u0.grid
     if config.dt > config.c_stab * grid.spacing**2:
@@ -172,14 +173,20 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
         if k % config.snapshot_every and k != n_steps:
             continue
         t = config.t0 + k * dt
+        if not np.all(np.isfinite(vec)):
+            raise EvolveError(f"non-finite state at t={t}")
         u = from_active(grid, vec)
         hn = h1_norm(u)
         if k and hn > guard:
             raise BlowUpError(t, hn)
         f = functionals(u, fparams)
+        row = (t, f.mass, f.energy, f.lyapunov, hn)
+        if not np.all(np.isfinite(row)):
+            raise EvolveError(f"non-finite conserved quantities at t={t}: "
+                              f"(M, E, lyapunov, H1) = {row[1:]}")
         times.append(t)
         snapshots.append(u)
-        rows.append((t, f.mass, f.energy, f.lyapunov, hn))
+        rows.append(row)
     return Trajectory(times=np.asarray(times), snapshots=snapshots,
                       conservation=rows, p=p, params=params)
 

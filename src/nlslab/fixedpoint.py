@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (
-    ActiveStencil,
     Field,
     Grid,
     NormConfig,
@@ -84,7 +83,7 @@ class SourceSet:
     """Forcing terms of the remainder equation, sharing per-time geometry.
 
     a0 only lives where the cutoff varies, so it is evaluated on that window;
-    a1..a3 are the feedback formulas on the ansatz R(t).
+    the feedback terms a1..a3 are the `_FEEDBACK` formulas on the ansatz R(t).
     """
 
     def __init__(self, params: SolitonParams, gs: GroundState, psi, grid: Grid,
@@ -126,27 +125,16 @@ class SourceSet:
         full[self._window] = vals
         return Field(self.grid, full)
 
-    def a1(self, r: Field, t) -> Field:
-        return Field(self.grid, _a1(self._ansatz(t), r.values, self.p))
-
-    def a2(self, r: Field, t) -> Field:
-        return Field(self.grid, _a2(self._ansatz(t), r.values, self.p))
-
-    def a3(self, r: Field, t) -> Field:
-        return Field(self.grid, _a3(self._ansatz(t), r.values, self.p))
-
     def total_active(self, r: Field | None, t, which) -> np.ndarray:
+        """The selected sources at t on r (None: r = 0), as an active vector."""
         grid = self.grid
         total = np.zeros((grid.n,) * grid.dim, dtype=complex)
         r_here = r if r is not None else Field.zeros(grid)
         if "a0" in which:
             total += self.a0(t).values
-        if "a1" in which:
-            total += self.a1(r_here, t).values
-        if "a2" in which:
-            total += self.a2(r_here, t).values
-        if "a3" in which:
-            total += self.a3(r_here, t).values
+        for name, term in _FEEDBACK.items():
+            if name in which:
+                total += term(self._ansatz(t), r_here.values, self.p)
         return total[grid.mask]
 
 
@@ -266,7 +254,7 @@ class _ENorm:
         s = cfg.speed()
         if s <= 0:
             raise FixedPointInputError("the weighted norm needs |v| > 0")
-        self._stencil = ActiveStencil(grid)
+        self._stencil = grid.stencil
         self._rate = cfg.delta * np.sqrt(cfg.omega) * s
         self._s3 = s**3
 
@@ -308,8 +296,7 @@ class PicardReport:
 
 
 def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
-           n_iters: int, evolve_config: EvolveConfig,
-           residual_stride: int = 1, j_diagnostics: bool = True):
+           n_iters: int, evolve_config: EvolveConfig, j_diagnostics: bool = True):
     """Iterate the Duhamel map from r = 0 and measure everything.
 
     The sources that do not depend on the iterate (a0 and the ansatz) are
@@ -377,7 +364,7 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
 
     final_residual = None
     if not non_contracting:
-        final_residual = _residual(sources, mesh.R, rows, ts, residual_stride)
+        final_residual = _residual(sources, mesh.R, rows, ts)
     mesh = None    # free the ansatz before the Fields are built
     traj = _trajectory(sources, ts, rows)
 
@@ -396,32 +383,31 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     return report, traj
 
 
-def _residual(sources: SourceSet, ansatz, rows, ts, stride: int) -> float:
+def _residual(sources: SourceSet, ansatz, rows, ts) -> float:
     """max over interior times of the `nls_residual` of u = R + r.
 
-    Streams over three consecutive thinned rows of R + r instead of building
-    the `soliton_field` + r snapshots, keeping their check of the soliton's
+    Streams over three consecutive rows of R + r instead of building the
+    `soliton_field` + r snapshots, keeping their check of the soliton's
     distance from the box edge.
     """
     params, gs, grid, p = sources.params, sources.gs, sources.grid, sources.p
     if not np.isclose(gs.omega, params.omega):
         raise SolitonError("ground state frequency does not match parameters")
-    idx = range(0, len(ts), stride)
-    if len(idx) < 3:
+    if len(ts) < 3:
         raise EvolveError("need at least 3 snapshots for a time derivative")
-    stencil = ActiveStencil(grid)
+    stencil = grid.stencil
 
-    def u_at(j):
-        _check_center(params, gs, ts[idx[j]], grid)
-        vec = ansatz[idx[j]] + rows[idx[j]]
+    def u_at(k):
+        _check_center(params, gs, ts[k], grid)
+        vec = ansatz[k] + rows[k]
         return vec, stencil.full(vec[None])[0]
 
     window = [u_at(0), u_at(1)]
     worst = []
-    for j in range(1, len(idx) - 1):
-        window.append(u_at(j + 1))
+    for k in range(1, len(ts) - 1):
+        window.append(u_at(k + 1))
         (_, u_lo), (vec, u), (_, u_hi) = window
-        worst.append(residual_l2(u_lo, u, u_hi, ts[idx[j + 1]] - ts[idx[j - 1]],
+        worst.append(residual_l2(u_lo, u, u_hi, ts[k + 1] - ts[k - 1],
                                  stencil.laplacian(vec[None])[0], p, grid))
         window.pop(0)
     return max(worst)

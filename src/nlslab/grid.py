@@ -10,6 +10,7 @@ zero-extension across the obstacle boundary.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -100,6 +101,11 @@ class Grid:
     def cell_volume(self) -> float:
         return self.spacing**self.dim
 
+    @functools.cached_property
+    def stencil(self) -> ActiveStencil:
+        """The lattice operators of this grid, built on first use."""
+        return ActiveStencil(self)
+
     def descriptor(self) -> tuple:
         return (self.dim, self.half_width, self.n, self.obstacle.kind, self.obstacle.a)
 
@@ -164,52 +170,15 @@ class Field:
             raise GridMismatchError("fields live on different grids")
 
 
-def _shifted(values: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """values translated by ``step`` cells along ``axis`` with zero fill."""
-    out = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if step > 0:
-        src[axis] = slice(None, -step)
-        dst[axis] = slice(step, None)
-    elif step < 0:
-        src[axis] = slice(-step, None)
-        dst[axis] = slice(None, step)
-    else:
-        return values.copy()
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
 def laplacian_dirichlet(u: Field) -> Field:
     """Second-order 2d+1 point Laplacian with zero extension across the mask."""
-    g = u.grid
-    v = u.values
-    out = (-2.0 * g.dim) * v
-    for ax in range(g.dim):
-        out = out + _shifted(v, ax, 1) + _shifted(v, ax, -1)
-    out = out / g.spacing**2
-    return Field(g, out)
+    return Field(u.grid, u.grid.stencil.laplacian(to_active(u)[None])[0])
 
 
 def gradient(u: Field):
     """Centered differences, falling back to one-sided at mask/box edges."""
-    g = u.grid
-    v = u.values
-    m = g.mask
-    h = g.spacing
-    comps = []
-    for ax in range(g.dim):
-        vp = _shifted(v, ax, -1)   # value of right neighbor
-        vm = _shifted(v, ax, 1)    # value of left neighbor
-        mp = _shifted(m.astype(np.int8), ax, -1).astype(bool)
-        mm = _shifted(m.astype(np.int8), ax, 1).astype(bool)
-        d = (vp - vm) / (2.0 * h)
-        d = np.where(mp & ~mm, (vp - v) / h, d)
-        d = np.where(~mp & mm, (v - vm) / h, d)
-        d = np.where(~mp & ~mm, 0.0, d)
-        comps.append(Field(g, d))
-    return tuple(comps)
+    return tuple(Field(u.grid, c[0])
+                 for c in u.grid.stencil.gradient(to_active(u)[None]))
 
 
 def l2_dot(u: Field, w: Field) -> complex:
@@ -228,15 +197,11 @@ def l2_norm(u: Field) -> float:
 
 
 def h1_norm(u: Field) -> float:
-    s = sum(np.sum(np.abs(c.values) ** 2) for c in gradient(u))
-    return float(np.sqrt((np.sum(np.abs(u.values) ** 2) + s) * u.grid.cell_volume()))
+    return float(u.grid.stencil.h1(to_active(u)[None])[0])
 
 
 def h2_norm(u: Field) -> float:
-    lap = laplacian_dirichlet(u)
-    s = sum(np.sum(np.abs(c.values) ** 2) for c in gradient(u))
-    tot = np.sum(np.abs(u.values) ** 2) + s + np.sum(np.abs(lap.values) ** 2)
-    return float(np.sqrt(tot * u.grid.cell_volume()))
+    return float(u.grid.stencil.h2_l2(to_active(u)[None])[0][0])
 
 
 @dataclass(frozen=True)
@@ -347,16 +312,15 @@ def from_active(grid: Grid, vec: np.ndarray) -> Field:
 
 
 class ActiveStencil:
-    """Laplacian and H2/L2 norms of stacks of active vectors.
+    """The lattice Laplacian, gradient and H1/H2/L2 norms of active vectors.
 
     A stack is a (k, n_active) array, one vector per row.  Each row is
-    zero-extended to the lattice and then goes through the same operations,
-    in the same order, as `laplacian_dirichlet`, `gradient`, `h2_norm` and
-    `l2_norm` on the corresponding Field, so the results agree bit for bit.
-    (Dividing a complex array by a real scalar is the same in numpy as
-    multiplying by the reciprocal, which is cheaper.)  The masks that decide
-    where `gradient` falls back to one-sided differences are worked out once
-    here instead of on every call.
+    zero-extended to the lattice (zero on the obstacle and beyond the box
+    faces) before the stencil reads its neighbors.  `laplacian_dirichlet`,
+    `gradient`, `h1_norm` and `h2_norm` are this class applied to one row,
+    through the grid's `Grid.stencil`.  The gradient is centered, one-sided
+    where only one neighbor is active, and zero where neither is; the points
+    of each kind are found once, from the mask, when the stencil is built.
     """
 
     def __init__(self, grid: Grid):
@@ -393,46 +357,60 @@ class ActiveStencil:
         return self._padded(vecs)[self._inner]
 
     def laplacian(self, vecs: np.ndarray) -> np.ndarray:
-        """`laplacian_dirichlet` of each row, as lattice arrays (k, n, ..., n)."""
-        pad = self._padded(vecs)
-        out = np.empty(pad[self._inner].shape, dtype=np.complex128)
-        self._laplacian(pad, out)
-        return out
+        """The 2d+1 point Laplacian of each row, zero on the obstacle, as
+        lattice arrays (k, n, ..., n)."""
+        return self._laplacian(self._padded(vecs))
 
-    def _laplacian(self, pad, out):
+    def _laplacian(self, pad):
         g = self.grid
-        np.multiply(pad[self._inner], -2.0 * g.dim, out=out)
+        out = pad[self._inner] * (-2.0 * g.dim)
         for ax in range(g.dim):
             out += pad[self._neighbor(ax, -1)]
             out += pad[self._neighbor(ax, +1)]
         out *= 1.0 / g.spacing**2
         out[self._off] = 0.0
+        return out
+
+    def gradient(self, vecs: np.ndarray) -> np.ndarray:
+        """The gradient of each row, as lattice arrays (dim, k, n, ..., n)."""
+        return self._gradient(self._padded(vecs))
+
+    def _gradient(self, pad):
+        h = self.grid.spacing
+        v = pad[self._inner]
+        out = np.empty((self.grid.dim,) + v.shape, dtype=np.complex128)
+        for ax, (right, left, zero) in enumerate(self._onesided):
+            vp, vm = pad[self._neighbor(ax, +1)], pad[self._neighbor(ax, -1)]
+            d = out[ax]
+            np.subtract(vp, vm, out=d)
+            d *= 1.0 / (2.0 * h)
+            d[right] = (vp[right] - v[right]) * (1.0 / h)
+            d[left] = (v[left] - vm[left]) * (1.0 / h)
+            d[zero] = 0.0
+        return out
+
+    def _h1_sums(self, pad):
+        """Per row: sum |u|^2, and that plus sum |d_k u|^2 over every axis k."""
+        u2 = _row_sums(pad[self._inner])
+        return u2, u2 + sum(_row_sums(comp) for comp in self._gradient(pad))
+
+    def h1(self, vecs: np.ndarray) -> np.ndarray:
+        """`h1_norm` of each row, as an array of length k."""
+        _, h1sq = self._h1_sums(self._padded(vecs))
+        return np.sqrt(h1sq * self.grid.cell_volume())
 
     def h2_l2(self, vecs: np.ndarray):
         """(h2_norm, l2_norm) of each row, as two arrays of length k."""
-        g = self.grid
-        k = len(vecs)
         pad = self._padded(vecs)
-        v = pad[self._inner]
-        # slot 0: u, slots 1..dim: gradient components, last slot: Laplacian
-        parts = np.empty((g.dim + 2,) + v.shape, dtype=np.complex128)
-        parts[0] = v
-        for ax, (right, left, zero) in enumerate(self._onesided):
-            vp, vm = pad[self._neighbor(ax, +1)], pad[self._neighbor(ax, -1)]
-            d = parts[1 + ax]
-            np.subtract(vp, vm, out=d)
-            d *= 1.0 / (2.0 * g.spacing)
-            d[right] = (vp[right] - v[right]) * (1.0 / g.spacing)
-            d[left] = (v[left] - vm[left]) * (1.0 / g.spacing)
-            d[zero] = 0.0
-        self._laplacian(pad, parts[-1])
-        sums = np.sum((np.abs(parts) ** 2).reshape(g.dim + 2, k, -1), axis=-1)
-        s = 0
-        for ax in range(g.dim):
-            s = s + sums[1 + ax]
-        tot = sums[0] + s + sums[-1]
-        vol = g.cell_volume()
-        return np.sqrt(tot * vol), np.sqrt(sums[0]) * np.sqrt(vol)
+        u2, h1sq = self._h1_sums(pad)
+        vol = self.grid.cell_volume()
+        return (np.sqrt((h1sq + _row_sums(self._laplacian(pad))) * vol),
+                np.sqrt(u2) * np.sqrt(vol))
+
+
+def _row_sums(arrays):
+    """sum |a|^2 over each of a stack of lattice arrays."""
+    return np.sum((np.abs(arrays) ** 2).reshape(len(arrays), -1), axis=-1)
 
 
 # --- serialization: one JSON header line, then little-endian complex64 ------

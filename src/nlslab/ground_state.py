@@ -304,11 +304,16 @@ def fit_decay(gs: GroundState) -> float:
 
 
 def rescale(gs: GroundState, omega: float) -> GroundState:
-    """Frequency scaling  Q_omega(x) = omega^{1/(p-1)} Q(sqrt(omega) x)."""
+    """Frequency scaling  Q_omega(x) = omega^{1/(p-1)} Q(sqrt(omega) x).
+
+    An omega within `np.isclose` of 1 returns ``gs`` itself.
+    """
     if not np.isclose(gs.omega, 1.0):
         raise GroundStateInputError("rescale starts from the omega = 1 profile")
     if not omega > 0:
         raise GroundStateInputError("need omega > 0")
+    if np.isclose(omega, 1.0):
+        return gs
     s = np.sqrt(omega)
     amp = omega ** (1.0 / (gs.p - 1.0))
     out = GroundState(

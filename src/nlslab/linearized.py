@@ -352,8 +352,7 @@ def measure_scaling_exponent(gs1: GroundState, grid: Grid, omegas=(1.0, 2.0, 4.0
     """Fit e_omega = omega^kappa e0 from independent eigensolves at each omega."""
     es = []
     for om in omegas:
-        gs = gs1 if np.isclose(om, 1.0) else rescale(gs1, om)
-        es.append(solve_unstable_pair(assemble(gs, grid)).e0)
+        es.append(solve_unstable_pair(assemble(rescale(gs1, om), grid)).e0)
     es = np.asarray(es)
     logw = np.log(np.asarray(omegas, dtype=float))
     kappa, logc = np.polyfit(logw, np.log(es), 1)

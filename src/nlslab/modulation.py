@@ -227,9 +227,7 @@ class ShootConfig:
     delta: float = None          # default: 0.7 * fitted ground-state rate
     M: float = None              # default: 10 * max(|r(Tn)| e^{rate Tn}, 1)
     Mprime: float = None         # default: M^2
-    eps_close: float = None      # default: the modulation radius
     log_every: int = 10
-    keep_snapshots: bool = True
 
     def __post_init__(self):
         if not self.Tn > self.T0 > 0:
@@ -273,8 +271,7 @@ def _resolve_bounds(ctx: ModulationContext, cfg: ShootConfig, r_h1_final: float)
     M = cfg.M if cfg.M is not None else \
         10.0 * max(r_h1_final * np.exp(rate * cfg.Tn), 1.0)
     Mp = cfg.Mprime if cfg.Mprime is not None else M**2
-    eps = cfg.eps_close if cfg.eps_close is not None else ctx.eps_mod
-    return delta, rate, M, Mp, eps
+    return delta, rate, M, Mp
 
 
 def _ansatz_lyapunov(ctx: ModulationContext, a: Ansatz) -> float:
@@ -313,7 +310,7 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
         raise ModulationError(f"final-data amplitude {lam} out of admissible range")
     u = final_data(ctx, cfg.Tn, lam)
     state = decompose(ctx, u, cfg.Tn)
-    delta, rate, M, Mp, eps = _resolve_bounds(ctx, cfg, h1_norm(state.r))
+    delta, rate, M, Mp = _resolve_bounds(ctx, cfg, h1_norm(state.r))
 
     n_steps = max(1, int(round((cfg.Tn - cfg.T0) / evolve_cfg.dt)))
     dt = -(cfg.Tn - cfg.T0) / n_steps
@@ -330,8 +327,7 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
         rows.append((t, l2_norm(st.r), h1_norm(st.r), st.y.copy(), st.mu,
                      st.alpha_plus, st.alpha_minus, f.lyapunov, nn,
                      _ansatz_lyapunov(ctx, st._ansatz)))
-        if cfg.keep_snapshots:
-            snaps.append((t, u_here))
+        snaps.append((t, u_here))
 
     def violated(t, st):
         bound = np.exp(-rate * t)

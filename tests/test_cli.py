@@ -18,7 +18,7 @@ from nlslab.cli import (
     run_sweep,
     write_search_history,
 )
-from nlslab.grid import build_grid, save_field
+from nlslab.grid import Field, build_grid, save_field
 from nlslab.soliton import SolitonParams, soliton_field
 
 
@@ -92,6 +92,21 @@ def test_evolve_bad_stepping_argument_is_precondition(tmp_path, capsys, gs3, fla
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "failure.json").exists()
+
+
+def test_evolve_overflowing_energy_is_numerical_failure(tmp_path):
+    # |u|^(p+1) of a 1e38 field overflows: the energy column would read -inf
+    grid = build_grid(1, 10.0, 255)
+    x = grid.coordinate(0)
+    save_field(tmp_path / "u0.bin", Field(grid, 1e38 * np.exp(-x**2)))
+    with np.errstate(over="ignore"):
+        code = main(["evolve", "--in", str(tmp_path / "u0.bin"), "--p", "9",
+                     "--v", "0", "--dt", "0.002", "--t1", "0.004",
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["type"] == "EvolveError"
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_ground_state_bad_p_is_precondition(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,31 @@ def test_linear_step_rejects_nonfinite_input(grid, bad):
             stepper.linear_step(poisoned)
         with pytest.raises(LinearSolveError):
             stepper.linear_step(vec, poisoned)
+
+
+def test_evolve_overflow_raises_evolve_error():
+    g = build_grid(1, 10.0, 255)
+    u0 = Field(g, 2e51 * np.exp(-g.coordinate(0) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvolveError, match="non-finite"):
+            evolve(u0, EvolveConfig(dt=0.002, t1=0.01), 7.0)
+
+
+def test_evolve_nonfinite_state_raises_evolve_error(grid, monkeypatch):
+    # a state that turns non-finite after the last CN solve (in the trailing
+    # half step) is raised as a numerical failure, not a Field validation error
+    u0 = Field(grid, np.exp(-grid.coordinate(0) ** 2))
+    calls = []
+
+    def half_step(vals, dt, p):
+        calls.append(dt)
+        return vals * np.nan if len(calls) == 2 else vals
+
+    monkeypatch.setattr(importlib.import_module("nlslab.evolve"), "_phase_half_step",
+                        half_step)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(EvolveError, match="non-finite state"):
+            evolve(u0, EvolveConfig(dt=0.01, t1=0.01), 3.0)
 
 
 def test_nonlinear_substep_preserves_modulus(grid):

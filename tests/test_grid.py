@@ -31,6 +31,54 @@ def random_field(grid, rng):
     return Field(grid, v)
 
 
+# --- reference oracle: the stencil written out on full lattice arrays ------
+
+def _shifted(values, axis, step):
+    """values translated by ``step`` cells along ``axis`` with zero fill."""
+    out = np.zeros_like(values)
+    src = [slice(None)] * values.ndim
+    dst = [slice(None)] * values.ndim
+    if step > 0:
+        src[axis] = slice(None, -step)
+        dst[axis] = slice(step, None)
+    else:
+        src[axis] = slice(-step, None)
+        dst[axis] = slice(None, step)
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def reference_laplacian(u):
+    g, v = u.grid, u.values
+    out = (-2.0 * g.dim) * v
+    for ax in range(g.dim):
+        out = out + _shifted(v, ax, 1) + _shifted(v, ax, -1)
+    return np.where(g.mask, out / g.spacing**2, 0.0)
+
+
+def reference_gradient(u):
+    g, v, m, h = u.grid, u.values, u.grid.mask, u.grid.spacing
+    comps = []
+    for ax in range(g.dim):
+        vp, vm = _shifted(v, ax, -1), _shifted(v, ax, 1)
+        mp = _shifted(m.astype(np.int8), ax, -1).astype(bool)
+        mm = _shifted(m.astype(np.int8), ax, 1).astype(bool)
+        d = (vp - vm) / (2.0 * h)
+        d = np.where(mp & ~mm, (vp - v) / h, d)
+        d = np.where(~mp & mm, (v - vm) / h, d)
+        d = np.where(~mp & ~mm, 0.0, d)
+        comps.append(np.where(m, d, 0.0))
+    return comps
+
+
+def reference_h1_h2(u):
+    s = sum(np.sum(np.abs(c) ** 2) for c in reference_gradient(u))
+    u2 = np.sum(np.abs(u.values) ** 2)
+    lap2 = np.sum(np.abs(reference_laplacian(u)) ** 2)
+    vol = u.grid.cell_volume()
+    return float(np.sqrt((u2 + s) * vol)), float(np.sqrt((u2 + s + lap2) * vol))
+
+
 # ---------------------------------------------------------------- build_grid
 
 def test_interval_obstacle_mask():
@@ -265,11 +313,20 @@ def test_active_stencil_matches_field_operators_exactly(dim, L, n, a):
     stack = np.array([to_active(u) for u in fields])
     st = ActiveStencil(g)
     h2, l2 = st.h2_l2(stack)
+    h1 = st.h1(stack)
     lap = st.laplacian(stack)
+    grad = st.gradient(stack)
     for k, u in enumerate(fields):
-        assert h2[k] == h2_norm(u)
+        ref_h1, ref_h2 = reference_h1_h2(u)
+        ref_lap, ref_grad = reference_laplacian(u), reference_gradient(u)
+        assert h2[k] == ref_h2 == h2_norm(u)
+        assert h1[k] == ref_h1 == h1_norm(u)
         assert l2[k] == l2_norm(u)
-        assert np.array_equal(lap[k], laplacian_dirichlet(u).values)
+        assert np.array_equal(lap[k], ref_lap)
+        assert np.array_equal(laplacian_dirichlet(u).values, ref_lap)
+        for ax, c in enumerate(gradient(u)):
+            assert np.array_equal(grad[ax, k], ref_grad[ax])
+            assert np.array_equal(c.values, ref_grad[ax])
         assert np.array_equal(st.full(stack[k:k + 1])[0], u.values)
     one_h2, one_l2 = st.h2_l2(stack[1:2])
     assert one_h2[0] == h2[1] and one_l2[0] == l2[1]
