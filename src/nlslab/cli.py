@@ -156,7 +156,7 @@ def write_csv(path: Path, header, rows, cfg_hash: str) -> None:
 def write_search_history(path: Path, history, cfg_hash: str) -> None:
     """One row per shot of the alpha+ search, in the order they were run."""
     write_csv(path, ("shot", "alpha", "exit_time", "exit_reason", "alpha_plus_exit"),
-              [(k, *shot) for k, shot in enumerate(history)], cfg_hash)
+              [(str(k), *shot) for k, shot in enumerate(history)], cfg_hash)
 
 
 def _grid_from(cfg, with_obstacle=True):

@@ -126,16 +126,12 @@ class SourceSet:
         return Field(self.grid, full)
 
     def total_active(self, r: Field | None, t, which) -> np.ndarray:
-        """The selected sources at t on r (None: r = 0), as an active vector."""
-        grid = self.grid
-        total = np.zeros((grid.n,) * grid.dim, dtype=complex)
-        r_here = r if r is not None else Field.zeros(grid)
-        if "a0" in which:
-            total += self.a0(t).values
-        for name, term in _FEEDBACK.items():
-            if name in which:
-                total += term(self._ansatz(t), r_here.values, self.p)
-        return total[grid.mask]
+        """The selected sources at t on r (None: r = 0), as an active vector:
+        the Picard loop's `_MeshSources` on the one-point mesh (t,)."""
+        rows = None if r is None else to_active(r)[None]
+        mesh = _MeshSources(self, (t,), "a0" in which,
+                            ansatz=rows is not None and any(a in which for a in _FEEDBACK))
+        return mesh.source(which, rows)(0)
 
 
 def make_sources(params: SolitonParams, gs: GroundState, psi, grid: Grid,
@@ -173,10 +169,7 @@ class _MeshSources:
                 self.R[k] = sources._ansatz(t)[mask]
 
     def source(self, which, rows):
-        """k -> the selected sources at t_k on rows[k] (rows may be None).
-
-        Same terms, in the same order, as `SourceSet.total_active`.
-        """
+        """k -> the selected sources at t_k on rows[k] (rows may be None)."""
         terms = [_FEEDBACK[name] for name in ("a1", "a2", "a3") if name in which]
         if rows is None:
             terms = []     # the feedback of r = 0 vanishes
@@ -255,11 +248,11 @@ class _ENorm:
         if s <= 0:
             raise FixedPointInputError("the weighted norm needs |v| > 0")
         self._stencil = grid.stencil
-        self._rate = cfg.delta * np.sqrt(cfg.omega) * s
+        self.rate = cfg.delta * np.sqrt(cfg.omega) * s
         self._s3 = s**3
 
     def weight(self, t) -> float:
-        return np.exp(self._rate * t)
+        return np.exp(self.rate * t)
 
     def __call__(self, w, vecs) -> np.ndarray:
         """Weighted norms of the rows of vecs, all at the time of weight w."""
@@ -368,8 +361,6 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     mesh = None    # free the ansatz before the Fields are built
     traj = _trajectory(sources, ts, rows)
 
-    s = enorm_cfg.speed()
-    tail = float(np.exp(-enorm_cfg.delta * np.sqrt(enorm_cfg.omega) * s * (Tmax - T0)))
     report = PicardReport(
         iterate_norms=norms,
         contraction_ratios=ratios,
@@ -377,7 +368,7 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
         converged=not non_contracting,
         non_contracting=non_contracting,
         final_residual=final_residual,
-        tail_criterion=tail,
+        tail_criterion=float(np.exp(-norm.rate * (Tmax - T0))),
         diff_norms=diffs,
     )
     return report, traj

@@ -206,9 +206,12 @@ def h2_norm(u: Field) -> float:
 
 @dataclass(frozen=True)
 class NormConfig:
-    """Selects one of the discrete norms; E-weighted needs the rate data."""
+    """The rate data of the E-weighted norm (`fixedpoint.e_norm`).
 
-    which: str = "L2"  # L2 | H1 | H2 | Eweighted
+    ``which`` and ``T0`` are read by nothing; callers still pass them.
+    """
+
+    which: str = "L2"
     delta: float = 0.0
     omega: float = 1.0
     v: tuple = (0.0,)
@@ -216,22 +219,6 @@ class NormConfig:
 
     def speed(self) -> float:
         return float(np.linalg.norm(self.v))
-
-
-def norm_value(u: Field, cfg: NormConfig, t: float = 0.0) -> float:
-    if cfg.which == "L2":
-        return l2_norm(u)
-    if cfg.which == "H1":
-        return h1_norm(u)
-    if cfg.which == "H2":
-        return h2_norm(u)
-    if cfg.which == "Eweighted":
-        s = cfg.speed()
-        if s <= 0:
-            raise GridError("E-weighted norm needs |v| > 0")
-        w = np.exp(cfg.delta * np.sqrt(cfg.omega) * s * t)
-        return w * (h2_norm(u) / s**3 + l2_norm(u))
-    raise GridError(f"unknown norm {cfg.which!r}")
 
 
 class CutoffPsi:

@@ -299,33 +299,25 @@ def evaluate_mode_parts(modes: EigenModes, grid: Grid, center) -> tuple[Field, F
     return Field(grid, f1(pts).astype(complex)), Field(grid, f2(pts).astype(complex))
 
 
-def rescale_modes(modes: EigenModes, omega: float, grid: Grid | None = None) -> EigenModes:
+def rescale_modes(modes: EigenModes, omega: float) -> EigenModes:
     """Frequency-scaled modes omega^(1/4) y(sqrt(omega) x).
 
-    With no target grid the scaling is realized as an exact lattice dilation:
-    the mode values are carried over unchanged (up to the amplitude factor)
-    onto a grid whose spacing is divided by sqrt(omega), under which the
-    discrete operators transform exactly.  Passing an explicit grid falls
-    back to interpolation.  Either way the scaled rate is recomputed by
-    Rayleigh quotients against the freshly assembled omega-operators rather
-    than trusted from any scaling law.
+    The scaling is realized as an exact lattice dilation: the mode values are
+    carried over unchanged (up to the amplitude factor) onto a grid whose
+    spacing is divided by sqrt(omega), under which the discrete operators
+    transform exactly.  The scaled rate is recomputed by Rayleigh quotients
+    against the freshly assembled omega-operators rather than trusted from
+    any scaling law.
     """
     if not np.isclose(modes.omega, 1.0):
         raise SpectralError("rescale_modes starts from the omega = 1 modes")
     if not omega > 0:
         raise SpectralError("need omega > 0")
-    s = np.sqrt(omega)
     amp = omega**0.25
     src = modes.y1.grid
-    if grid is None:
-        grid = Grid(src.dim, src.half_width / s, src.n, src.obstacle)
-        y1 = Field(grid, amp * modes.y1.values)
-        y2 = Field(grid, amp * modes.y2.values)
-    else:
-        pts = np.stack([s * grid.coordinate(k) for k in range(grid.dim)], axis=-1)
-        f1, f2 = _interpolators(modes)
-        y1 = Field(grid, (amp * f1(pts)).astype(complex))
-        y2 = Field(grid, (amp * f2(pts)).astype(complex))
+    grid = Grid(src.dim, src.half_width / np.sqrt(omega), src.n, src.obstacle)
+    y1 = Field(grid, amp * modes.y1.values)
+    y2 = Field(grid, amp * modes.y2.values)
 
     pair_w = _build_pair(rescale(modes._pair.ground, omega), grid)
     v1, v2 = to_active(y1).real, to_active(y2).real

@@ -187,37 +187,47 @@ def final_data(ctx: ModulationContext, Tn: float, lam) -> Field:
     return _final_data_map(ctx, Tn)(lam)
 
 
-def solve_modulated_final_data(ctx: ModulationContext, Tn: float,
-                               alpha_plus_target: float,
-                               tol: float = 1e-10) -> np.ndarray:
-    """Newton on lam so that alpha+(Tn) hits the target and alpha-(Tn) = 0."""
+def _tune_final_data(ctx: ModulationContext, Tn: float, alpha_plus_target: float,
+                     tol: float = 1e-10):
+    """Newton on lam so that alpha+(Tn) hits the target and alpha-(Tn) = 0.
+
+    Returns lam with u(Tn) and its decomposition, from the last evaluation.
+    """
     lam = np.zeros(2)
     target = np.array([alpha_plus_target, 0.0])
     data = _final_data_map(ctx, Tn)
 
-    def alphas(lv):
-        st = decompose(ctx, data(lv), Tn)
-        return np.array([st.alpha_plus, st.alpha_minus])
+    def at(lv):
+        u = data(lv)
+        st = decompose(ctx, u, Tn)
+        return np.array([st.alpha_plus, st.alpha_minus]) - target, u, st
 
     scale = max(abs(alpha_plus_target), 1e-12)
-    res = alphas(lam) - target
+    res, u, st = at(lam)
     for _ in range(30):
         if np.max(np.abs(res)) <= tol * scale:
-            return lam
+            return lam, u, st
         jac = np.empty((2, 2))
         step = max(1e-8, 1e-3 * scale)
         for j in range(2):
             lp = lam.copy()
             lp[j] += step
-            jac[:, j] = (alphas(lp) - target - res) / step
+            jac[:, j] = (at(lp)[0] - res) / step
         try:
             lam = lam - np.linalg.solve(jac, res)
         except np.linalg.LinAlgError as exc:
             raise ModulationError("degenerate mode pairing matrix") from exc
-        res = alphas(lam) - target
+        res, u, st = at(lam)
     raise ModulationError(
         f"final-data Newton stalled: residual {res} for target {target}"
     )
+
+
+def solve_modulated_final_data(ctx: ModulationContext, Tn: float,
+                               alpha_plus_target: float,
+                               tol: float = 1e-10) -> np.ndarray:
+    """Newton on lam so that alpha+(Tn) hits the target and alpha-(Tn) = 0."""
+    return _tune_final_data(ctx, Tn, alpha_plus_target, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -265,13 +275,8 @@ class ShootLog:
         return np.column_stack(cols)
 
 
-def _resolve_bounds(ctx: ModulationContext, cfg: ShootConfig, r_h1_final: float):
-    delta = cfg.delta if cfg.delta is not None else 0.7 * ctx.gs.delta_fit
-    rate = ctx.rate(delta)
-    M = cfg.M if cfg.M is not None else \
-        10.0 * max(r_h1_final * np.exp(rate * cfg.Tn), 1.0)
-    Mp = cfg.Mprime if cfg.Mprime is not None else M**2
-    return delta, rate, M, Mp
+def _shoot_delta(ctx: ModulationContext, cfg: ShootConfig) -> float:
+    return cfg.delta if cfg.delta is not None else 0.7 * ctx.gs.delta_fit
 
 
 def _ansatz_lyapunov(ctx: ModulationContext, a: Ansatz) -> float:
@@ -304,13 +309,14 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
     terminates with a partial log.
     """
     grid = ctx.grid
-    lam = solve_modulated_final_data(ctx, cfg.Tn, alpha_plus)
-    if np.any(np.abs(lam) > 10.0 * np.exp(-ctx.rate(
-            cfg.delta if cfg.delta is not None else 0.7 * ctx.gs.delta_fit) * cfg.Tn)):
+    delta = _shoot_delta(ctx, cfg)
+    rate = ctx.rate(delta)
+    lam, u, state = _tune_final_data(ctx, cfg.Tn, alpha_plus)
+    if np.any(np.abs(lam) > 10.0 * np.exp(-rate * cfg.Tn)):
         raise ModulationError(f"final-data amplitude {lam} out of admissible range")
-    u = final_data(ctx, cfg.Tn, lam)
-    state = decompose(ctx, u, cfg.Tn)
-    delta, rate, M, Mp = _resolve_bounds(ctx, cfg, h1_norm(state.r))
+    r_h1 = h1_norm(state.r)
+    M = cfg.M if cfg.M is not None else 10.0 * max(r_h1 * np.exp(rate * cfg.Tn), 1.0)
+    Mp = cfg.Mprime if cfg.Mprime is not None else M**2
 
     n_steps = max(1, int(round((cfg.Tn - cfg.T0) / evolve_cfg.dt)))
     dt = -(cfg.Tn - cfg.T0) / n_steps
@@ -321,26 +327,26 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
     guess = np.concatenate([state.y, [state.mu]])
     exit_reason, exit_time = "reached_T0", cfg.T0
 
-    def log_row(t, st, u_here):
+    def log_row(t, st, u_here, r_h1):
         f = functionals(u_here, ctx.params)
         nn = (np.exp(rate * t) * st.alpha_plus) ** 2
-        rows.append((t, l2_norm(st.r), h1_norm(st.r), st.y.copy(), st.mu,
+        rows.append((t, l2_norm(st.r), r_h1, st.y.copy(), st.mu,
                      st.alpha_plus, st.alpha_minus, f.lyapunov, nn,
                      _ansatz_lyapunov(ctx, st._ansatz)))
         snaps.append((t, u_here))
 
-    def violated(t, st):
+    def violated(t, st, r_h1):
         bound = np.exp(-rate * t)
         slack = 1.0 + 1e-9
         if abs(st.alpha_plus) > bound * slack or abs(st.alpha_minus) > bound * slack:
             return "alpha_bound"
-        if h1_norm(st.r) > M * bound * slack:
+        if r_h1 > M * bound * slack:
             return "r_bound"
         if np.max(np.abs(st.y)) > Mp * bound * slack or abs(st.mu) > Mp * bound * slack:
             return "y_mu_bound"
         return None
 
-    log_row(cfg.Tn, state, u)
+    log_row(cfg.Tn, state, u, r_h1)
     for k, vec in march(stepper, to_active(u), n_steps, ctx.params.p):
         if k == 0 or (k % cfg.log_every and k != n_steps):
             continue
@@ -352,8 +358,9 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
             exit_reason, exit_time = "modulation_failure", t
             break
         guess = np.concatenate([state.y, [state.mu]])
-        log_row(t, state, u_here)
-        reason = violated(t, state)
+        r_h1 = h1_norm(state.r)
+        log_row(t, state, u_here, r_h1)
+        reason = violated(t, state, r_h1)
         if reason is not None:
             exit_reason, exit_time = reason, t
             break
@@ -385,8 +392,7 @@ def shoot_search(ctx: ModulationContext, cfg: ShootConfig,
     alpha+(exit); the sign change brackets the stable shot, realizing the
     one-dimensional shadow of the degree argument.
     """
-    delta = cfg.delta if cfg.delta is not None else 0.7 * ctx.gs.delta_fit
-    amp = np.exp(-ctx.rate(delta) * cfg.Tn)
+    amp = np.exp(-ctx.rate(_shoot_delta(ctx, cfg)) * cfg.Tn)
     history = []
 
     def run(a):

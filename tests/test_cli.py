@@ -157,7 +157,7 @@ def test_search_history_csv(tmp_path, winning_search):
     assert len(rows) == len(winning_search.history)
     for k, (row, shot) in enumerate(zip(rows, winning_search.history)):
         alpha, exit_time, reason, alpha_plus = shot
-        assert float(row[0]) == k
+        assert row[0] == str(k)
         assert float(row[1]) == alpha and float(row[2]) == exit_time
         assert row[3] == reason
         assert float(row[4]) == alpha_plus

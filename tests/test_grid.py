@@ -7,7 +7,6 @@ from nlslab.grid import (
     Field,
     GridError,
     GridMismatchError,
-    NormConfig,
     Obstacle,
     build_cutoff,
     build_grid,
@@ -19,7 +18,6 @@ from nlslab.grid import (
     laplacian_dirichlet,
     laplacian_matrix,
     load_field,
-    norm_value,
     real_inner,
     save_field,
     to_active,
@@ -213,8 +211,6 @@ def test_norm_monotone():
     rng = np.random.default_rng(2)
     u = random_field(g, rng)
     assert l2_norm(u) <= h1_norm(u) <= h2_norm(u)
-    cfg = NormConfig("H1")
-    assert norm_value(u, cfg) == h1_norm(u)
 
 
 # -------------------------------------------------------------- build_cutoff

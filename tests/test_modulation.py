@@ -21,6 +21,7 @@ from nlslab.modulation import (
     lyapunov_drift_fit,
     shoot_search,
     solve_modulated_final_data,
+    tilde_lyapunov,
     uniform_distance_fit,
 )
 from nlslab.modulation import _final_data_map, _jacobian, _orthogonality, _tilde_pieces
@@ -243,6 +244,28 @@ def test_short_horizon_zero_alpha_reaches_T0(shoot_ctx, evolve_cfg):
     assert np.all(log.r_h1 <= bound)
 
 
+def test_shoot_builds_final_data_and_h1_once(shoot_ctx, evolve_cfg, monkeypatch):
+    calls = {"_final_data_map": 0, "h1_norm": 0}
+
+    def counting(name):
+        original = getattr(modulation, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(modulation, name, wrapped)
+
+    for name in calls:
+        counting(name)
+    cfg = ShootConfig(T0=7.5, Tn=8.0, delta=0.4, log_every=10)
+    log = backward_shoot(shoot_ctx, 0.0, cfg, evolve_cfg)
+    assert calls == {"_final_data_map": 1, "h1_norm": len(log.t)}
+    # the shot starts from the final-data Newton's own u(Tn)
+    u_final = final_data(shoot_ctx, cfg.Tn, log.lam)
+    assert np.array_equal(log.snapshots[0][1].values, u_final.values)
+
+
 def test_winning_run_respects_all_bounds(winning_search):
     log = winning_search.log
     assert log.exit_reason == "reached_T0"
@@ -328,6 +351,12 @@ def test_alpha_minus_bound(winning_search):
 
 def test_alpha_minus_zero_at_final_time(winning_search):
     assert abs(winning_search.log.alpha_minus[0]) < 1e-8
+
+
+def test_logged_tilde_lyapunov_is_tilde_lyapunov(shoot_ctx, winning_search):
+    log = winning_search.log
+    for k, (t, y) in enumerate(zip(log.t, log.y)):
+        assert tilde_lyapunov(shoot_ctx, t, y) == log.tilde_lyapunov[k]
 
 
 def test_lyapunov_drift_exponential(gs7, winning_search):

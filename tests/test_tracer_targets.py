@@ -1,17 +1,20 @@
-"""The benchmark tracer's wrap targets still exist in the package.
+"""The benchmark's hooks into the package still exist.
 
-`bench/tracer.py` wraps functions by name; a rename or deletion in `src/`
-would only surface as a failed traced benchmark run.
+`bench/tracer.py` wraps functions by name, and `bench/workloads.py` calls
+some with arguments nothing in `src/` passes; a rename or deletion in `src/`
+would only surface as a failed benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+_spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
@@ -24,3 +27,17 @@ def test_tracer_target_resolves(layer, modname, attr, where):
         assert meth in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, attr))
+
+
+@pytest.mark.parametrize("modname,attr", [("grid", "NormConfig"),
+                                          ("fixedpoint", "picard")])
+def test_workload_calls_bind(modname, attr):
+    # every call `<x>.<attr>(...)` in the workloads, bound with its own
+    # argument count and keywords
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == attr]
+    assert calls
+    sig = inspect.signature(getattr(importlib.import_module(f"nlslab.{modname}"), attr))
+    for call in calls:
+        sig.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
