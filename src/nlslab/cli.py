@@ -213,7 +213,8 @@ def run_spectrum(cfg, out: Path) -> dict:
     summary["lambda_min"] = rep.lambda_min
     summary["unconstrained_lplus_min"] = rep.unconstrained_lplus_min
     if len(cfg["omegas"]) >= 2:
-        kappa, resid, es = lin.measure_scaling_exponent(gs, grid, cfg["omegas"])
+        kappa, resid, es = lin.measure_scaling_exponent(gs, grid, cfg["omegas"],
+                                                        solved=modes)
         summary["scaling_exponent"] = kappa
         summary["scaling_fit_residual"] = resid
         summary["scaling_rates"] = list(es)

@@ -1,8 +1,24 @@
-"""Radial ground-state profiles by shooting with bisection on the central value.
+"""Radial ground-state profiles by shooting on the central value.
 
-The profile solves  Q'' + (d-1)/r Q' - omega Q + Q^p = 0,  Q'(0) = 0, with the
-decaying separatrix singled out by bisection between central values whose
-trajectories cross zero (too large) and those that turn back up (too small).
+The profile solves  Q'' + (d-1)/r Q' - omega Q + Q^p = 0,  Q'(0) = 0,  for
+d = 1, 2, 3.  Its central value q0 is the separatrix between central values
+whose trajectories cross zero (too large) and those that turn back up (too
+small).  It is the answer of a bisection down to 4e-15 relative, about 50
+steps, of which only the last half-dozen or so are shot:
+
+- Estimate.  Each classification shot also returns a signed gap: from the
+  event radius while the shot ends in an event, from the log-derivative
+  mismatch at the matching radius once it does not.  A secant on the gap
+  estimates the separatrix to ~2e-15 relative in 8-16 shots.
+- Replay.  The bisection walks its own midpoints and tolerances.  A midpoint
+  further than a safety margin from the estimate goes to the estimate's side
+  without a shot; the others, the last levels among them, are shot.
+- Check.  An end of the final bracket that no shot decided is shot at the
+  tolerance the bisection used there.  If it disagrees, the estimate was
+  wrong, and the plain bisection runs from the start.
+
+The sides are monotone in q0 away from their noise floor, so q0 is the plain
+bisection's bit for bit, from 15-25 classification shots instead of 50-51.
 Past the point where the shot trajectory has decayed six orders of magnitude
 the profile is continued with the exact decaying solution of the linearized
 far-field equation, so the stored tail is clean down to 1e-12 of the peak.
@@ -171,23 +187,38 @@ def _integrate(p, omega, dim, q0, r_stop, rtol, deep_level=None, dense=False):
 
 
 def _classify(p, omega, dim, q0, rtol):
-    """Which side of the separatrix a shot from q0 lands on.
+    """Which side of the separatrix a shot from q0 lands on, and how far.
 
-    Integrates only to r = 10/sqrt(omega).  If the trajectory crosses zero or
-    its derivative turns positive before that, the side is decided by the
-    event.  Otherwise the branches are told apart by comparing the logarithmic
-    derivative against the exact decaying rate -sqrt(omega) - (d-1)/(2r): the
-    sign-crossing branch plunges below it, the turning branch floats above.
+    Integrates only to r_match = 10/sqrt(omega).  If the trajectory crosses
+    zero or its derivative turns positive before that, the side is decided by
+    the event.  Otherwise the branches are told apart by comparing the
+    logarithmic derivative against the exact decaying rate
+    -sqrt(omega) - (d-1)/(2r): the sign-crossing branch plunges below it, the
+    turning branch floats above.
+
+    The gap returned with the side (and whether an event ended the shot) is
+    positive on the crossing side and nearly proportional to q0 - q*, q* the
+    separatrix value.  The growing solution that parts the shot from Q ends
+    it at the event radius r_e, where it has grown to Q's size, so the gap
+    is exp(-2 sqrt(omega) r_e).  Without an event the same growth shows in
+    the log-derivative mismatch at r_match: with y = mismatch / (2
+    sqrt(omega)), the growing part is x = y / (1 + y) of Q there (exactly in
+    the 1d far field, where x = +-1 at the events), and the gap is
+    x exp(-2 sqrt(omega) r_match), which continues the event gap and is
+    linear in q0 - q* to its last digits.
     """
-    r_match = 10.0 / np.sqrt(omega)
+    s = np.sqrt(omega)
+    r_match = 10.0 / s
     sol = _integrate(p, omega, dim, q0, r_match, rtol)
     if sol.t_events[0].size:
-        return "cross"
+        return "cross", np.exp(-2.0 * s * sol.t_events[0][0]), True
     if sol.t_events[1].size:
-        return "turn"
+        return "turn", -np.exp(-2.0 * s * sol.t_events[1][0]), True
     q, dq = sol.y[0, -1], sol.y[1, -1]
-    target = -np.sqrt(omega) - (dim - 1) / (2.0 * r_match)
-    return "turn" if dq / q > target else "cross"
+    target = -s - (dim - 1) / (2.0 * r_match)
+    y = (target - dq / q) / (2.0 * s)
+    gap = y / (1.0 + y) * np.exp(-2.0 * s * r_match)
+    return ("turn" if dq / q > target else "cross"), gap, False
 
 
 def _tail_form(dim: int, omega: float):
@@ -203,7 +234,81 @@ def _tail_form(dim: int, omega: float):
     )
 
 
+COARSE_RTOL = 1e-9
 FINE_RTOL = 1e-13
+# The replay shoots a midpoint that lies within this distance (relative) of
+# the estimate.  The margin is twenty times the largest offset seen between
+# the estimate and the point where a shot's side flips at the coarse rtol
+# (5e-11), and fifty times the estimate's largest error at the fine one
+# (2e-15, near the fine shots' own noise floor).
+REPLAY_MARGIN = {COARSE_RTOL: 1e-9, FINE_RTOL: 1e-13}
+ESTIMATE_SHOTS = 20
+
+
+def _estimate_separatrix(p, omega, dim, lo, hi, hi_shot):
+    """Secant estimate of the separatrix value q* from the gaps of a few shots.
+
+    Starts from the bracket's crossing end `hi`, whose shot `hi_shot` the
+    caller has made, and steps at the coarse rtol; once a step is below 1e-9
+    relative it goes on at the fine rtol, where the gap is linear in q0 - q*
+    to its last digits, and stops after a step below 1e-12 between two fine
+    shots.  An event shot is paired with the latest event shot on its own
+    side where there is one, because away from d = 1 the event gap's slope
+    differs between the sides; any other shot with the latest shot at its
+    rtol.  A pair too noisy for a positive slope keeps the last slope, and a
+    point outside the bracket the shots have built is replaced by the
+    bracket's midpoint.  The estimate only steers the replay in
+    `solve_ground_state`, which checks it.
+    """
+    ends = {"turn": lo, "cross": hi}
+    latest = {}  # newest shot at each rtol, and newest event shot on each side
+    q, rtol, slope = hi, COARSE_RTOL, None
+    for n in range(ESTIMATE_SHOTS + 1):
+        side, f, event = hi_shot if n == 0 else _classify(p, omega, dim, q, rtol)
+        ends[side] = q
+        partner = (event and latest.get((rtol, side))) or latest.get(rtol)
+        latest[rtol] = (q, f)
+        if event:
+            latest[rtol, side] = (q, f)
+        if partner:
+            secant = (f - partner[1]) / (q - partner[0])
+            slope = secant if secant > 0 else slope
+        a, b = sorted(ends.values())
+        nxt = q - f / slope if slope else 0.5 * (a + b)
+        if not a <= nxt <= b:
+            nxt = 0.5 * (a + b)
+        step = abs(nxt - q)
+        if rtol == FINE_RTOL and partner and step <= 1e-12 * q:
+            return nxt
+        if rtol == COARSE_RTOL and step <= 1e-9 * q:
+            # the coarse shots' sides are unreliable this close to q*
+            rtol, ends = FINE_RTOL, {"turn": lo, "cross": hi}
+        q = nxt
+    return q
+
+
+def _bisect(lo, hi, floor, side_of):
+    """The bisection of [lo, hi], a turning shot at lo and a crossing one at hi.
+
+    Halves the bracket at its midpoint until it is at most `floor` wide
+    relative to hi; side_of(mid, rtol) names the side of each midpoint.
+    Returns lo, hi and the rtol at which each was set (None for an end that
+    is still an input).
+    """
+    made = [None, None]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        # coarse integrations while the bracket is wide, tight ones at the end
+        rtol = COARSE_RTOL if (hi - lo) > 1e-6 * hi else FINE_RTOL
+        if side_of(mid, rtol) == "cross":
+            hi, made[1] = mid, rtol
+        else:
+            lo, made[0] = mid, rtol
+        if (hi - lo) <= floor * hi:
+            return lo, hi, made
+    raise GroundStateError(
+        f"bisection failed to converge, bracket [{lo}, {hi}] after 200 steps"
+    )
 
 
 def solve_ground_state(p: float, omega: float, dim: int, tol: float = 4e-15,
@@ -212,13 +317,17 @@ def solve_ground_state(p: float, omega: float, dim: int, tol: float = 4e-15,
         raise GroundStateInputError("need p > 1")
     if not omega > 0:
         raise GroundStateInputError("need omega > 0")
+    if dim not in (1, 2, 3):
+        raise GroundStateInputError(f"need dim 1, 2 or 3, got {dim}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise GroundStateInputError(f"need a finite tol >= 0, got {tol}")
     if dr is None:
         dr = 0.01 / np.sqrt(omega)
 
     lo = omega ** (1.0 / (p - 1.0))
     hi = 3.0 * dim * lo
     tries = 0
-    while _classify(p, omega, dim, hi, 1e-9) != "cross":
+    while (hi_shot := _classify(p, omega, dim, hi, COARSE_RTOL))[0] != "cross":
         hi *= 2.0
         tries += 1
         if tries > 8:
@@ -226,21 +335,33 @@ def solve_ground_state(p: float, omega: float, dim: int, tol: float = 4e-15,
                 f"could not bracket separatrix: upper shot at q0={hi} never crosses"
             )
 
+    def shoot(q, rtol):
+        return _classify(p, omega, dim, q, rtol)[0]
+
+    est = _estimate_separatrix(p, omega, dim, lo, hi, hi_shot)
+
+    def near(q, rtol):
+        return abs(q - est) <= REPLAY_MARGIN[rtol] * est
+
+    def replay(mid, rtol):
+        if near(mid, rtol):
+            return shoot(mid, rtol)
+        return "cross" if mid > est else "turn"
+
+    # The replay shoots only the midpoints near the estimate and sends the
+    # others to the estimate's side.  The sides are monotone in q0 away from
+    # their noise floor, so once each end of the final bracket is known to be
+    # on its side (a real shot, or a check at the rtol the bisection used
+    # there), every skipped midpoint went where the bisection would have sent
+    # it, and the bracket is the bisection's bit for bit.  A failed check
+    # means a bad estimate: then bisect from the start.
     floor = max(tol, 8.0 * np.finfo(float).eps)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        # coarse integrations while the bracket is wide, tight ones at the end
-        rtol = 1e-9 if (hi - lo) > 1e-6 * hi else FINE_RTOL
-        if _classify(p, omega, dim, mid, rtol) == "cross":
-            hi = mid
-        else:
-            lo = mid
-        if (hi - lo) <= floor * hi:
-            break
+    a, b, made = _bisect(lo, hi, floor, replay)
+    if all(rtol is None or near(end, rtol) or shoot(end, rtol) == side
+           for end, rtol, side in ((a, made[0], "turn"), (b, made[1], "cross"))):
+        lo, hi = a, b
     else:
-        raise GroundStateError(
-            f"bisection failed to converge, bracket [{lo}, {hi}] after 200 steps"
-        )
+        lo, hi, _ = _bisect(lo, hi, floor, shoot)
 
     q0 = 0.5 * (lo + hi)
     sol = _integrate(p, omega, dim, q0, 40.0 / np.sqrt(omega), FINE_RTOL,
@@ -330,7 +451,7 @@ def rescale(gs: GroundState, omega: float) -> GroundState:
 
 
 def sample_on_grid(gs: GroundState, grid: Grid, center=None) -> Field:
-    """Cubic radial interpolation of the profile at |x - center|."""
+    """The profile at |x - center|, from the quintic spline of `evaluate`."""
     if center is None:
         center = np.zeros(grid.dim)
     center = np.asarray(center, dtype=float)

@@ -340,11 +340,21 @@ def rescale_modes(modes: EigenModes, omega: float) -> EigenModes:
     )
 
 
-def measure_scaling_exponent(gs1: GroundState, grid: Grid, omegas=(1.0, 2.0, 4.0)):
-    """Fit e_omega = omega^kappa e0 from independent eigensolves at each omega."""
+def measure_scaling_exponent(gs1: GroundState, grid: Grid, omegas=(1.0, 2.0, 4.0),
+                             solved: EigenModes | None = None):
+    """Fit e_omega = omega^kappa e0 from independent eigensolves at each omega.
+
+    `solved` may carry modes the caller already solved on `grid` for `gs1`
+    rescaled to one of the omegas; that frequency takes its e0 instead of
+    solving the same operators again.
+    """
     es = []
     for om in omegas:
-        es.append(solve_unstable_pair(assemble(rescale(gs1, om), grid)).e0)
+        gs = rescale(gs1, om)
+        if solved is not None and solved.omega == gs.omega and solved.y1.grid is grid:
+            es.append(solved.e0)
+        else:
+            es.append(solve_unstable_pair(assemble(gs, grid)).e0)
     es = np.asarray(es)
     logw = np.log(np.asarray(omegas, dtype=float))
     kappa, logc = np.polyfit(logw, np.log(es), 1)

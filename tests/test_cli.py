@@ -115,6 +115,16 @@ def test_ground_state_bad_p_is_precondition(tmp_path, capsys):
     assert not (tmp_path / "failure.json").exists()
 
 
+@pytest.mark.parametrize("arg, message", [
+    ("--dim=0", "need dim 1, 2 or 3"), ("--dim=4", "need dim 1, 2 or 3"),
+    ("--tol=nan", "need a finite tol >= 0"), ("--tol=inf", "need a finite tol >= 0"),
+    ("--tol=-1e-15", "need a finite tol >= 0")])
+def test_ground_state_bad_dim_or_tol_is_precondition(tmp_path, capsys, arg, message):
+    assert main(["ground-state", arg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "failure.json").exists()
+
+
 def test_fixed_point_too_few_iters_is_precondition(tmp_path, capsys):
     assert main(["fixed-point", "--iters", "2", "--n", "255",
                  "--out", str(tmp_path)]) == 2
@@ -196,6 +206,25 @@ def test_spectrum_defaults_p7(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["lambda_min"] > 0
     assert len(summary["scaling_rates"]) == 3
+
+
+def test_spectrum_solves_its_own_frequency_once(tmp_path, monkeypatch):
+    import nlslab.linearized as linearized
+
+    solved = []
+    real = linearized.solve_unstable_pair
+
+    def counting(pair, *args, **kwargs):
+        solved.append(pair.ground.omega)
+        return real(pair, *args, **kwargs)
+
+    monkeypatch.setattr(linearized, "solve_unstable_pair", counting)
+    cfg = default_config()
+    cfg.update({"p": 7.0, "L": 15.0, "n": 1023, "omegas": (1.0, 2.0, 4.0)})
+    assert run("spectrum", cfg, tmp_path) == 0
+    assert solved == [1.0, 2.0, 4.0]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["scaling_rates"][0] == summary["e0"]
 
 
 def test_spectrum_certificate_no_convergence_exits_3(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import make_interp_spline
 
+import nlslab.ground_state as gsmod
 from nlslab.grid import build_grid
 from nlslab.ground_state import (
     GroundState,
@@ -107,6 +108,67 @@ def test_shooting_rhs_matches_numpy_formula(p, omega, dim):
             np.signbit(got[1]) == np.signbit(ref)
 
 
+# ------------------------------------------------------- replayed bisection
+
+def _counted_solve(monkeypatch, *args):
+    """solve_ground_state(*args) and its shots: dense_output marks the graft."""
+    shots = []
+    real = gsmod.solve_ivp
+
+    def counting(*a, **kw):
+        shots.append(kw["dense_output"])
+        return real(*a, **kw)
+
+    monkeypatch.setattr(gsmod, "solve_ivp", counting)
+    return solve_ground_state(*args), shots
+
+
+def _through_fallback(monkeypatch, estimate, *args):
+    """solve_ground_state(*args) with the given estimate, checking that the
+    replay's end check fails and the plain bisection runs from the start."""
+    runs = []
+    real = gsmod._bisect
+
+    def spy(*a):
+        runs.append(a)
+        return real(*a)
+
+    monkeypatch.setattr(gsmod, "_estimate_separatrix", estimate)
+    monkeypatch.setattr(gsmod, "_bisect", spy)
+    gs = solve_ground_state(*args)
+    assert len(runs) == 2, "the estimate passed the end check"
+    return gs
+
+
+def _same_bytes(a, b):
+    for name in ("q0", "delta_fit", "r_samples", "q_samples", "qprime_samples"):
+        assert np.asarray(getattr(a, name)).tobytes() == \
+            np.asarray(getattr(b, name)).tobytes(), name
+
+
+@pytest.mark.parametrize("p, omega, dim, most", [
+    (3, 1.0, 1, 24), (7, 1.0, 1, 24), (3, 1.0, 2, 35), (3, 1.0, 3, 35),
+    (7, 4.0, 1, 24)])
+def test_replay_is_the_bisection_at_fewer_shots(monkeypatch, p, omega, dim, most):
+    gs, shots = _counted_solve(monkeypatch, p, omega, dim)
+    assert shots.count(True) == 1 and shots.count(False) <= most
+    # an estimate at the crossing end sends the replay's last turning end
+    # to the wrong side, so the reference is the plain bisection itself
+    full = _through_fallback(
+        monkeypatch, lambda p, omega, dim, lo, hi, hi_shot: hi, p, omega, dim)
+    _same_bytes(gs, full)
+    if (p, omega, dim) == (7, 1.0, 1):
+        _same_bytes(rescale(gs, 4.0), rescale(full, 4.0))
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-12, 1 - 1e-11])
+def test_wrong_estimate_falls_back_to_same_q0(monkeypatch, gs_cubic, factor):
+    estimate = gsmod._estimate_separatrix
+    gs = _through_fallback(monkeypatch, lambda *a: factor * estimate(*a),
+                           3, 1.0, 1)
+    assert gs.q0 == gs_cubic.q0
+
+
 def test_profile_shape_invariants(gs_cubic):
     q = gs_cubic.q_samples
     assert np.all(q > 0)
@@ -120,6 +182,12 @@ def test_bad_arguments():
         solve_ground_state(0.5, 1.0, 1)
     with pytest.raises(GroundStateError):
         solve_ground_state(3.0, -1.0, 1)
+    for dim in (0, 4):
+        with pytest.raises(GroundStateError, match="dim"):
+            solve_ground_state(3.0, 1.0, dim)
+    for tol in (np.nan, np.inf, -1e-15):
+        with pytest.raises(GroundStateError, match="tol"):
+            solve_ground_state(3.0, 1.0, 1, tol)
 
 
 # ----------------------------------------------------------------- rescaling

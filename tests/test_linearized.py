@@ -156,6 +156,27 @@ def test_measured_scaling_exponent(gs7, work):
     assert kappa == pytest.approx(1.0, abs=0.01)
 
 
+def test_scaling_takes_e0_from_solved_modes(gs7, monkeypatch):
+    grid = build_grid(1, 12.0, 511)
+    modes = solve_unstable_pair(assemble(gs7, grid))
+    solved = []
+    real = linearized.solve_unstable_pair
+
+    def counting(pair, *args, **kwargs):
+        solved.append(pair.ground.omega)
+        return real(pair, *args, **kwargs)
+
+    monkeypatch.setattr(linearized, "solve_unstable_pair", counting)
+    fresh = measure_scaling_exponent(gs7, grid, (1.0, 2.0))
+    reused = measure_scaling_exponent(gs7, grid, (1.0, 2.0), solved=modes)
+    assert solved == [1.0, 2.0, 2.0]
+    assert fresh[:2] == reused[:2] and np.array_equal(fresh[2], reused[2])
+    # modes from another grid are not this grid's e0
+    measure_scaling_exponent(gs7, build_grid(1, 12.0, 1023), (1.0, 2.0),
+                             solved=modes)
+    assert solved[3:] == [1.0, 2.0]
+
+
 def test_mode_interpolants_built_once(work, monkeypatch):
     _, modes = work
     built = []
