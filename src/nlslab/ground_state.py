@@ -1,7 +1,8 @@
 """Radial ground-state profiles by shooting on the central value.
 
 The profile solves  Q'' + (d-1)/r Q' - omega Q + Q^p = 0,  Q'(0) = 0,  for
-d = 1, 2, 3.  Its central value q0 is the separatrix between central values
+d = 1, 2, 3, with p below the energy-critical exponent 5 in d = 3 (no ground
+state exists from there on).  Its central value q0 is the separatrix between central values
 whose trajectories cross zero (too large) and those that turn back up (too
 small).  It is the answer of a bisection down to 4e-15 relative, about 50
 steps, of which only the last half-dozen or so are shot:
@@ -319,6 +320,11 @@ def solve_ground_state(p: float, omega: float, dim: int, tol: float = 4e-15,
         raise GroundStateInputError("need omega > 0")
     if dim not in (1, 2, 3):
         raise GroundStateInputError(f"need dim 1, 2 or 3, got {dim}")
+    if dim == 3 and not p < 5:
+        raise GroundStateInputError(
+            f"no ground state for p={p} in d=3: need p below the energy-critical "
+            "exponent 5"
+        )
     if not (np.isfinite(tol) and tol >= 0):
         raise GroundStateInputError(f"need a finite tol >= 0, got {tol}")
     if dr is None:

@@ -179,14 +179,24 @@ def _coarse_growth_estimate(pair: LinearizedPair) -> float:
     return top
 
 
-def solve_unstable_pair(pair: LinearizedPair, tol: float = 1e-12) -> EigenModes:
+def _solved_on(modes: EigenModes, grid: Grid, p: float) -> bool:
+    """Whether `modes` were solved on `grid` for the exponent p."""
+    return modes.y1.grid == grid and modes.p == p
+
+
+def solve_unstable_pair(pair: LinearizedPair, tol: float = 1e-12, *,
+                        like: EigenModes | None = None) -> EigenModes:
     """Unstable eigenvalue e0 and mode from the composed operator -l_minus l_plus.
 
-    A dense solve on a coarse resampling brackets e0^2 first; the fine value
-    is then pinned by shift-inverted inverse iteration, which is immune to the
-    huge negative branch of the composed spectrum.  Kernels need no deflation
-    here because the shift sits next to e0^2, far from zero.  Everything is
-    deterministic: no randomized starts.
+    The inverse-iteration shift comes from an estimate of e0^2.  Without
+    `like`, a dense solve on a coarse resampling brackets e0^2 first.  With
+    `like`, modes already solved on this grid for the same p at a frequency
+    omega_s, the estimate is the lattice dilation law
+    e0^2 = (omega / omega_s)^2 e_s^2 and no dense solve is made.  Either way
+    the fine value is then pinned by shift-inverted inverse iteration, which
+    is immune to the huge negative branch of the composed spectrum.  Kernels
+    need no deflation here because the shift sits next to e0^2, far from
+    zero.  Everything is deterministic: no randomized starts.
     """
     gs = pair.ground
     if not gs.p > 1.0 + 4.0 / gs.dim:
@@ -195,7 +205,15 @@ def solve_unstable_pair(pair: LinearizedPair, tol: float = 1e-12) -> EigenModes:
             f"{1.0 + 4.0 / gs.dim}): no real unstable eigenvalue exists"
         )
     lp, lm = pair.l_plus, pair.l_minus
-    lam_est = _coarse_growth_estimate(pair)
+    if like is None:
+        lam_est = _coarse_growth_estimate(pair)
+    elif _solved_on(like, pair.grid, gs.p):
+        lam_est = (gs.omega / like.omega * like.e0) ** 2
+    else:
+        raise SpectralError(
+            f"modes solved for p={like.p} on {like.y1.grid} cannot set the shift "
+            f"for p={gs.p} on {pair.grid}"
+        )
 
     composed = (-(lm @ lp)).tocsc()
     n = pair.grid.n_active
@@ -346,15 +364,21 @@ def measure_scaling_exponent(gs1: GroundState, grid: Grid, omegas=(1.0, 2.0, 4.0
 
     `solved` may carry modes the caller already solved on `grid` for `gs1`
     rescaled to one of the omegas; that frequency takes its e0 instead of
-    solving the same operators again.
+    solving the same operators again.  Only one frequency per call pays for
+    the dense coarse estimate of e0^2: every solve takes its shift from
+    `solved`, or from the first frequency solved here, by the dilation law.
     """
     es = []
+    like = solved if solved is not None and _solved_on(solved, grid, gs1.p) else None
     for om in omegas:
         gs = rescale(gs1, om)
-        if solved is not None and solved.omega == gs.omega and solved.y1.grid is grid:
-            es.append(solved.e0)
-        else:
-            es.append(solve_unstable_pair(assemble(gs, grid)).e0)
+        if like is not None and like.omega == gs.omega:
+            es.append(like.e0)
+            continue
+        modes = solve_unstable_pair(assemble(gs, grid), like=like)
+        if like is None:
+            like = modes
+        es.append(modes.e0)
     es = np.asarray(es)
     logw = np.log(np.asarray(omegas, dtype=float))
     kappa, logc = np.polyfit(logw, np.log(es), 1)

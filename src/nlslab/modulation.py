@@ -130,20 +130,24 @@ def _jacobian(ctx: ModulationContext, r_vals: np.ndarray, a: Ansatz) -> np.ndarr
 
 def decompose(ctx: ModulationContext, u: Field, t: float,
               guess=None) -> ModulationState:
-    """Newton on (y, mu) for the orthogonality conditions at time t."""
+    """Newton on (y, mu) for the orthogonality conditions at time t.
+
+    The state must lie within eps_mod of the first iterate's ansatz: of
+    R~(t) = R~(t; 0, 0) without a guess, of R~(t; guess) with one.
+    """
     grid = ctx.grid
     d = grid.dim
     _check_center(ctx.params, ctx.gs, t, grid)
-    diff = np.where(grid.mask, u.values - _tilde_pieces(ctx, t, 0.0, 0.0).values(), 0.0)
+    z = np.zeros(d + 1) if guess is None else np.asarray(guess, dtype=float).copy()
+
+    res, scales, r_vals, a = _orthogonality(ctx, u, t, z[:d], z[d])
+    diff = np.where(grid.mask, r_vals, 0.0)
     dist = float(np.sqrt(np.sum(np.abs(diff) ** 2)) * np.sqrt(grid.cell_volume()))
     if dist > ctx.eps_mod:
         raise ModulationError(
             f"state too far from the soliton for modulation: |u-R| = {dist:.3e} "
             f"> eps = {ctx.eps_mod:.3e}"
         )
-    z = np.zeros(d + 1) if guess is None else np.asarray(guess, dtype=float).copy()
-
-    res, scales, r_vals, a = _orthogonality(ctx, u, t, z[:d], z[d])
     iters = 0
     for iters in range(1, ctx.max_newton + 1):
         if np.all(np.abs(res) <= ctx.newton_tol * scales):

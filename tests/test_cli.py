@@ -19,6 +19,7 @@ from nlslab.cli import (
     write_search_history,
 )
 from nlslab.grid import Field, build_grid, save_field
+from nlslab.ground_state import rescale, solve_ground_state
 from nlslab.soliton import SolitonParams, soliton_field
 
 
@@ -118,11 +119,19 @@ def test_ground_state_bad_p_is_precondition(tmp_path, capsys):
 @pytest.mark.parametrize("arg, message", [
     ("--dim=0", "need dim 1, 2 or 3"), ("--dim=4", "need dim 1, 2 or 3"),
     ("--tol=nan", "need a finite tol >= 0"), ("--tol=inf", "need a finite tol >= 0"),
-    ("--tol=-1e-15", "need a finite tol >= 0")])
+    ("--tol=-1e-15", "need a finite tol >= 0"),
+    ("--dim=3 --p=5", "energy-critical"), ("--dim=3 --p=6", "energy-critical"),
+    ("--dim=3 --p=11", "energy-critical")])
 def test_ground_state_bad_dim_or_tol_is_precondition(tmp_path, capsys, arg, message):
-    assert main(["ground-state", arg, "--out", str(tmp_path)]) == 2
+    assert main(["ground-state", *arg.split(), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "failure.json").exists()
+
+
+@pytest.mark.parametrize("p, dim", [("4", "3"), ("11", "1"), ("11", "2")])
+def test_ground_state_below_energy_critical_runs(tmp_path, p, dim):
+    assert main(["ground-state", "--dim", dim, "--p", p, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["q0"] > 0
 
 
 def test_fixed_point_too_few_iters_is_precondition(tmp_path, capsys):
@@ -200,8 +209,9 @@ def test_spectrum_run_and_determinism(tmp_path):
 
 
 def test_spectrum_defaults_p7(tmp_path):
-    # L=40, n=2047, omegas 1,2,4: at omega=4 the coarse growth estimate needs
-    # the narrowed box, and the certificate runs on the full grid
+    # L=40, n=2047, omegas 1,2,4: the certificate runs on the full grid; the
+    # omega=2 and 4 shifts come from the omega=1 modes, so the coarse estimate
+    # never needs the narrowed box here (test_linearized reaches it directly)
     assert main(["spectrum", "--p", "7", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["lambda_min"] > 0
@@ -211,20 +221,33 @@ def test_spectrum_defaults_p7(tmp_path):
 def test_spectrum_solves_its_own_frequency_once(tmp_path, monkeypatch):
     import nlslab.linearized as linearized
 
-    solved = []
+    solved, estimated = [], []
     real = linearized.solve_unstable_pair
+    real_estimate = linearized._coarse_growth_estimate
 
     def counting(pair, *args, **kwargs):
         solved.append(pair.ground.omega)
         return real(pair, *args, **kwargs)
 
+    def counting_estimate(pair):
+        estimated.append(pair.ground.omega)
+        return real_estimate(pair)
+
     monkeypatch.setattr(linearized, "solve_unstable_pair", counting)
+    monkeypatch.setattr(linearized, "_coarse_growth_estimate", counting_estimate)
     cfg = default_config()
     cfg.update({"p": 7.0, "L": 15.0, "n": 1023, "omegas": (1.0, 2.0, 4.0)})
     assert run("spectrum", cfg, tmp_path) == 0
     assert solved == [1.0, 2.0, 4.0]
+    # one dense estimate per run: omega=2 and 4 take the dilated shift
+    assert estimated == [1.0]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["scaling_rates"][0] == summary["e0"]
+    gs = solve_ground_state(7.0, 1.0, 1)
+    grid = build_grid(1, 15.0, 1023)
+    for om, rate in zip(cfg["omegas"], summary["scaling_rates"]):
+        alone = real(linearized.assemble(rescale(gs, om), grid)).e0
+        assert rate == pytest.approx(alone, rel=1e-10)
 
 
 def test_spectrum_certificate_no_convergence_exits_3(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import nlslab.linearized as linearized
 
 from nlslab.grid import build_grid, l2_norm, real_inner, to_active
-from nlslab.ground_state import solve_ground_state
+from nlslab.ground_state import rescale, solve_ground_state
 from nlslab.linearized import (
     SpectralError,
     SpectrallyStableError,
@@ -175,6 +175,34 @@ def test_scaling_takes_e0_from_solved_modes(gs7, monkeypatch):
     measure_scaling_exponent(gs7, build_grid(1, 12.0, 1023), (1.0, 2.0),
                              solved=modes)
     assert solved[3:] == [1.0, 2.0]
+
+
+def test_narrowed_box_estimate_at_large_omega(gs7, monkeypatch):
+    # at omega=4 the full L=40 box would need 2047 coarse points, so the dense
+    # estimate resamples half-width 20/sqrt(omega) = 10; the lattice dilation
+    # makes the rate 4 e0 of the L=40/n=1023 omega=1 grid
+    widths = []
+    real = linearized._coarse_grid
+
+    def recording(gs, grid, half_width):
+        widths.append(half_width)
+        return real(gs, grid, half_width)
+
+    monkeypatch.setattr(linearized, "_coarse_grid", recording)
+    modes4 = solve_unstable_pair(assemble(rescale(gs7, 4.0), build_grid(1, 40.0, 2047)))
+    assert widths == [40.0, 10.0]
+    modes1 = solve_unstable_pair(assemble(gs7, build_grid(1, 40.0, 1023)))
+    assert modes4.e0 == pytest.approx(4.0 * modes1.e0, rel=1e-10)
+
+
+def test_shift_from_modes_of_another_grid_or_p_refused(gs7, cert):
+    _, modes, _ = cert
+    with pytest.raises(SpectralError, match="cannot set the shift"):
+        solve_unstable_pair(assemble(rescale(gs7, 2.0), build_grid(1, 12.0, 511)),
+                            like=modes)
+    with pytest.raises(SpectralError, match="cannot set the shift"):
+        solve_unstable_pair(assemble(rescale(gs7, 2.0), modes.y1.grid),
+                            like=dataclasses.replace(modes, p=9.0))
 
 
 def test_mode_interpolants_built_once(work, monkeypatch):

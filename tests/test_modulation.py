@@ -175,8 +175,28 @@ def test_small_perturbation_bound(shoot_ctx):
 
 def test_too_far_from_soliton_rejected(shoot_ctx):
     u = make_state(shoot_ctx, T_REF, 1.5, 0.0)
-    with pytest.raises(ModulationError):
+    with pytest.raises(ModulationError, match="too far"):
         decompose(shoot_ctx, u, T_REF)
+    with pytest.raises(ModulationError, match="too far"):
+        decompose(shoot_ctx, u, T_REF, guess=np.array([0.02, -0.01]))
+    # with a guess the distance is taken to R~(guess), the first iterate
+    st = decompose(shoot_ctx, u, T_REF, guess=np.array([1.5, 0.0]))
+    assert st.y[0] == pytest.approx(1.5, abs=1e-12)
+
+
+def test_decompose_one_profile_pass_per_iterate(shoot_ctx, monkeypatch):
+    u = make_state(shoot_ctx, T_REF, 0.05, -0.06)
+    calls = []
+    real = modulation.ansatz
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modulation, "ansatz", counting)
+    st = decompose(shoot_ctx, u, T_REF)
+    assert st.newton_iters > 1
+    assert len(calls) == st.newton_iters
 
 
 # ---------------------------------------------------------------- final data
