@@ -2,10 +2,10 @@
 
 The profile solves  Q'' + (d-1)/r Q' - omega Q + Q^p = 0,  Q'(0) = 0,  for
 d = 1, 2, 3, with p below the energy-critical exponent 5 in d = 3 (no ground
-state exists from there on).  Its central value q0 is the separatrix between central values
-whose trajectories cross zero (too large) and those that turn back up (too
-small).  It is the answer of a bisection down to 4e-15 relative, about 50
-steps, of which only the last half-dozen or so are shot:
+state exists from there on).  Its central value q0 is the separatrix between
+central values whose trajectories cross zero (too large) and those that turn
+back up (too small).  It is the answer of a bisection down to 4e-15
+relative, about 50 steps, of which only the last half-dozen or so are shot:
 
 - Estimate.  Each classification shot also returns a signed gap: from the
   event radius while the shot ends in an event, from the log-derivative
