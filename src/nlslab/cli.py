@@ -198,6 +198,10 @@ def run_ground_state(cfg, out: Path) -> dict:
 
 
 def run_spectrum(cfg, out: Path) -> dict:
+    omegas = cfg["omegas"]
+    if not all(np.isfinite(om) and om > 0 for om in omegas) \
+            or len(set(omegas)) != len(omegas):
+        raise ConfigError(f"omegas must be distinct, finite and > 0, got {omegas}")
     gs = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"], cfg["tol"])
     gs_w = gsmod.rescale(gs, cfg["omega"])
     grid = _grid_from(cfg, with_obstacle=False)
@@ -281,12 +285,19 @@ def run_fixed_point(cfg, out: Path) -> dict:
     speed = params.speed()
     if speed <= 0:
         raise ConfigError("fixed-point needs |v| > 0")
+    t0, tmax, delta = cfg["T0"], cfg["Tmax"], cfg["delta"]
+    if delta is not None and not (np.isfinite(delta) and delta > 0):
+        raise ConfigError(f"need a finite delta > 0, got {delta}")
+    if not np.isfinite(t0) or (tmax is not None and not (np.isfinite(tmax) and tmax > t0)):
+        raise ConfigError(f"need finite T0 < Tmax, got T0={t0}, Tmax={tmax}")
     gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"], cfg["tol"])
     gs = gsmod.rescale(gs1, cfg["omega"])
-    delta = cfg["delta"] if cfg["delta"] is not None else 0.8 * gs.delta_fit
-    t0 = cfg["T0"]
-    tmax = cfg["Tmax"] if cfg["Tmax"] is not None else \
-        t0 + 14.0 / (delta * np.sqrt(cfg["omega"]) * speed)
+    if delta is None:
+        delta = 0.8 * gs.delta_fit
+    if tmax is None:
+        tmax = t0 + 14.0 / (delta * np.sqrt(cfg["omega"]) * speed)
+    if not np.isfinite(tmax):
+        raise ConfigError(f"the derived Tmax {tmax} is not finite")
     grid = _grid_from(cfg)
     psi = _cutoff_from(cfg, grid)
     src = fp.make_sources(params, gs, psi, grid, cfg["p"])
@@ -321,7 +332,9 @@ def run_fixed_point(cfg, out: Path) -> dict:
         "Tmax": tmax,
     }
     if report.converged:
-        summary["decay_rate"] = fp.remainder_decay_rate(traj)
+        # an identically zero remainder (no obstacle) has no rate to fit
+        summary["decay_rate"] = (fp.remainder_decay_rate(traj)
+                                 if report.iterate_norms[-1] > 0 else None)
         summary["decay_rate_target"] = 0.9 * delta * np.sqrt(cfg["omega"]) * speed
     return summary
 

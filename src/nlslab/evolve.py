@@ -9,6 +9,15 @@ factorization reused for every step; the solve is then exact to roundoff and
 the lin_tol contract is enforced as a verified residual bound instead of an
 iteration target.  Negative dt steps backward; the scheme is exactly time
 reversible.
+
+A rotation is u (cos theta + i sin theta), bit for bit u exp(i theta) and
+cheaper, the more so as cos and sin are taken only where theta is not below
+`_SMALL_ANGLE`.  It keeps |u|, so the trailing half rotation of one step
+and the leading half of the next are one rotation over the full dt
+(Strang's "first same as last").  `march(every=k)` merges them between the
+states it yields and completes the half step only on those; the backward
+shoot asks for every log_every-th state.  With every=1, as in `evolve` and
+the Picard sweeps, each step is the plain Strang step.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import (Field, Grid, PreconditionError, from_active, h1_norm,
+from .grid import (Field, Grid, PreconditionError, cis, from_active, h1_norm,
                    laplacian_dirichlet, laplacian_matrix, to_active)
 from .soliton import SolitonParams, functionals
 
@@ -95,31 +104,58 @@ class CrankNicolsonStepper:
         return out
 
 
+# below this |theta|, cos theta rounds to 1 and sin theta to theta
+_SMALL_ANGLE = 2.0**-27
+
+
+def _rotate(vals: np.ndarray, h: float, p: float) -> np.ndarray:
+    """The nonlinear flow over time h: vals exp(i h |vals|^(p-1)).
+
+    Away from the soliton the angle is below `_SMALL_ANGLE`, where cos and
+    sin round to exactly 1 and theta; only the other points (and NaN) take
+    cos and sin.
+    """
+    theta = h * np.abs(vals) ** (p - 1.0)
+    rot = np.empty(theta.shape, dtype=complex)
+    rot.real = 1.0
+    rot.imag = theta
+    big = ~(np.abs(theta) < _SMALL_ANGLE)
+    rot[big] = cis(theta[big])
+    return vals * rot
+
+
 def _phase_half_step(vals: np.ndarray, dt: float, p: float) -> np.ndarray:
-    return vals * np.exp(0.5j * dt * np.abs(vals) ** (p - 1.0))
+    return _rotate(vals, 0.5 * dt, p)
 
 
 def march(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
-          p: float | None = None, forcing=None):
+          p: float | None = None, forcing=None, every: int = 1):
     """Advance an active vector n_steps steps of the stepper's signed dt.
 
-    Yields (k, vec) for k = 0 (the start, as given) to n_steps; each later
-    vec is a new array.  With p, every step is Strang split around the CN
-    solve.  With forcing, forcing(k) is F at the start time plus k dt: it is
-    called once per k, in increasing k, before (k, vec) is yielded, and step
-    k solves with the trapezoid average of forcing(k - 1) and forcing(k).
+    Yields (k, vec) for k = 0 (the start, as given), every `every`-th k and
+    n_steps; each later vec is a new array.  With p, every step is Strang
+    split around the CN solve, except that between yields the trailing half
+    rotation of a step and the leading one of the next are one rotation over
+    dt.  With forcing, forcing(k) is F at the start time plus k dt: it is
+    called once per k, in increasing k, before step k's state is yielded,
+    and step k solves with the trapezoid average of forcing(k - 1) and
+    forcing(k).
     """
     f = forcing(0) if forcing is not None else None
     yield 0, vec
+    complete = True     # the last state had its trailing half rotation
     for k in range(1, n_steps + 1):
         if p is not None:
-            vec = _phase_half_step(vec, stepper.dt, p)
+            vec = (_phase_half_step(vec, stepper.dt, p) if complete
+                   else _rotate(vec, stepper.dt, p))
         if forcing is not None:
             f_prev, f = f, forcing(k)
         vec = stepper.linear_step(vec, None if forcing is None else 0.5 * (f + f_prev))
-        if p is not None:
-            vec = _phase_half_step(vec, stepper.dt, p)
-        yield k, vec
+        complete = k % every == 0 or k == n_steps
+        if complete:
+            if p is not None:
+                vec = _phase_half_step(vec, stepper.dt, p)
+            yield k, vec
 
 
 def step(u: Field, dt: float, p: float, config: EvolveConfig | None = None,

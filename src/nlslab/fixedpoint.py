@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import (
+    TWO_PI,
     Field,
     Grid,
     NormConfig,
     PreconditionError,
+    cis,
     from_active,
     l2_norm,
     laplacian_dirichlet,
@@ -99,6 +101,7 @@ class SourceSet:
             self._grad_psi = [c[self._window] for c in psi.grad_psi]
             self._lap_psi = psi.lap_psi[self._window]
             self._wcoords = [grid.coordinate(k)[self._window] for k in range(grid.dim)]
+            self._wphase = grid.boost_phase(params.v)[self._window]
 
     def _ansatz(self, t):
         if np.any(np.abs(self.params.center(t)) >= self.grid.half_width):
@@ -113,9 +116,10 @@ class SourceSet:
         r = np.sqrt(sum((xc - ck) ** 2 for xc, ck in zip(self._wcoords, c)))
         q, dq = gs.evaluate(r)
         safe = np.where(r > 0, r, 1.0)
-        phi = sum(0.5 * params.v[k] * self._wcoords[k] for k in range(self.grid.dim))
-        phi = phi - 0.25 * params.speed() ** 2 * t + params.omega * t + params.theta0
-        ph = np.exp(1j * np.mod(phi, 2.0 * np.pi))
+        # this scalar order, not phase_factor's, is what the Picard numbers pin
+        phi = self._wphase - 0.25 * params.speed() ** 2 * t + params.omega * t \
+            + params.theta0
+        ph = cis(np.mod(phi, TWO_PI))
         h = q * ph
         vals = self._w0 * np.abs(h) ** (self.p - 1.0) * h - self._lap_psi * h
         for k in range(self.grid.dim):
@@ -351,9 +355,9 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
             sup[0] = 0.0
             _sweep(stepper, nt, mesh.source((sel,), rows), on_row=iterate_norm)
             j[name] = sup[0]
-        j["J1_over_r"] = j["J1"] / rnorm
-        j["J2_over_r2"] = j["J2"] / rnorm**2
-        j["J3_over_r3"] = j["J3"] / rnorm**3
+        j["J1_over_r"] = _over_power(j["J1"], rnorm, 1)
+        j["J2_over_r2"] = _over_power(j["J2"], rnorm, 2)
+        j["J3_over_r3"] = _over_power(j["J3"], rnorm, 3)
 
     final_residual = None
     if not non_contracting:
@@ -372,6 +376,22 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
         diff_norms=diffs,
     )
     return report, traj
+
+
+def _over_power(jk: float, r: float, k: int) -> float:
+    """jk / r^k, the least C with jk <= C r^k.
+
+    The feedback of a zero iterate vanishes, so its ratio is 0.  Where r^k
+    underflows, r is divided out one factor at a time.
+    """
+    if jk == 0.0:
+        return 0.0
+    scale = r**k
+    if scale > 0.0:
+        return jk / scale
+    for _ in range(k):
+        jk /= r
+    return jk
 
 
 def _residual(sources: SourceSet, ansatz, rows, ts) -> float:
@@ -412,6 +432,8 @@ def remainder_decay_rate(traj: Trajectory) -> float:
         if n > 0:
             ts.append(t)
             vals.append(n)
+    if not vals:
+        raise FixedPointError("the remainder is identically zero: no rate to fit")
     ts, vals = np.asarray(ts), np.asarray(vals)
     keep = vals > 1e-13 * vals.max()
     if keep.sum() < 5:

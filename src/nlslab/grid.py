@@ -21,6 +21,19 @@ import scipy.sparse as sp
 TWO_PI = 2.0 * np.pi
 
 
+def cis(theta: np.ndarray) -> np.ndarray:
+    """cos theta + i sin theta for a real array.
+
+    Bit for bit np.exp(1j * theta), and cheaper: the real part of that
+    exponent is +-0, so the complex exponential reduces to the same cos and
+    sin.
+    """
+    out = np.empty(np.shape(theta), dtype=complex)
+    out.real = np.cos(theta)
+    out.imag = np.sin(theta)
+    return out
+
+
 class GridError(ValueError):
     pass
 
@@ -79,6 +92,7 @@ class Grid:
             self.mask = np.ones((self.n,) * dim, dtype=bool)
         self.mask.setflags(write=False)
         self.n_active = int(self.mask.sum())
+        self._boost_phases = {}
 
     def radius(self, center=None) -> np.ndarray:
         """Distance of every lattice point from ``center`` (default origin)."""
@@ -100,6 +114,21 @@ class Grid:
 
     def cell_volume(self) -> float:
         return self.spacing**self.dim
+
+    def boost_phase(self, v) -> np.ndarray:
+        """The lattice phase sum_k v_k x_k / 2 of a boost by v, read-only.
+
+        Built once per v on this grid and shared by every caller.
+        """
+        key = tuple(float(c) for c in v)
+        phi = self._boost_phases.get(key)
+        if phi is None:
+            phi = np.zeros((self.n,) * self.dim)
+            for k in range(self.dim):
+                phi = phi + 0.5 * key[k] * self.coordinate(k)
+            phi.setflags(write=False)
+            self._boost_phases[key] = phi
+        return phi
 
     @functools.cached_property
     def stencil(self) -> ActiveStencil:

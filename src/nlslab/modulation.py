@@ -351,8 +351,9 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
         return None
 
     log_row(cfg.Tn, state, u, r_h1)
-    for k, vec in march(stepper, to_active(u), n_steps, ctx.params.p):
-        if k == 0 or (k % cfg.log_every and k != n_steps):
+    for k, vec in march(stepper, to_active(u), n_steps, ctx.params.p,
+                        every=cfg.log_every):
+        if k == 0:
             continue
         t = cfg.Tn + k * dt
         u_here = from_active(grid, vec)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import TWO_PI, Field, Grid, gradient, l2_norm
+from .grid import TWO_PI, Field, Grid, cis, gradient, l2_norm
 from .ground_state import GroundState, sample_on_grid
 from .linearized import EigenModes, evaluate_mode_parts
 
@@ -51,11 +51,8 @@ class SolitonParams:
 def phase_factor(params: SolitonParams, t: float, grid: Grid,
                  extra: float = 0.0) -> np.ndarray:
     """exp(i (x.v/2 - |v|^2 t/4 + omega t + theta0 + extra)), phase mod 2 pi."""
-    phi = np.zeros((grid.n,) * grid.dim)
-    for k in range(grid.dim):
-        phi = phi + 0.5 * params.v[k] * grid.coordinate(k)
     scalar = -0.25 * params.speed() ** 2 * t + params.omega * t + params.theta0 + extra
-    return np.exp(1j * np.mod(phi + scalar, TWO_PI))
+    return cis(np.mod(grid.boost_phase(params.v) + scalar, TWO_PI))
 
 
 def _check_center(params: SolitonParams, gs: GroundState, t: float, grid: Grid):
@@ -266,8 +263,5 @@ def galilean_boost(u: Field, v, t: float) -> Field:
         out = np.zeros_like(vals)
         out[tuple(dest)] = vals[tuple(keep)]
         vals = out
-    phi = np.zeros((g.n,) * g.dim)
-    for k in range(g.dim):
-        phi = phi + 0.5 * v[k] * g.coordinate(k)
-    phi = phi - 0.25 * float(v @ v) * t
-    return Field(g, vals * np.exp(1j * np.mod(phi, TWO_PI)))
+    phi = g.boost_phase(v) - 0.25 * float(v @ v) * t
+    return Field(g, vals * cis(np.mod(phi, TWO_PI)))

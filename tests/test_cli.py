@@ -140,6 +140,45 @@ def test_fixed_point_too_few_iters_is_precondition(tmp_path, capsys):
     assert "at least 3 iterations" in capsys.readouterr().err
 
 
+def _no_ground_state(*args, **kwargs):
+    raise AssertionError("a precondition must be checked before the ground state")
+
+
+@pytest.mark.parametrize("arg, message", [
+    ("--delta=0", "finite delta > 0"), ("--delta=-1", "finite delta > 0"),
+    ("--delta=nan", "finite delta > 0"), ("--delta=inf", "finite delta > 0"),
+    ("--Tmax=inf", "finite T0 < Tmax"), ("--Tmax=nan", "finite T0 < Tmax"),
+    ("--Tmax=0", "finite T0 < Tmax"), ("--Tmax=0.5", "finite T0 < Tmax"),
+    ("--T0=nan", "finite T0 < Tmax"), ("--T0=-inf --Tmax=1", "finite T0 < Tmax")])
+def test_fixed_point_bad_horizon_or_delta_is_precondition(tmp_path, capsys,
+                                                         monkeypatch, arg, message):
+    monkeypatch.setattr("nlslab.ground_state.solve_ground_state", _no_ground_state)
+    assert main(["fixed-point", *arg.split(), "--n", "255",
+                 "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "failure.json").exists()
+
+
+def test_fixed_point_zero_iterate_runs(tmp_path):
+    # without an obstacle the soliton is exact and every iterate is zero
+    assert main(["fixed-point", "--Tmax", "0.6", "--T0", "0.5", "--n", "255",
+                 "--L", "20", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["iterate_norms"] == [0.0, 0.0]
+    assert summary["decay_rate"] is None
+    assert {k: v for k, v in summary["j_norms"].items() if "over" in k} == {
+        "J1_over_r": 0.0, "J2_over_r2": 0.0, "J3_over_r3": 0.0}
+
+
+@pytest.mark.parametrize("omegas", ["1,1", "1,2,1", "0,1", "-1,2", "1,nan", "1,inf"])
+def test_spectrum_bad_omegas_is_precondition(tmp_path, capsys, monkeypatch, omegas):
+    monkeypatch.setattr("nlslab.ground_state.solve_ground_state", _no_ground_state)
+    assert main(["spectrum", "--p", "7", f"--omegas={omegas}",
+                 "--out", str(tmp_path)]) == 2
+    assert "omegas must be distinct, finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "failure.json").exists()
+
+
 def test_sweep_bad_value_is_precondition(tmp_path, capsys):
     code = main(["sweep", "--sub", "ground-state", "--param", "p",
                  "--values", "3,abc", "--out", str(tmp_path)])

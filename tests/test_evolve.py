@@ -3,7 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
-from nlslab.grid import Field, Obstacle, build_grid, h1_norm, l2_norm
+from nlslab.grid import Field, Obstacle, build_grid, h1_norm, l2_norm, to_active
 from nlslab.ground_state import solve_ground_state
 from nlslab.evolve import (
     BlowUpError,
@@ -13,7 +13,9 @@ from nlslab.evolve import (
     LinearSolveError,
     Trajectory,
     evolve,
+    march,
     _phase_half_step,
+    _rotate,
     nls_residual,
     step,
 )
@@ -91,6 +93,56 @@ def test_nonlinear_substep_preserves_modulus(grid):
     vals = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     out = _phase_half_step(vals, 0.05, 3.0)
     assert np.max(np.abs(np.abs(out) - np.abs(vals))) < 1e-14
+
+
+@pytest.mark.parametrize("p", [3.0, 3.5, 7.0, 9.0])
+@pytest.mark.parametrize("dt", [0.002, -0.002, 0.01, -0.001])
+def test_rotation_is_the_exponential_bit_for_bit(p, dt):
+    # cos + i sin of the same angle, not (|u|^2)^((p-1)/2), which moves bits;
+    # the second set of magnitudes puts the angle on both sides of 2^-27
+    rng = np.random.default_rng(int(10 * p) + int(1e4 * dt))
+    mags = np.concatenate([
+        np.logspace(-3, np.log10(30.0), 200),
+        (np.geomspace(2.0**-30, 2.0**-24, 200) / abs(0.5 * dt)) ** (1.0 / (p - 1.0))])
+    vals = mags * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, mags.size))
+    half = vals * np.exp(0.5j * dt * np.abs(vals) ** (p - 1.0))
+    full = vals * np.exp(1j * dt * np.abs(vals) ** (p - 1.0))
+    assert _phase_half_step(vals, dt, p).tobytes() == half.tobytes()
+    assert _rotate(vals, dt, p).tobytes() == full.tobytes()
+
+
+def _march_states(every, n_steps, forcing=None):
+    g = build_grid(1, 20.0, 511, Obstacle("ball", 1.0))
+    u0 = soliton_field(SolitonParams(omega=1.0, v=(1.0,), p=7.0, x0=(5.0,)),
+                       solve_ground_state(7, 1.0, 1), 0.0, g)
+    stepper = CrankNicolsonStepper(g, -0.002, 1e-10)
+    return [(k, vec.copy()) for k, vec in
+            march(stepper, to_active(u0), n_steps, 7.0, forcing, every=every)]
+
+
+@pytest.mark.parametrize("every", [3, 10, 60])
+def test_march_every_yields_the_same_steps(every):
+    # merged half rotations move a state by roundoff only: 1e-12 relative
+    n_steps = 50
+    plain = _march_states(1, n_steps)
+    merged = _march_states(every, n_steps)
+    want = [k for k, _ in plain if k % every == 0 or k == n_steps]
+    assert [k for k, _ in merged] == want
+    ref = dict(plain)
+    assert np.array_equal(merged[0][1], ref[0])
+    for k, vec in merged:
+        assert np.max(np.abs(vec - ref[k])) <= 1e-12 * np.max(np.abs(ref[k]))
+
+
+def test_march_every_calls_forcing_at_every_step():
+    calls = []
+
+    def forcing(k):
+        calls.append(k)
+        return np.zeros(1, dtype=complex)
+
+    assert [k for k, _ in _march_states(4, 9, forcing)] == [0, 4, 8, 9]
+    assert calls == list(range(10))
 
 
 def test_traveling_soliton_order_two(gs):

@@ -6,6 +6,7 @@ from nlslab.grid import (Field, NormConfig, Obstacle, build_cutoff, build_grid, 
 from nlslab.evolve import EvolveConfig, LinearSolveError, Trajectory
 from nlslab.fixedpoint import (
     FixedPointError,
+    _over_power,
     duhamel_apply,
     e_norm,
     interpolation_check,
@@ -62,6 +63,38 @@ def test_a0_supported_inside_cutoff(gs3, box):
     vals = src.a0(0.8).values
     outside = grid.radius() > psi.R2
     assert np.all(vals[outside] == 0.0)
+
+
+def _reference_a0(src, t):
+    """a0 as first written: the phase summed over the window's coordinates
+    and rotated by the complex exponential."""
+    grid, psi, params = src.grid, src.psi, src.params
+    window = grid.radius() <= psi.R2 * 1.0001
+    xs = [grid.coordinate(k)[window] for k in range(grid.dim)]
+    c = params.center(t)
+    r = np.sqrt(sum((xc - ck) ** 2 for xc, ck in zip(xs, c)))
+    q, dq = src.gs.evaluate(r)
+    safe = np.where(r > 0, r, 1.0)
+    phi = sum(0.5 * params.v[k] * xs[k] for k in range(grid.dim))
+    phi = phi - 0.25 * params.speed() ** 2 * t + params.omega * t + params.theta0
+    h = q * np.exp(1j * np.mod(phi, 2.0 * np.pi))
+    vals = (psi.psi * (1.0 - psi.psi ** (src.p - 1.0)))[window] \
+        * np.abs(h) ** (src.p - 1.0) * h - psi.lap_psi[window] * h
+    for k in range(grid.dim):
+        gh = (dq * (xs[k] - c[k]) / safe + 0.5j * params.v[k] * q) \
+            * np.exp(1j * np.mod(phi, 2.0 * np.pi))
+        vals = vals - 2.0 * psi.grad_psi[k][window] * gh
+    full = np.zeros(grid.n, dtype=complex)
+    full[window] = vals
+    return full
+
+
+def test_a0_is_the_reference_formula_bit_for_bit(gs3, box):
+    grid, psi = box
+    params = SolitonParams(omega=1.0, v=(8.0,), p=3.0, theta0=2.5)
+    src = make_sources(params, gs3, psi, grid, 3.0)
+    for t in (0.5, 0.8, 1.7):
+        assert src.a0(t).values.tobytes() == _reference_a0(src, t).tobytes()
 
 
 def test_a0_decay_rate(gs3, box):
@@ -241,6 +274,25 @@ def test_zero_cutoff_fixed_point_is_zero(gs3):
     rep, traj = picard(src, 0.5, 2.0, cfg, 3, EvolveConfig(dt=0.004),
                        j_diagnostics=False)
     assert rep.iterate_norms[-1] == 0.0
+
+
+def test_zero_iterate_ratios_and_rate(gs3):
+    # the feedback of a zero iterate vanishes: J_k / r^k is 0, not 0 / 0
+    grid = build_grid(1, 20.0, 255)
+    src = make_sources(SolitonParams(omega=1.0, v=(2.0,), p=3.0), gs3, None, grid, 3.0)
+    cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(2.0,), T0=0.5)
+    rep, traj = picard(src, 0.5, 0.6, cfg, 3, EvolveConfig(dt=0.002))
+    assert rep.iterate_norms[-1] == 0.0
+    assert [rep.j_norms[k] for k in ("J1_over_r", "J2_over_r2", "J3_over_r3")] == [0.0] * 3
+    with pytest.raises(FixedPointError, match="identically zero"):
+        remainder_decay_rate(traj)
+
+
+@pytest.mark.parametrize("jk, r, k, want", [
+    (0.0, 1e-300, 3, 0.0), (0.5, 2.0, 2, 0.125), (1e-300, 1e-110, 3, 1e30)])
+def test_over_power(jk, r, k, want):
+    # r^3 = 1e-330 underflows; dividing r out factor by factor does not
+    assert _over_power(jk, r, k) == pytest.approx(want, rel=1e-12)
 
 
 def test_remainder_decay_rate(gs3, box, picard_v8):

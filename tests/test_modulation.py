@@ -354,6 +354,51 @@ def test_search_history_has_both_signs(winning_search):
     assert signs == {-1.0, 1.0}
 
 
+# The conftest search (theta0 = 0) as recorded with a complete Strang step
+# between logged states.  The shoot now merges the half rotations between
+# them: each shot's alpha, exit time and exit reason stay exact, alpha+ at
+# exit moves by roundoff that the unstable growth amplifies (3.7e-8 relative
+# at most, hence 1e-7), and the winning log's alpha+ column by at most 2e-10
+# (hence 1e-9).
+SEARCH_RECORDED = [
+    (-0.001661557273173934, 7.98, "alpha_bound", -0.0017400864834699581),
+    (0.001661557273173934, 7.98, "alpha_bound", 0.0017818312793174652),
+    (0.0, 7.2, "alpha_bound", 0.003237742727174333),
+    (-0.000830778636586967, 7.48, "alpha_bound", -0.0025269054412908887),
+    (-0.0004153893182934835, 6.48, "alpha_bound", -0.005796757294625611),
+    (-0.00020769465914674174, 6.78, "alpha_bound", 0.004587011080312048),
+    (-0.0003115419887201126, 6.18, "alpha_bound", 0.007160226068547672),
+    (-0.00036346565350679804, 5.74, "alpha_bound", -0.01048711312626045),
+    (-0.0003375038211134553, 5.62, "alpha_bound", 0.011418091048405464),
+    (-0.00035048473731012666, 4.66, "alpha_bound", -0.024850381222157422),
+    (-0.000343994279211791, 5.22, "alpha_bound", 0.01601734430654282),
+    (-0.0003472395082609588, 4.72, "alpha_bound", 0.023821450149385782),
+    (-0.0003488621227855427, 4.0, "reached_T0", 0.005407781418303751),
+]
+# (row, t, alpha+) of the winning log
+WINNING_LOG_RECORDED = [
+    (0, 8.0, -0.0003488621227855599),
+    (50, 7.0, -0.0003480544518744478),
+    (100, 6.0, -0.0003319376845415041),
+    (150, 5.0, -3.728145467656858e-05),
+    (200, 4.0, 0.005407781418303751),
+]
+
+
+def test_search_matches_recorded_shots(winning_search):
+    assert winning_search.alpha_star == SEARCH_RECORDED[-1][0]
+    assert len(winning_search.history) == len(SEARCH_RECORDED)
+    for got, (alpha, t_exit, reason, alpha_exit) in zip(winning_search.history,
+                                                        SEARCH_RECORDED):
+        assert got[:3] == (alpha, t_exit, reason)
+        assert got[3] == pytest.approx(alpha_exit, rel=1e-7)
+    log = winning_search.log
+    assert len(log.t) == 201
+    for row, t, alpha_plus in WINNING_LOG_RECORDED:
+        assert log.t[row] == t
+        assert log.alpha_plus[row] == pytest.approx(alpha_plus, rel=0, abs=1e-9)
+
+
 def test_subcritical_configuration_refused(gs3):
     # p=3 in d=1 has no unstable pair, so the machinery is unreachable
     from nlslab.grid import build_grid

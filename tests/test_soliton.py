@@ -11,6 +11,7 @@ from nlslab.soliton import (
     eigenmode_field,
     functionals,
     galilean_boost,
+    phase_factor,
     soliton_field,
     threshold_report,
 )
@@ -166,6 +167,49 @@ def test_cutoff_mass_deficit(gs):
     cut = functionals(soliton_field(pa, gs, t, grid, psi), pa).mass
     assert cut <= full
     assert full - cut < np.exp(-2.0 * (pa.speed() * t - psi.R2)) * 10.0
+
+
+# -------------------------------------------------------------- boost phase
+
+def _reference_boost_phase(grid, v):
+    phi = np.zeros((grid.n,) * grid.dim)
+    for k in range(grid.dim):
+        phi = phi + 0.5 * v[k] * grid.coordinate(k)
+    return phi
+
+
+@pytest.mark.parametrize("dim, v", [(1, (2.0,)), (1, (-8.0,)), (2, (0.5, -0.2))])
+def test_boost_phase_is_cached_and_read_only(dim, v):
+    g = build_grid(dim, 10.0, 63, Obstacle("ball", 1.0))
+    phi = g.boost_phase(v)
+    assert g.boost_phase(np.asarray(v)) is phi
+    assert phi.tobytes() == _reference_boost_phase(g, v).tobytes()
+    assert not phi.flags.writeable
+    with pytest.raises(ValueError):
+        phi[(0,) * dim] = 1.0
+    assert build_grid(dim, 10.0, 63, Obstacle("ball", 1.0)).boost_phase(v) is not phi
+
+
+@pytest.mark.parametrize("dim, v", [(1, (2.0,)), (2, (0.5, -0.2))])
+def test_phase_factor_is_the_reference_loop_bit_for_bit(dim, v):
+    g = build_grid(dim, 10.0, 63)
+    params = SolitonParams(omega=1.3, v=v, p=3.0, theta0=4.0)
+    for t, extra in ((0.0, 0.0), (2.7, -0.4), (-9.1, 1e-3), (1e4, 0.0)):
+        scalar = (-0.25 * params.speed() ** 2 * t + params.omega * t
+                  + params.theta0 + extra)
+        ref = np.exp(1j * np.mod(_reference_boost_phase(g, v) + scalar, 2.0 * np.pi))
+        assert phase_factor(params, t, g, extra).tobytes() == ref.tobytes()
+
+
+def test_boost_is_the_reference_loop_bit_for_bit(gs, grid):
+    u = soliton_field(SolitonParams(1.0, (0.0,), 3.0), gs, 0.0, grid)
+    v, t = np.array([1.5]), 3.0
+    b = galilean_boost(u, v, t)
+    steps = int(round(v[0] * t / grid.spacing))
+    shifted = np.zeros_like(u.values)
+    shifted[steps:] = u.values[:-steps]
+    phi = _reference_boost_phase(grid, v) - 0.25 * float(v @ v) * t
+    assert b.values.tobytes() == (shifted * np.exp(1j * np.mod(phi, 2.0 * np.pi))).tobytes()
 
 
 # ------------------------------------------------------------ galilean_boost
