@@ -1,10 +1,11 @@
 """Experiment drivers with flat key=value configs and bit-stable outputs.
 
-Every tunable lives in one typed registry; configs round-trip losslessly and
-unknown keys are rejected.  Runs are deterministic given (config, seed): all
-randomness flows from the seed, JSON is emitted with sorted keys, and every
-CSV carries the config hash in a comment line.  Exit codes: 0 success, 2
-precondition/config error, 3 numerical failure.
+Every tunable lives in one typed registry; configs round-trip losslessly,
+unknown keys are rejected, and solver tolerances are module constants.  Runs
+are deterministic given (config, seed): all randomness flows from the seed,
+JSON is emitted with sorted keys, and every CSV carries the config hash in a
+comment line.  Exit codes: 0 success, 2 for any `PreconditionError`, 3 for any
+other exception (a numerical failure, recorded in failure.json).
 """
 
 from __future__ import annotations
@@ -68,9 +69,6 @@ CONFIG_KEYS = {
     "delta": (float, None),
     "M": (float, None),
     "Mprime": (float, None),
-    "tol": (float, 4e-15),
-    "lin_tol": (float, 1e-10),
-    "newton_tol": (float, 1e-11),
     "iters": (int, 6),
     "seed": (int, 0),
     "snapshot_every": (int, 10),
@@ -159,9 +157,8 @@ def write_search_history(path: Path, history, cfg_hash: str) -> None:
               [(str(k), *shot) for k, shot in enumerate(history)], cfg_hash)
 
 
-def _grid_from(cfg, with_obstacle=True):
-    a = cfg["a"] if with_obstacle else 0.0
-    obstacle = Obstacle("ball", a) if a > 0 else Obstacle()
+def _grid_from(cfg):
+    obstacle = Obstacle("ball", cfg["a"]) if cfg["a"] > 0 else Obstacle()
     return build_grid(cfg["dim"], cfg["L"], cfg["n"], obstacle)
 
 
@@ -183,7 +180,7 @@ def _params_from(cfg) -> SolitonParams:
 # ------------------------------------------------------------- subcommands
 
 def run_ground_state(cfg, out: Path) -> dict:
-    gs = gsmod.solve_ground_state(cfg["p"], cfg["omega"], cfg["dim"], cfg["tol"])
+    gs = gsmod.solve_ground_state(cfg["p"], cfg["omega"], cfg["dim"])
     write_csv(out / "profile.csv", ("r", "Q", "Qprime"),
               zip(gs.r_samples, gs.q_samples, gs.qprime_samples),
               config_hash(cfg))
@@ -202,9 +199,11 @@ def run_spectrum(cfg, out: Path) -> dict:
     if not all(np.isfinite(om) and om > 0 for om in omegas) \
             or len(set(omegas)) != len(omegas):
         raise ConfigError(f"omegas must be distinct, finite and > 0, got {omegas}")
-    gs = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"], cfg["tol"])
+    if cfg["seed"] < 0:   # numpy's generators take no negative seed
+        raise ConfigError(f"need seed >= 0, got {cfg['seed']}")
+    grid = build_grid(cfg["dim"], cfg["L"], cfg["n"])
+    gs = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"])
     gs_w = gsmod.rescale(gs, cfg["omega"])
-    grid = _grid_from(cfg, with_obstacle=False)
     pair = lin.assemble(gs_w, grid)
     modes = lin.solve_unstable_pair(pair)
     summary = {
@@ -228,16 +227,13 @@ def run_spectrum(cfg, out: Path) -> dict:
     return summary
 
 
-def run_functionals(cfg, out: Path, in_path) -> dict:
-    if in_path is None:
-        raise ConfigError("functionals needs --in field.bin")
-    u, _ = load_field(in_path)
+def run_functionals(cfg, out: Path, u) -> dict:
     params = SolitonParams(omega=cfg["omega"],
                            v=cfg["v"][: u.grid.dim] if len(cfg["v"]) >= u.grid.dim
                            else (0.0,) * u.grid.dim,
                            p=cfg["p"])
     f = functionals(u, params)
-    gs = gsmod.solve_ground_state(cfg["p"], cfg["omega"], u.grid.dim, cfg["tol"])
+    gs = gsmod.solve_ground_state(cfg["p"], cfg["omega"], u.grid.dim)
     rep = threshold_report(u, cfg["p"], gs)
     return {
         "M": f.mass,
@@ -255,14 +251,10 @@ def run_functionals(cfg, out: Path, in_path) -> dict:
     }
 
 
-def run_evolve(cfg, out: Path, in_path) -> dict:
-    if in_path is None:
-        raise ConfigError("evolve needs --in u0.bin")
-    u0, _ = load_field(in_path)
+def run_evolve(cfg, out: Path, u0) -> dict:
     params = _params_from(cfg) if len(cfg["v"]) == u0.grid.dim else None
     config = EvolveConfig(dt=cfg["dt"], t0=cfg["t0"], t1=cfg["t1"],
-                             lin_tol=cfg["lin_tol"],
-                             snapshot_every=cfg["snapshot_every"])
+                          snapshot_every=cfg["snapshot_every"])
     traj = evolve_run(u0, config, cfg["p"], params)
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
@@ -290,7 +282,10 @@ def run_fixed_point(cfg, out: Path) -> dict:
         raise ConfigError(f"need a finite delta > 0, got {delta}")
     if not np.isfinite(t0) or (tmax is not None and not (np.isfinite(tmax) and tmax > t0)):
         raise ConfigError(f"need finite T0 < Tmax, got T0={t0}, Tmax={tmax}")
-    gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"], cfg["tol"])
+    ecfg = EvolveConfig(dt=cfg["dt"], snapshot_every=cfg["snapshot_every"])
+    grid = _grid_from(cfg)
+    psi = _cutoff_from(cfg, grid)
+    gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"])
     gs = gsmod.rescale(gs1, cfg["omega"])
     if delta is None:
         delta = 0.8 * gs.delta_fit
@@ -298,15 +293,12 @@ def run_fixed_point(cfg, out: Path) -> dict:
         tmax = t0 + 14.0 / (delta * np.sqrt(cfg["omega"]) * speed)
     if not np.isfinite(tmax):
         raise ConfigError(f"the derived Tmax {tmax} is not finite")
-    grid = _grid_from(cfg)
-    psi = _cutoff_from(cfg, grid)
     src = fp.make_sources(params, gs, psi, grid, cfg["p"])
     norm_cfg = NormConfig("Eweighted", delta=delta, omega=cfg["omega"],
                           v=params.v, T0=t0)
-    report, traj = fp.picard(src, t0, tmax, norm_cfg, cfg["iters"],
-                             EvolveConfig(dt=cfg["dt"], lin_tol=cfg["lin_tol"]))
+    report, traj = fp.picard(src, t0, tmax, norm_cfg, cfg["iters"], ecfg)
     rows = []
-    for k in range(0, len(traj), cfg["snapshot_every"]):
+    for k in range(0, len(traj), ecfg.snapshot_every):
         u = traj.snapshots[k]
         rows.append((traj.times[k], l2_norm(u), h2_norm(u)))
         save_field(out / f"r{k:05d}.bin", u, psi)
@@ -339,27 +331,22 @@ def run_fixed_point(cfg, out: Path) -> dict:
     return summary
 
 
-def _shoot_context(cfg):
+def run_shoot(cfg, out: Path) -> dict:
     params = _params_from(cfg)
-    gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"], cfg["tol"])
-    gs = gsmod.rescale(gs1, cfg["omega"])
-    spectral = build_grid(cfg["dim"], 30.0 / np.sqrt(cfg["omega"]), 4095)
-    modes = lin.solve_unstable_pair(lin.assemble(gs, spectral))
-    grid = _grid_from(cfg)
-    psi = _cutoff_from(cfg, grid)
-    if psi is None:
-        raise ConfigError("shoot needs an obstacle (a > 0)")
-    ctx = mod.ModulationContext(params=params, gs=gs, modes=modes, psi=psi,
-                                grid=grid, newton_tol=cfg["newton_tol"])
     shoot_cfg = mod.ShootConfig(T0=cfg["T0"], Tn=cfg["Tn"], delta=cfg["delta"],
                                 M=cfg["M"], Mprime=cfg["Mprime"],
                                 log_every=cfg["log_every"])
-    return ctx, shoot_cfg, modes
-
-
-def run_shoot(cfg, out: Path) -> dict:
-    ctx, shoot_cfg, modes = _shoot_context(cfg)
-    ecfg = EvolveConfig(dt=cfg["dt"], lin_tol=cfg["lin_tol"])
+    ecfg = EvolveConfig(dt=cfg["dt"])
+    if not cfg["a"] > 0:
+        raise ConfigError("shoot needs an obstacle (a > 0)")
+    grid = _grid_from(cfg)
+    psi = _cutoff_from(cfg, grid)
+    gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"])
+    gs = gsmod.rescale(gs1, cfg["omega"])
+    spectral = build_grid(cfg["dim"], 30.0 / np.sqrt(cfg["omega"]), 4095)
+    modes = lin.solve_unstable_pair(lin.assemble(gs, spectral))
+    ctx = mod.ModulationContext(params=params, gs=gs, modes=modes, psi=psi,
+                                grid=grid)
     summary = {"e0": modes.e0}
     if cfg["search"]:
         result = mod.shoot_search(ctx, shoot_cfg, ecfg)
@@ -414,16 +401,16 @@ def run(subcommand: str, cfg: dict, out_dir, in_path=None) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        if subcommand in NEEDS_INPUT:
-            summary = RUNNERS[subcommand](cfg, out, in_path)
-        else:
-            summary = RUNNERS[subcommand](cfg, out)
-    except (ValueError, PreconditionError) as exc:
+        if subcommand in NEEDS_INPUT and in_path is None:
+            raise ConfigError(f"{subcommand} needs --in FIELD.bin")
+        inputs = (load_field(in_path)[0],) if subcommand in NEEDS_INPUT else ()
+        summary = RUNNERS[subcommand](cfg, out, *inputs)
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        (Path(out) / "failure.json").write_text(json.dumps(
+    except Exception as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        (out / "failure.json").write_text(json.dumps(
             {"error": str(exc), "type": type(exc).__name__}, sort_keys=True,
             indent=2) + "\n")
         return 3
@@ -443,13 +430,11 @@ def _sweep_worker(args):
 def run_sweep(sub: str, base_cfg: dict, param: str, values, out_dir,
               in_path=None) -> int:
     """One row per run; failures get a status, never dropped."""
-    if param not in CONFIG_KEYS:
-        print(f"error: unknown sweep parameter {param!r}", file=sys.stderr)
-        return 2
-    if not values:
-        print("error: empty sweep grid", file=sys.stderr)
-        return 2
     try:
+        if param not in CONFIG_KEYS:
+            raise ConfigError(f"unknown sweep parameter {param!r}")
+        if not values:
+            raise ConfigError("empty sweep grid")
         parsed = [parse_config_text(f"{param}={val}")[param] for val in values]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -501,17 +486,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = args.out or f"runs/{args.cmd}"
     try:
         cfg = load_config(args.config) if args.config else default_config()
         for key in CONFIG_KEYS:
             flag = getattr(args, f"cfg_{key}", None)
             if flag is not None:
-                parsed = parse_config_text(f"{key}={flag}")
-                cfg.update(parsed)
+                cfg.update(parse_config_text(f"{key}={flag}"))
+        Path(out).mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = args.out or f"runs/{args.cmd}"
     if args.cmd == "sweep":
         return run_sweep(args.sub, cfg, args.param, args.values.split(","),
                          out, args.in_path)

@@ -145,7 +145,10 @@ def make_sources(params: SolitonParams, gs: GroundState, psi, grid: Grid,
 
 def _time_mesh(T0: float, Tmax: float, dt: float):
     n = max(1, int(round((Tmax - T0) / dt)))
-    return T0 + (Tmax - T0) / n * np.arange(n + 1), (Tmax - T0) / n
+    try:
+        return T0 + (Tmax - T0) / n * np.arange(n + 1), (Tmax - T0) / n
+    except ValueError as exc:   # numpy refuses the size
+        raise FixedPointInputError(f"time mesh of {n:.3g} steps: {exc}") from exc
 
 
 class _MeshSources:
@@ -235,7 +238,7 @@ def duhamel_apply(sources: SourceSet, r_traj: Trajectory | None, T0: float,
     mesh = _MeshSources(sources, ts, "a0" in which,
                         ansatz=rows is not None and any(a in which for a in _FEEDBACK))
     out = rows if rows is not None else np.zeros((nt, grid.n_active), dtype=complex)
-    _sweep(CrankNicolsonStepper(grid, -dt, evolve_config.lin_tol), nt,
+    _sweep(CrankNicolsonStepper(grid, -dt), nt,
            mesh.source(which, rows), out)
     return _trajectory(sources, ts, out)
 
@@ -314,7 +317,7 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     norm = _ENorm(grid, enorm_cfg)
     weights = [norm.weight(t) for t in ts]
     mesh = _MeshSources(sources, ts, with_a0=True, ansatz=True)
-    stepper = CrankNicolsonStepper(grid, -dt, evolve_config.lin_tol)
+    stepper = CrankNicolsonStepper(grid, -dt)
     rows = np.zeros((nt, grid.n_active), dtype=complex)
 
     sup = [0.0, 0.0]   # iterate, difference

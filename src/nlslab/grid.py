@@ -34,18 +34,18 @@ def cis(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-class GridError(ValueError):
+class PreconditionError(Exception):
+    """Marker for errors in the caller's arguments, as opposed to numerical
+    failures.  A module's error class gains it through a subclass; the CLI
+    maps it to exit code 2 and every other exception to exit code 3."""
+
+
+class GridError(ValueError, PreconditionError):
     pass
 
 
 class GridMismatchError(GridError):
     pass
-
-
-class PreconditionError(Exception):
-    """Marker for errors in the caller's arguments, as opposed to numerical
-    failures.  A module's error class gains it through a subclass; the CLI
-    maps it to exit code 2 whatever the module's base class is."""
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,11 @@ class Grid:
             raise GridError(f"dim must be 1, 2 or 3, got {dim}")
         if n < 16:
             raise GridError(f"need n >= 16 points per axis, got {n}")
-        if not half_width > 0.0:
-            raise GridError("half_width must be positive")
+        spacing = 2.0 * float(half_width) / (int(n) + 1)
+        h2 = spacing * spacing
+        if not (half_width > 0.0 and 0.0 < h2 * h2 and h2 < np.inf):
+            raise GridError(f"need L > 0, h^2 < inf and h^4 > 0 (the composed operators "
+                            f"of `linearized` divide by h^4), got L={half_width}")
         a = obstacle.a if obstacle.kind == "ball" else 0.0
         if half_width <= a:
             raise GridError("obstacle swallows domain: L <= a")
@@ -81,7 +84,7 @@ class Grid:
         self.half_width = float(half_width)
         self.n = int(n)
         self.obstacle = obstacle
-        self.spacing = 2.0 * self.half_width / (self.n + 1)
+        self.spacing = spacing
         if a > 0.0 and (self.half_width - a) / self.spacing < 8.0:
             raise GridError("fewer than 8 interior points per axis outside obstacle")
         axis = -self.half_width + self.spacing * np.arange(1, self.n + 1)
@@ -163,7 +166,7 @@ class Field:
         if values.shape != (grid.n,) * grid.dim:
             raise GridError(f"values shape {values.shape} does not match grid")
         if not np.all(np.isfinite(values)):
-            raise GridError("field contains non-finite values")
+            raise FloatingPointError("field contains non-finite values")
         v = np.where(grid.mask, values, 0.0 + 0.0j)
         self.grid = grid
         self.values = v
@@ -457,11 +460,15 @@ def save_field(path, u: Field, cutoff: CutoffPsi | None = None) -> None:
 
 
 def load_field(path) -> tuple[Field, dict]:
-    raw = Path(path).read_bytes()
-    nl = raw.index(b"\n")
-    header = json.loads(raw[:nl].decode("utf-8"))
-    grid = grid_from_header(header)
-    count = grid.n**grid.dim
-    vals = np.frombuffer(raw[nl + 1:], dtype="<c8", count=count)
-    vals = vals.astype(np.complex128).reshape((grid.n,) * grid.dim)
-    return Field(grid, vals), header
+    """Read a field written by `save_field`; a bad file raises GridError."""
+    try:
+        raw = Path(path).read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl].decode("utf-8"))
+        grid = grid_from_header(header)
+        vals = np.frombuffer(raw[nl + 1:], dtype="<c8", count=grid.n**grid.dim)
+        u = Field(grid, vals.astype(np.complex128).reshape((grid.n,) * grid.dim))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            FloatingPointError) as exc:
+        raise GridError(f"cannot read a field from {path}: {exc}") from exc
+    return u, header

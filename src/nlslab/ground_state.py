@@ -237,6 +237,7 @@ def _tail_form(dim: int, omega: float):
 
 COARSE_RTOL = 1e-9
 FINE_RTOL = 1e-13
+BISECTION_TOL = 4e-15   # final q0 bracket width, relative (8 eps = 1.8e-15 floor)
 # The replay shoots a midpoint that lies within this distance (relative) of
 # the estimate.  The margin is twenty times the largest offset seen between
 # the estimate and the point where a shot's side flips at the coarse rtol
@@ -288,11 +289,11 @@ def _estimate_separatrix(p, omega, dim, lo, hi, hi_shot):
     return q
 
 
-def _bisect(lo, hi, floor, side_of):
+def _bisect(lo, hi, side_of):
     """The bisection of [lo, hi], a turning shot at lo and a crossing one at hi.
 
-    Halves the bracket at its midpoint until it is at most `floor` wide
-    relative to hi; side_of(mid, rtol) names the side of each midpoint.
+    Halves the bracket at its midpoint until it is at most `BISECTION_TOL`
+    wide relative to hi; side_of(mid, rtol) names the side of each midpoint.
     Returns lo, hi and the rtol at which each was set (None for an end that
     is still an input).
     """
@@ -305,19 +306,19 @@ def _bisect(lo, hi, floor, side_of):
             hi, made[1] = mid, rtol
         else:
             lo, made[0] = mid, rtol
-        if (hi - lo) <= floor * hi:
+        if (hi - lo) <= BISECTION_TOL * hi:
             return lo, hi, made
     raise GroundStateError(
         f"bisection failed to converge, bracket [{lo}, {hi}] after 200 steps"
     )
 
 
-def solve_ground_state(p: float, omega: float, dim: int, tol: float = 4e-15,
+def solve_ground_state(p: float, omega: float, dim: int, *,
                        dr: float | None = None) -> GroundState:
-    if not p > 1:
-        raise GroundStateInputError("need p > 1")
-    if not omega > 0:
-        raise GroundStateInputError("need omega > 0")
+    if not 1 < p < np.inf:
+        raise GroundStateInputError(f"need p > 1 and finite, got {p}")
+    if not 0 < omega < np.inf:
+        raise GroundStateInputError(f"need omega > 0 and finite, got {omega}")
     if dim not in (1, 2, 3):
         raise GroundStateInputError(f"need dim 1, 2 or 3, got {dim}")
     if dim == 3 and not p < 5:
@@ -325,8 +326,6 @@ def solve_ground_state(p: float, omega: float, dim: int, tol: float = 4e-15,
             f"no ground state for p={p} in d=3: need p below the energy-critical "
             "exponent 5"
         )
-    if not (np.isfinite(tol) and tol >= 0):
-        raise GroundStateInputError(f"need a finite tol >= 0, got {tol}")
     if dr is None:
         dr = 0.01 / np.sqrt(omega)
 
@@ -361,13 +360,12 @@ def solve_ground_state(p: float, omega: float, dim: int, tol: float = 4e-15,
     # there), every skipped midpoint went where the bisection would have sent
     # it, and the bracket is the bisection's bit for bit.  A failed check
     # means a bad estimate: then bisect from the start.
-    floor = max(tol, 8.0 * np.finfo(float).eps)
-    a, b, made = _bisect(lo, hi, floor, replay)
+    a, b, made = _bisect(lo, hi, replay)
     if all(rtol is None or near(end, rtol) or shoot(end, rtol) == side
            for end, rtol, side in ((a, made[0], "turn"), (b, made[1], "cross"))):
         lo, hi = a, b
     else:
-        lo, hi, _ = _bisect(lo, hi, floor, shoot)
+        lo, hi, _ = _bisect(lo, hi, shoot)
 
     q0 = 0.5 * (lo + hi)
     sol = _integrate(p, omega, dim, q0, 40.0 / np.sqrt(omega), FINE_RTOL,
@@ -437,8 +435,8 @@ def rescale(gs: GroundState, omega: float) -> GroundState:
     """
     if not np.isclose(gs.omega, 1.0):
         raise GroundStateInputError("rescale starts from the omega = 1 profile")
-    if not omega > 0:
-        raise GroundStateInputError("need omega > 0")
+    if not 0 < omega < np.inf:
+        raise GroundStateInputError(f"need omega > 0 and finite, got {omega}")
     if np.isclose(omega, 1.0):
         return gs
     s = np.sqrt(omega)

@@ -32,6 +32,7 @@ from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from .grid import (
     Field,
     Grid,
+    PreconditionError,
     from_active,
     h1_norm,
     laplacian_matrix,
@@ -41,10 +42,10 @@ from .grid import (
 
 __all__ = [
     "LinearizedPair", "EigenModes", "BiorthogonalFamily", "CoercivityReport",
-    "SpectralError", "SpectrallyStableError", "DegenerateFamilyError",
-    "assemble", "solve_unstable_pair", "rescale_modes", "coercivity_certificate",
-    "biorthogonal_family", "kernel_residuals", "measure_scaling_exponent",
-    "evaluate_mode_parts", "quadratic_form",
+    "SpectralError", "SpectrallyStableError", "SubcriticalError",
+    "DegenerateFamilyError", "assemble", "solve_unstable_pair", "rescale_modes",
+    "coercivity_certificate", "biorthogonal_family", "kernel_residuals",
+    "measure_scaling_exponent", "evaluate_mode_parts", "quadratic_form",
 ]
 from .ground_state import (
     GroundState,
@@ -53,6 +54,8 @@ from .ground_state import (
     sample_on_grid,
 )
 
+EIGEN_TOL = 1e-12   # inverse iteration's target residual, relative to e0^2
+
 
 class SpectralError(RuntimeError):
     pass
@@ -60,6 +63,10 @@ class SpectralError(RuntimeError):
 
 class SpectrallyStableError(SpectralError):
     """No real unstable eigenvalue: the configuration is mass-subcritical."""
+
+
+class SubcriticalError(SpectrallyStableError, PreconditionError):
+    """p is not above the mass-critical exponent: refused before any solve."""
 
 
 @dataclass(eq=False)
@@ -184,7 +191,7 @@ def _solved_on(modes: EigenModes, grid: Grid, p: float) -> bool:
     return modes.y1.grid == grid and modes.p == p
 
 
-def solve_unstable_pair(pair: LinearizedPair, tol: float = 1e-12, *,
+def solve_unstable_pair(pair: LinearizedPair, *,
                         like: EigenModes | None = None) -> EigenModes:
     """Unstable eigenvalue e0 and mode from the composed operator -l_minus l_plus.
 
@@ -200,7 +207,7 @@ def solve_unstable_pair(pair: LinearizedPair, tol: float = 1e-12, *,
     """
     gs = pair.ground
     if not gs.p > 1.0 + 4.0 / gs.dim:
-        raise SpectrallyStableError(
+        raise SubcriticalError(
             f"p={gs.p} is not mass-supercritical in d={gs.dim} (need p > "
             f"{1.0 + 4.0 / gs.dim}): no real unstable eigenvalue exists"
         )
@@ -230,7 +237,7 @@ def solve_unstable_pair(pair: LinearizedPair, tol: float = 1e-12, *,
             y1 /= np.linalg.norm(y1)
             lam = float(y1 @ (composed @ y1))
             resid = float(np.linalg.norm(composed @ y1 - lam * y1))
-            if resid < tol * max(1.0, abs(lam)):
+            if resid < EIGEN_TOL * max(1.0, abs(lam)):
                 break
             # the reachable floor is eps |composed| / gap, well above eps on
             # fine grids; stop once the residual stops improving

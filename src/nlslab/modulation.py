@@ -30,6 +30,11 @@ from .linearized import evaluate_mode_parts  # noqa: F401  (bench/tests reads th
 from .soliton import (Ansatz, SolitonError, SolitonParams, _check_center, ansatz,
                       functionals, mode_pair, soliton_field)
 
+NEWTON_TOL = 1e-11       # modulation Newton residuals, relative to their scales
+MAX_NEWTON = 50
+FINAL_DATA_TOL = 1e-10   # final-data Newton residual, relative to the alpha+ target
+MAX_SHOOTS = 60          # bisection shots of the alpha+ search after its two ends
+
 
 class ModulationError(RuntimeError):
     pass
@@ -50,19 +55,16 @@ class ModulationContext:
     modes: EigenModes
     psi: object
     grid: Grid
-    eps_mod: float = None
-    newton_tol: float = 1e-11
-    max_newton: int = 50
+    eps_mod: float = field(init=False)   # decompose's reach: a tenth of |Q|_L2
 
     def __post_init__(self):
         if not np.isclose(self.gs.omega, self.params.omega):
             raise SolitonError("ground state frequency does not match parameters")
-        if self.eps_mod is None:
-            q = self.gs(self.gs.r_samples)
-            mass = np.trapezoid(q**2, self.gs.r_samples)
-            if self.gs.dim == 1:
-                mass *= 2.0
-            self.eps_mod = 0.1 * float(np.sqrt(mass))
+        q = self.gs(self.gs.r_samples)
+        mass = np.trapezoid(q**2, self.gs.r_samples)
+        if self.gs.dim == 1:
+            mass *= 2.0
+        self.eps_mod = 0.1 * float(np.sqrt(mass))
 
     def rate(self, delta: float) -> float:
         return delta * np.sqrt(self.params.omega) * self.params.speed()
@@ -149,8 +151,8 @@ def decompose(ctx: ModulationContext, u: Field, t: float,
             f"> eps = {ctx.eps_mod:.3e}"
         )
     iters = 0
-    for iters in range(1, ctx.max_newton + 1):
-        if np.all(np.abs(res) <= ctx.newton_tol * scales):
+    for iters in range(1, MAX_NEWTON + 1):
+        if np.all(np.abs(res) <= NEWTON_TOL * scales):
             break
         try:
             dz = np.linalg.solve(_jacobian(ctx, r_vals, a), res)
@@ -191,8 +193,7 @@ def final_data(ctx: ModulationContext, Tn: float, lam) -> Field:
     return _final_data_map(ctx, Tn)(lam)
 
 
-def _tune_final_data(ctx: ModulationContext, Tn: float, alpha_plus_target: float,
-                     tol: float = 1e-10):
+def _tune_final_data(ctx: ModulationContext, Tn: float, alpha_plus_target: float):
     """Newton on lam so that alpha+(Tn) hits the target and alpha-(Tn) = 0.
 
     Returns lam with u(Tn) and its decomposition, from the last evaluation.
@@ -209,7 +210,7 @@ def _tune_final_data(ctx: ModulationContext, Tn: float, alpha_plus_target: float
     scale = max(abs(alpha_plus_target), 1e-12)
     res, u, st = at(lam)
     for _ in range(30):
-        if np.max(np.abs(res)) <= tol * scale:
+        if np.max(np.abs(res)) <= FINAL_DATA_TOL * scale:
             return lam, u, st
         jac = np.empty((2, 2))
         step = max(1e-8, 1e-3 * scale)
@@ -217,10 +218,7 @@ def _tune_final_data(ctx: ModulationContext, Tn: float, alpha_plus_target: float
             lp = lam.copy()
             lp[j] += step
             jac[:, j] = (at(lp)[0] - res) / step
-        try:
-            lam = lam - np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise ModulationError("degenerate mode pairing matrix") from exc
+        lam = lam - np.linalg.solve(jac, res)
         res, u, st = at(lam)
     raise ModulationError(
         f"final-data Newton stalled: residual {res} for target {target}"
@@ -228,10 +226,9 @@ def _tune_final_data(ctx: ModulationContext, Tn: float, alpha_plus_target: float
 
 
 def solve_modulated_final_data(ctx: ModulationContext, Tn: float,
-                               alpha_plus_target: float,
-                               tol: float = 1e-10) -> np.ndarray:
+                               alpha_plus_target: float) -> np.ndarray:
     """Newton on lam so that alpha+(Tn) hits the target and alpha-(Tn) = 0."""
-    return _tune_final_data(ctx, Tn, alpha_plus_target, tol)[0]
+    return _tune_final_data(ctx, Tn, alpha_plus_target)[0]
 
 
 @dataclass(frozen=True)
@@ -312,6 +309,8 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
     Stops at T0 or at the first violated bound; a modulation breakdown
     terminates with a partial log.
     """
+    if not np.isfinite(alpha_plus):
+        raise ModulationInputError(f"need a finite alpha+, got {alpha_plus}")
     grid = ctx.grid
     delta = _shoot_delta(ctx, cfg)
     rate = ctx.rate(delta)
@@ -324,7 +323,7 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
 
     n_steps = max(1, int(round((cfg.Tn - cfg.T0) / evolve_cfg.dt)))
     dt = -(cfg.Tn - cfg.T0) / n_steps
-    stepper = CrankNicolsonStepper(grid, dt, evolve_cfg.lin_tol)
+    stepper = CrankNicolsonStepper(grid, dt)
 
     rows = []
     snaps = []
@@ -390,7 +389,7 @@ class SearchResult:
 
 
 def shoot_search(ctx: ModulationContext, cfg: ShootConfig,
-                 evolve_cfg: EvolveConfig, max_shoots: int = 60) -> SearchResult:
+                 evolve_cfg: EvolveConfig) -> SearchResult:
     """Bisection over alpha+ inside the admissible bracket.
 
     Both endpoints must exit through the alpha bound with opposite signs of
@@ -422,7 +421,7 @@ def shoot_search(ctx: ModulationContext, cfg: ShootConfig,
         )
     best = log_lo if log_lo.exit_time < log_hi.exit_time else log_hi
     best_alpha = lo if best is log_lo else hi
-    for _ in range(max_shoots):
+    for _ in range(MAX_SHOOTS):
         if hi - lo < 1e-14 * amp:
             break
         mid = 0.5 * (lo + hi)
@@ -463,19 +462,18 @@ def growth_rate_fit(log: ShootLog, factor: float = 3.0) -> float:
     return float(-slope)  # grows backward in time
 
 
-def lyapunov_drift_fit(log: ShootLog, rate2: float, column: str = "tilde"):
+def lyapunov_drift_fit(log: ShootLog, rate2: float):
     """Fit |d lyapunov / dt| to C1 exp(-rate2 t); returns (C1, R^2, rows used).
 
-    The default column is the modulated-ansatz combination, whose drift is
-    pure cutoff overlap; the evolved state's combination ("state") sits at
-    the scheme-noise floor at desk resolution.  rate2 should be twice the
+    The fit reads the modulated-ansatz combination, whose drift is pure
+    cutoff overlap; the evolved state's combination sits at the
+    scheme-noise floor at desk resolution.  rate2 should be twice the
     fitted profile decay rate times sqrt(omega) |v|, the rate the obstacle
     flux actually decays at.  Rows below the noise floor are excluded.
     """
-    data = log.tilde_lyapunov if column == "tilde" else log.lyapunov
     t_mid = 0.5 * (log.t[1:] + log.t[:-1])
     dt = np.diff(log.t)
-    drift = np.abs(np.diff(data) / dt)
+    drift = np.abs(np.diff(log.tilde_lyapunov) / dt)
     order = np.argsort(t_mid)
     t_mid, drift = t_mid[order], drift[order]
     peak = np.max(drift) if len(drift) else 0.0

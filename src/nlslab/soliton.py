@@ -13,12 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import TWO_PI, Field, Grid, cis, gradient, l2_norm
+from .grid import TWO_PI, Field, Grid, PreconditionError, cis, gradient, l2_norm
 from .ground_state import GroundState, sample_on_grid
 from .linearized import EigenModes, evaluate_mode_parts
 
 
-class SolitonError(ValueError):
+class SolitonError(ValueError, PreconditionError):
     pass
 
 
@@ -31,9 +31,9 @@ class SolitonParams:
     x0: tuple = None
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise SolitonError("need omega > 0")
         object.__setattr__(self, "v", tuple(float(c) for c in self.v))
+        if not (0 < self.omega < np.inf and sum(c * c for c in self.v) < np.inf):
+            raise SolitonError(f"need finite omega > 0, |v|^2: {self.omega}, {self.v}")
         x0 = self.x0 if self.x0 is not None else (0.0,) * len(self.v)
         object.__setattr__(self, "x0", tuple(float(c) for c in x0))
 

@@ -118,8 +118,6 @@ def test_ground_state_bad_p_is_precondition(tmp_path, capsys):
 
 @pytest.mark.parametrize("arg, message", [
     ("--dim=0", "need dim 1, 2 or 3"), ("--dim=4", "need dim 1, 2 or 3"),
-    ("--tol=nan", "need a finite tol >= 0"), ("--tol=inf", "need a finite tol >= 0"),
-    ("--tol=-1e-15", "need a finite tol >= 0"),
     ("--dim=3 --p=5", "energy-critical"), ("--dim=3 --p=6", "energy-critical"),
     ("--dim=3 --p=11", "energy-critical")])
 def test_ground_state_bad_dim_or_tol_is_precondition(tmp_path, capsys, arg, message):
@@ -177,6 +175,99 @@ def test_spectrum_bad_omegas_is_precondition(tmp_path, capsys, monkeypatch, omeg
                  "--out", str(tmp_path)]) == 2
     assert "omegas must be distinct, finite and > 0" in capsys.readouterr().err
     assert not (tmp_path / "failure.json").exists()
+
+
+# ------------------------------------------------------ exit-code contract
+
+def _contract_code(tmp_path, argv):
+    """main's exit code for argv, which must be 0, 2 or 3, with failure.json
+    exactly on 3; an exception out of main fails the test."""
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    assert code in (0, 2, 3)
+    assert (out / "failure.json").exists() == (code == 3)
+    return code
+
+
+def _field_file(path):
+    grid = build_grid(1, 20.0, 255)
+    save_field(path, Field(grid, np.sqrt(2.0) / np.cosh(grid.coordinate(0))))
+    return path
+
+
+_EDGE = ("0", "-1", "nan", "inf", "1e300", "1e-300")
+_INT_EDGE = ("0", "-1", "1", "2")
+
+# One key at a time at an edge value, refused before any numerics (outside
+# `ground-state`, before the ground state).  {in} is a valid field file.
+EDGE_REFUSED = [
+    *(f"ground-state --{key}={val}" for key in ("p", "omega")
+      for val in ("0", "-1", "nan", "inf")),
+    "ground-state --dim=0", "ground-state --dim=-1",
+    *(f"{sub} --L={val}" for sub in ("spectrum", "fixed-point", "shoot --a=1")
+      for val in _EDGE),
+    *(f"{sub} --n={val}" for sub in ("spectrum", "fixed-point", "shoot --a=1")
+      for val in _INT_EDGE),
+    *(f"{sub} --a={val}" for sub in ("fixed-point", "shoot") for val in ("inf", "1e300")),
+    *(f"shoot --a={val}" for val in ("0", "-1", "nan")),
+    *(f"{sub} --a=1 --{key}={val}" for sub in ("fixed-point", "shoot")
+      for key in ("R1", "R2") for val in _EDGE),
+    *(f"{sub} --dim={val}" for sub in ("spectrum", "fixed-point", "shoot --a=1")
+      for val in ("0", "-1")),
+    *(f"{sub} --omega={val}" for sub in ("fixed-point", "shoot --a=1", "functionals --in={in}")
+      for val in ("0", "-1", "nan", "inf")),
+    *(f"{sub} --v={val}" for sub in ("fixed-point", "shoot --a=1")
+      for val in ("nan", "inf", "1e300")),
+    "fixed-point --v=0",
+    *(f"{sub} --dt={val}" for sub in ("fixed-point", "shoot --a=1", "evolve --in={in}")
+      for val in ("0", "-1", "nan")),
+    *(f"fixed-point --snapshot-every={val}" for val in ("0", "-1")),
+    "spectrum --seed=-1",
+    *(f"shoot --a=1 --T0={val}" for val in ("0", "-1", "nan", "inf", "1e300")),
+    *(f"shoot --a=1 --Tn={val}" for val in ("0", "-1", "nan", "1e-300")),
+    *(f"shoot --a=1 --log-every={val}" for val in ("0", "-1")),
+    *(f"evolve --in={{in}} --{key}={val}" for key in ("t0", "t1") for val in ("nan", "inf")),
+    *(f"evolve --in={{in}} --snapshot-every={val}" for val in ("0", "-1")),
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_REFUSED)
+def test_edge_value_is_refused(tmp_path, monkeypatch, argv):
+    if not argv.startswith("ground-state"):
+        monkeypatch.setattr("nlslab.ground_state.solve_ground_state", _no_ground_state)
+    argv = argv.format(**{"in": _field_file(tmp_path / "u0.bin")})
+    assert _contract_code(tmp_path, argv.split()) == 2
+
+
+# Inputs that ended in a traceback, or (shoot) in exit 3 for a refused p.
+@pytest.mark.parametrize("argv, code", [
+    ("ground-state --p=1e300", 3), ("ground-state --omega=1e300", 3),
+    ("spectrum --p=1e300", 3), ("spectrum --L=1e-300", 2),
+    ("fixed-point --L=1e300", 2), ("functionals --in={in} --p=-1", 3),
+    ("shoot --a=1 --p=3", 2)])
+def test_former_traceback_keeps_the_contract(tmp_path, argv, code):
+    argv = argv.format(**{"in": _field_file(tmp_path / "u0.bin")})
+    assert _contract_code(tmp_path, argv.split()) == code
+
+
+@pytest.mark.parametrize("sub", ["evolve", "functionals"])
+@pytest.mark.parametrize("content", [
+    None, b"no header line", b'{"dim": 1}\n',
+    b'{"L": 10.0, "dim": 1, "n": 16, "obstacle_a": 0.0}\n'
+    + np.full(16, np.nan, "<c8").tobytes()],
+    ids=["missing", "no-header", "short-header", "non-finite"])
+def test_unreadable_input_file_is_precondition(tmp_path, capsys, sub, content):
+    path = tmp_path / "u0.bin"
+    if content is not None:
+        path.write_bytes(content)
+    assert _contract_code(tmp_path, [sub, "--in", str(path)]) == 2
+    assert "u0.bin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["evolve", "functionals"])
+def test_no_input_file_is_precondition(tmp_path, capsys, sub):
+    assert _contract_code(tmp_path, [sub]) == 2
+    assert f"{sub} needs --in" in capsys.readouterr().err
 
 
 def test_sweep_bad_value_is_precondition(tmp_path, capsys):

@@ -115,7 +115,7 @@ def _march_states(every, n_steps, forcing=None):
     g = build_grid(1, 20.0, 511, Obstacle("ball", 1.0))
     u0 = soliton_field(SolitonParams(omega=1.0, v=(1.0,), p=7.0, x0=(5.0,)),
                        solve_ground_state(7, 1.0, 1), 0.0, g)
-    stepper = CrankNicolsonStepper(g, -0.002, 1e-10)
+    stepper = CrankNicolsonStepper(g, -0.002)
     return [(k, vec.copy()) for k, vec in
             march(stepper, to_active(u0), n_steps, 7.0, forcing, every=every)]
 
@@ -241,11 +241,11 @@ def _reference_snapshots(u0, cfg, p):
     n = max(1, int(round(abs(cfg.t1 - cfg.t0) / cfg.dt)))
     dt = (cfg.t1 - cfg.t0) / n
     grid = u0.grid
-    stepper = CrankNicolsonStepper(grid, dt, cfg.lin_tol)
+    stepper = CrankNicolsonStepper(grid, dt)
     by_step, full = [u0], [u0]
     u, vals = u0, u0.values
     for k in range(1, n + 1):
-        u = step(u, dt, p, cfg, stepper)
+        u = step(u, dt, p, stepper)
         vals = _phase_half_step(vals, dt, p)
         vals[grid.mask] = stepper.linear_step(vals[grid.mask])
         vals = _phase_half_step(vals, dt, p)

@@ -182,12 +182,12 @@ def test_bad_arguments():
         solve_ground_state(0.5, 1.0, 1)
     with pytest.raises(GroundStateError):
         solve_ground_state(3.0, -1.0, 1)
+    for p, omega in ((np.inf, 1.0), (np.nan, 1.0), (3.0, np.inf), (3.0, np.nan)):
+        with pytest.raises(GroundStateError, match="finite"):
+            solve_ground_state(p, omega, 1)
     for dim in (0, 4):
         with pytest.raises(GroundStateError, match="dim"):
             solve_ground_state(3.0, 1.0, dim)
-    for tol in (np.nan, np.inf, -1e-15):
-        with pytest.raises(GroundStateError, match="tol"):
-            solve_ground_state(3.0, 1.0, 1, tol)
 
 
 # ----------------------------------------------------------------- rescaling

@@ -30,7 +30,12 @@ def test_tracer_target_resolves(layer, modname, attr, where):
 
 
 @pytest.mark.parametrize("modname,attr", [("grid", "NormConfig"),
-                                          ("fixedpoint", "picard")])
+                                          ("fixedpoint", "picard"),
+                                          ("evolve", "EvolveConfig"),
+                                          ("modulation", "ModulationContext"),
+                                          ("modulation", "ShootConfig"),
+                                          ("ground_state", "solve_ground_state"),
+                                          ("linearized", "solve_unstable_pair")])
 def test_workload_calls_bind(modname, attr):
     # every call `<x>.<attr>(...)` in the workloads, bound with its own
     # argument count and keywords
