@@ -18,10 +18,31 @@ and the leading half of the next are one rotation over the full dt
 states it yields and completes the half step only on those; the backward
 shoot asks for every log_every-th state.  With every=1, as in `evolve` and
 the Picard sweeps, each step is the plain Strang step.
+
+`march_ahead` runs `march` in a forked worker process on the second core,
+up to `_RING` yielded states ahead of its consumer; the backward shoot uses
+it, so the march of one shot hides behind its decompositions and log rows.
+The worker copies each state into a ring of slots in an anonymous shared
+mmap and says so down a pipe; the consumer hands a slot back down a second
+pipe once it has copied the state out.  Both sides block on their pipe, so
+a waiting side takes no processor.  The consumer stops the worker by
+leaving the loop: the generator's `finally` kills and reaps it on every
+path (end of march, a bound the caller checks, an exception, a closed
+generator).  An exception in the worker is sent after its last good state
+and re-raised there with its type and message, so a caller that stopped
+earlier never sees it, as with `march`.  With one usable core it is `march`
+itself.  Each process runs the serial arithmetic, so every state keeps its
+bits.
 """
 
 from __future__ import annotations
 
+import itertools
+import mmap
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +181,90 @@ def march(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
             yield k, vec
 
 
+_RING = 8                     # states the worker may march ahead of its consumer
+_HEADER = struct.Struct("qq")  # (k, 0): state k is in the next slot;
+                               # (-1, n): an n-byte pickled exception follows
+
+
+def _slot(ring: mmap.mmap, i: int, n: int) -> np.ndarray:
+    """The ring slot of the i-th yielded state, as a view of n complex values."""
+    return np.frombuffer(ring, np.complex128, n, (i % _RING) * 16 * n)
+
+
+def _march_worker(ring, filled_w: int, free_r: int, args) -> None:
+    """The forked side of `march_ahead`: march, fill slots, end the process.
+
+    It ignores SIGINT: an interrupt reaches the consumer, whose `finally`
+    ends the worker.
+    """
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            for i, (k, vec) in enumerate(march(*args)):
+                if not os.read(free_r, 1):
+                    return          # the consumer has gone
+                _slot(ring, i, vec.size)[:] = vec
+                os.write(filled_w, _HEADER.pack(k, 0))
+        except Exception as exc:
+            payload = pickle.dumps(exc)
+            os.write(filled_w, _HEADER.pack(-1, len(payload)) + payload)
+        # stay until the consumer closes its end, so that handing a slot back
+        # never writes to a pipe without a reader
+        while os.read(free_r, 4096):
+            pass
+    finally:
+        os._exit(0)     # the consumer reads no exit status
+
+
+def march_ahead(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
+                p: float | None = None, every: int = 1):
+    """`march(stepper, vec, n_steps, p, every=every)` marched by a worker.
+
+    Yields the same (k, vec), bit for bit; every vec, the first included, is
+    a new complex array.  With at least two usable cores the march runs in
+    a forked process up to `_RING` states ahead of the caller, which must
+    close the generator (or exhaust it) to stop the worker.  An exception in
+    the march is raised after the last state it let through, with its type
+    and message; one that does not pickle, or a worker that dies, is an
+    EvolveError there.
+    """
+    if len(os.sched_getaffinity(0)) < 2:
+        yield from march(stepper, vec, n_steps, p, every=every)
+        return
+    n = vec.size
+    ring = mmap.mmap(-1, _RING * 16 * n)
+    filled_r, filled_w = os.pipe()
+    free_r, free_w = os.pipe()
+    os.write(free_w, bytes(_RING))
+    pid = os.fork()
+    if pid == 0:
+        os.close(filled_r)
+        os.close(free_w)
+        _march_worker(ring, filled_w, free_r, (stepper, vec, n_steps, p, None, every))
+    os.close(filled_w)
+    os.close(free_r)
+    stream = os.fdopen(filled_r, "rb")
+    try:
+        for i in itertools.count():
+            head = stream.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise EvolveError(f"the march worker ended before step {n_steps}")
+            k, size = _HEADER.unpack(head)
+            if k < 0:
+                raise pickle.loads(stream.read(size))
+            state = _slot(ring, i, n).copy()
+            os.write(free_w, b"\0")
+            yield k, state
+            if k == n_steps:
+                return
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        stream.close()
+        os.close(free_w)
+        ring.close()
+
+
 def step(u: Field, dt: float, p: float,
          stepper: CrankNicolsonStepper | None = None) -> Field:
     """One Strang step over signed dt."""
@@ -192,6 +297,8 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
     plain energy (omega = 0, v = 0).  A non-finite logged state or conserved
     quantity raises EvolveError.
     """
+    if not 1 < p < np.inf:
+        raise EvolveInputError(f"need a finite exponent p > 1, got {p}")
     grid = u0.grid
     if config.dt > config.c_stab * grid.spacing**2:
         raise EvolveError(

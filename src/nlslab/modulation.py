@@ -17,11 +17,12 @@ bisection on alpha+, the one-dimensional shadow of the degree argument.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolve import CrankNicolsonStepper, EvolveConfig, march
+from .evolve import CrankNicolsonStepper, EvolveConfig, march_ahead
 from .grid import (Field, Grid, PreconditionError, from_active, h1_norm, l2_norm,
                    real_inner, to_active)
 from .ground_state import GroundState
@@ -350,24 +351,25 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
         return None
 
     log_row(cfg.Tn, state, u, r_h1)
-    for k, vec in march(stepper, to_active(u), n_steps, ctx.params.p,
-                        every=cfg.log_every):
-        if k == 0:
-            continue
-        t = cfg.Tn + k * dt
-        u_here = from_active(grid, vec)
-        try:
-            state = decompose(ctx, u_here, t, guess)
-        except ModulationError:
-            exit_reason, exit_time = "modulation_failure", t
-            break
-        guess = np.concatenate([state.y, [state.mu]])
-        r_h1 = h1_norm(state.r)
-        log_row(t, state, u_here, r_h1)
-        reason = violated(t, state, r_h1)
-        if reason is not None:
-            exit_reason, exit_time = reason, t
-            break
+    with closing(march_ahead(stepper, to_active(u), n_steps, ctx.params.p,
+                             every=cfg.log_every)) as states:
+        for k, vec in states:
+            if k == 0:
+                continue
+            t = cfg.Tn + k * dt
+            u_here = from_active(grid, vec)
+            try:
+                state = decompose(ctx, u_here, t, guess)
+            except ModulationError:
+                exit_reason, exit_time = "modulation_failure", t
+                break
+            guess = np.concatenate([state.y, [state.mu]])
+            r_h1 = h1_norm(state.r)
+            log_row(t, state, u_here, r_h1)
+            reason = violated(t, state, r_h1)
+            if reason is not None:
+                exit_reason, exit_time = reason, t
+                break
 
     # a row holds ShootLog's first ten fields, in order
     return ShootLog(*map(np.asarray, zip(*rows)), exit_time=exit_time,

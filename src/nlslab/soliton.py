@@ -34,6 +34,8 @@ class SolitonParams:
         object.__setattr__(self, "v", tuple(float(c) for c in self.v))
         if not (0 < self.omega < np.inf and sum(c * c for c in self.v) < np.inf):
             raise SolitonError(f"need finite omega > 0, |v|^2: {self.omega}, {self.v}")
+        if not 1 < self.p < np.inf:
+            raise SolitonError(f"need a finite exponent p > 1, got {self.p}")
         x0 = self.x0 if self.x0 is not None else (0.0,) * len(self.v)
         object.__setattr__(self, "x0", tuple(float(c) for c in x0))
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -228,6 +229,8 @@ EDGE_REFUSED = [
     *(f"shoot --a=1 --log-every={val}" for val in ("0", "-1")),
     *(f"evolve --in={{in}} --{key}={val}" for key in ("t0", "t1") for val in ("nan", "inf")),
     *(f"evolve --in={{in}} --snapshot-every={val}" for val in ("0", "-1")),
+    *(f"evolve --in={{in}} {v}--p={val}" for v in ("", "--v=0,0 ")
+      for val in ("0", "-1", "1", "1e-300", "nan", "inf")),
 ]
 
 
@@ -243,7 +246,7 @@ def test_edge_value_is_refused(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("argv, code", [
     ("ground-state --p=1e300", 3), ("ground-state --omega=1e300", 3),
     ("spectrum --p=1e300", 3), ("spectrum --L=1e-300", 2),
-    ("fixed-point --L=1e300", 2), ("functionals --in={in} --p=-1", 3),
+    ("fixed-point --L=1e300", 2), ("functionals --in={in} --p=-1", 2),
     ("shoot --a=1 --p=3", 2)])
 def test_former_traceback_keeps_the_contract(tmp_path, argv, code):
     argv = argv.format(**{"in": _field_file(tmp_path / "u0.bin")})
@@ -311,6 +314,37 @@ def test_search_history_csv(tmp_path, winning_search):
         assert row[3] == reason
         assert float(row[4]) == alpha_plus
     assert rows[-1][3] == "reached_T0"
+
+
+def _shoot_failure(tmp_path, monkeypatch, name):
+    """failure.json of a short shot whose 40th phase rotation turns NaN."""
+    evolve_mod = importlib.import_module("nlslab.evolve")
+    rotate, calls = evolve_mod._rotate, []
+
+    def poisoned(vals, h, p):
+        calls.append(h)
+        out = rotate(vals, h, p)
+        return out * np.nan if len(calls) == 40 else out
+
+    monkeypatch.setattr(evolve_mod, "_rotate", poisoned)
+    argv = ("shoot --p=7 --v=2 --a=1 --R1=1.5 --R2=3 --L=30 --n=1535 --T0=7.5 "
+            "--Tn=8 --delta=0.4 --dt=0.004").split()
+    with np.errstate(invalid="ignore"):
+        assert _contract_code(tmp_path / name, argv) == 3
+    return (tmp_path / name / "out" / "failure.json").read_bytes()
+
+
+def test_shoot_worker_error_is_the_serial_failure(tmp_path, monkeypatch):
+    fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forked = _shoot_failure(tmp_path, monkeypatch, "forked")
+    assert len(forks) == (len(os.sched_getaffinity(0)) >= 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = _shoot_failure(tmp_path, monkeypatch, "serial")
+    assert forked == serial
+    assert json.loads(serial)["type"] == "LinearSolveError"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_missing_input_rejected(tmp_path):

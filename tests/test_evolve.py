@@ -1,4 +1,6 @@
 import importlib
+import os
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from nlslab.evolve import (
     Trajectory,
     evolve,
     march,
+    march_ahead,
     _phase_half_step,
     _rotate,
     nls_residual,
@@ -143,6 +146,139 @@ def test_march_every_calls_forcing_at_every_step():
 
     assert [k for k, _ in _march_states(4, 9, forcing)] == [0, 4, 8, 9]
     assert calls == list(range(10))
+
+
+@pytest.fixture(scope="module")
+def march_start():
+    """p -> (stepper, active start vector) of a soliton beside an obstacle."""
+    g = build_grid(1, 20.0, 511, Obstacle("ball", 1.0))
+    out = {}
+    for p in (3.0, 7.0):
+        pa = SolitonParams(omega=1.0, v=(1.0,), p=p, x0=(5.0,))
+        u0 = soliton_field(pa, solve_ground_state(p, 1.0, 1), 0.0, g)
+        out[p] = CrankNicolsonStepper(g, -0.002), to_active(u0)
+    return out
+
+
+def _states(gen):
+    return [(k, vec.tobytes()) for k, vec in gen]
+
+
+def _forks(monkeypatch):
+    """Record the pids os.fork returns in this process."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _two_cores():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("march_ahead forks only with two usable cores")
+
+
+@pytest.mark.parametrize("p", [3.0, 7.0])
+@pytest.mark.parametrize("every", [1, 3, 10])
+def test_march_ahead_yields_what_march_yields(monkeypatch, march_start, p, every):
+    # 25 steps: not a multiple of 3 or 10, so the last state is off the grid
+    _two_cores()
+    stepper, vec = march_start[p]
+    pids = _forks(monkeypatch)
+    ahead = _states(march_ahead(stepper, vec, 25, p, every))
+    assert len(pids) == 1
+    assert ahead == _states(march(stepper, vec, 25, p, every=every))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_closing_march_ahead_leaves_no_child(monkeypatch, march_start):
+    _two_cores()
+    stepper, vec = march_start[7.0]
+    pids = _forks(monkeypatch)
+    gen = march_ahead(stepper, vec, 1000, 7.0)
+    assert [k for (k, _), _ in zip(gen, range(2))] == [0, 1]
+    gen.close()
+    with pytest.raises(KeyboardInterrupt):
+        with closing(march_ahead(stepper, vec, 1000, 7.0)) as states:
+            for k, _ in states:
+                if k == 2:
+                    raise KeyboardInterrupt
+    assert len(pids) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _nan_at(call):
+    """A _rotate that returns NaN at its call-th call (from 1)."""
+    calls = []
+
+    def rotate(vals, h, p):
+        calls.append(h)
+        out = _rotate(vals, h, p)
+        return out * np.nan if len(calls) == call else out
+
+    return rotate
+
+
+def _until_error(gen):
+    states = []
+    with pytest.raises(LinearSolveError) as exc:
+        for k, vec in gen:
+            states.append((k, vec.tobytes()))
+    return states, type(exc.value), str(exc.value)
+
+
+# with every=3 a block of three steps makes four rotations: a half, two full
+# and the trailing half, whose NaN is yielded before the next solve fails
+@pytest.mark.parametrize("call, n_states", [(1, 1), (7, 2), (8, 3), (26, 7)])
+def test_march_ahead_raises_the_worker_error_after_its_states(monkeypatch, march_start,
+                                                               call, n_states):
+    stepper, vec = march_start[7.0]
+    evolve_mod = importlib.import_module("nlslab.evolve")
+    with np.errstate(invalid="ignore"):
+        monkeypatch.setattr(evolve_mod, "_rotate", _nan_at(call))
+        serial = _until_error(march(stepper, vec, 40, 7.0, every=3))
+        monkeypatch.setattr(evolve_mod, "_rotate", _nan_at(call))
+        ahead = _until_error(march_ahead(stepper, vec, 40, 7.0, 3))
+    assert ahead == serial
+    assert serial[1] is LinearSolveError and "non-finite" in serial[2]
+    assert len(serial[0]) == n_states
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_march_ahead_reports_a_worker_that_ends_early(monkeypatch, march_start):
+    _two_cores()
+    stepper, vec = march_start[7.0]
+
+    class Unpicklable(Exception):   # a local class: the worker cannot send it
+        pass
+
+    def rotate(vals, h, p):
+        raise Unpicklable("x")
+
+    monkeypatch.setattr(importlib.import_module("nlslab.evolve"), "_rotate", rotate)
+    states = []
+    with pytest.raises(EvolveError, match="march worker ended before step 10"):
+        for k, _ in march_ahead(stepper, vec, 10, 7.0):
+            states.append(k)
+    assert states == [0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_march_ahead_on_one_core_forks_nothing(monkeypatch, march_start):
+    stepper, vec = march_start[7.0]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    pids = _forks(monkeypatch)
+    ahead = _states(march_ahead(stepper, vec, 25, 7.0, 10))
+    assert pids == []
+    assert ahead == _states(march(stepper, vec, 25, 7.0, every=10))
 
 
 def test_traveling_soliton_order_two(gs):

@@ -1,4 +1,5 @@
 import inspect
+import os
 
 import numpy as np
 import pytest
@@ -397,6 +398,24 @@ def test_search_matches_recorded_shots(winning_search):
     for row, t, alpha_plus in WINNING_LOG_RECORDED:
         assert log.t[row] == t
         assert log.alpha_plus[row] == pytest.approx(alpha_plus, rel=0, abs=1e-9)
+
+
+def _search_bytes(result):
+    return (repr(result.history), repr(result.alpha_star), result.log.rows().tobytes(),
+            [(t, u.values.tobytes()) for t, u in result.log.snapshots])
+
+
+def test_search_is_the_same_with_and_without_the_march_worker(shoot_ctx, evolve_cfg,
+                                                              monkeypatch):
+    # a short horizon: five shots, the last one reaching T0
+    cfg = ShootConfig(T0=7.0, Tn=8.0, delta=0.4, log_every=10)
+    forked = shoot_search(shoot_ctx, cfg, evolve_cfg)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = shoot_search(shoot_ctx, cfg, evolve_cfg)
+    assert serial.found and len(serial.history) > 2
+    assert _search_bytes(forked) == _search_bytes(serial)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_subcritical_configuration_refused(gs3):
