@@ -25,7 +25,7 @@ from . import fixedpoint as fp
 from . import ground_state as gsmod
 from . import linearized as lin
 from . import modulation as mod
-from .evolve import EvolveConfig, nls_residual
+from .evolve import EvolveConfig, nls_residual, step_count
 from .evolve import evolve as evolve_run
 from .grid import (
     NormConfig,
@@ -264,7 +264,7 @@ def run_evolve(cfg, out: Path, u0) -> dict:
               traj.conservation, config_hash(cfg))
     res = nls_residual(traj) if len(traj) >= 3 else []
     return {
-        "steps": int(round(abs(cfg["t1"] - cfg["t0"]) / cfg["dt"])),
+        "steps": step_count(cfg["t1"] - cfg["t0"], cfg["dt"]),
         "snapshots": len(traj),
         "mass_drift": abs(traj.conservation[-1][1] - traj.conservation[0][1]),
         "energy_drift": abs(traj.conservation[-1][2] - traj.conservation[0][2]),
@@ -283,6 +283,8 @@ def run_fixed_point(cfg, out: Path) -> dict:
     if not np.isfinite(t0) or (tmax is not None and not (np.isfinite(tmax) and tmax > t0)):
         raise ConfigError(f"need finite T0 < Tmax, got T0={t0}, Tmax={tmax}")
     ecfg = EvolveConfig(dt=cfg["dt"], snapshot_every=cfg["snapshot_every"])
+    if tmax is not None:
+        step_count(tmax - t0, ecfg.dt)
     grid = _grid_from(cfg)
     psi = _cutoff_from(cfg, grid)
     gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"])
@@ -337,6 +339,7 @@ def run_shoot(cfg, out: Path) -> dict:
                                 M=cfg["M"], Mprime=cfg["Mprime"],
                                 log_every=cfg["log_every"])
     ecfg = EvolveConfig(dt=cfg["dt"])
+    step_count(shoot_cfg.T0 - shoot_cfg.Tn, ecfg.dt)
     if not cfg["a"] > 0:
         raise ConfigError("shoot needs an obstacle (a > 0)")
     grid = _grid_from(cfg)
@@ -446,7 +449,7 @@ def run_sweep(sub: str, base_cfg: dict, param: str, values, out_dir,
         cfg = dict(base_cfg)
         cfg[param] = parsed_val
         jobs.append((sub, cfg, out / f"{param}_{val}", in_path))
-    workers = int(os.environ.get("OSL_THREADS", "0")) or min(len(jobs), os.cpu_count())
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))

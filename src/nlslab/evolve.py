@@ -19,26 +19,21 @@ states it yields and completes the half step only on those; the backward
 shoot asks for every log_every-th state.  With every=1, as in `evolve` and
 the Picard sweeps, each step is the plain Strang step.
 
-`march_ahead` runs `march` in a forked worker process on the second core,
-up to `_RING` yielded states ahead of its consumer; the backward shoot uses
-it, so the march of one shot hides behind its decompositions and log rows.
-The worker copies each state into a ring of slots in an anonymous shared
-mmap and says so down a pipe; the consumer hands a slot back down a second
-pipe once it has copied the state out.  Both sides block on their pipe, so
-a waiting side takes no processor.  The consumer stops the worker by
-leaving the loop: the generator's `finally` kills and reaps it on every
-path (end of march, a bound the caller checks, an exception, a closed
-generator).  An exception in the worker is sent after its last good state
-and re-raised there with its type and message, so a caller that stopped
-earlier never sees it, as with `march`.  With one usable core it is `march`
-itself.  Each process runs the serial arithmetic, so every state keeps its
-bits.
+`march_ahead` runs `march` in a forked worker process on the second core;
+the backward shoot uses it, so the march of one shot hides behind its
+decompositions and log rows.  The worker writes each state down a pipe (a
+header, then its bytes), and the consumer reads it into a new array.  The
+pipe is the flow control: a full pipe blocks the worker, an empty one the
+consumer, and neither spins.  The generator's `finally` kills and reaps the
+worker on every path out of the consumer's loop; if the consumer's process
+dies first, the worker's next write fails and it exits.  An exception in
+the worker is re-raised after its last good state with its type and
+message, as with `march`.  With one usable core it is `march` itself.  Each
+process runs the serial arithmetic, so every state keeps its bits.
 """
 
 from __future__ import annotations
 
-import itertools
-import mmap
 import os
 import pickle
 import signal
@@ -53,7 +48,12 @@ from .grid import (Field, Grid, PreconditionError, cis, from_active, h1_norm,
                    laplacian_dirichlet, laplacian_matrix, to_active)
 from .soliton import SolitonParams, functionals
 
-LIN_TOL = 1e-10   # bound on each CN solve's relative residual
+LIN_TOL = 1e-10        # bound on each CN solve's relative residual
+C_STAB = 200.0         # accuracy bound of `evolve`: dt <= C_STAB h^2
+BLOWUP_FACTOR = 1e3    # `evolve` raises BlowUpError past this multiple of the start H1 norm
+# The cheapest step (1d, n = 16) takes over 40 us on a 2-core machine, so
+# 10^8 steps take over an hour: a longer march is a mistyped dt or span.
+MAX_STEPS = 10**8
 
 
 class EvolveError(RuntimeError):
@@ -84,8 +84,6 @@ class EvolveConfig:
     t0: float = 0.0
     t1: float = 1.0
     snapshot_every: int = 1
-    c_stab: float = 200.0
-    blowup_factor: float = 1e3
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -94,6 +92,14 @@ class EvolveConfig:
             raise EvolveInputError(f"need finite t0, t1, got {self.t0}, {self.t1}")
         if self.snapshot_every < 1:
             raise EvolveInputError("snapshot_every must be >= 1")
+
+
+def step_count(span: float, dt: float) -> int:
+    """Steps of about dt over a time span of either sign: at least one."""
+    ratio = abs(span) / dt
+    if not ratio <= MAX_STEPS:     # NaN and inf fail too
+        raise EvolveInputError(f"{ratio:.3g} steps of dt={dt} exceed MAX_STEPS={MAX_STEPS}")
+    return max(1, int(round(ratio)))
 
 
 class CrankNicolsonStepper:
@@ -181,37 +187,29 @@ def march(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
             yield k, vec
 
 
-_RING = 8                     # states the worker may march ahead of its consumer
-_HEADER = struct.Struct("qq")  # (k, 0): state k is in the next slot;
+_HEADER = struct.Struct("qq")  # (k, 0): state k's 16 n bytes follow;
                                # (-1, n): an n-byte pickled exception follows
 
 
-def _slot(ring: mmap.mmap, i: int, n: int) -> np.ndarray:
-    """The ring slot of the i-th yielded state, as a view of n complex values."""
-    return np.frombuffer(ring, np.complex128, n, (i % _RING) * 16 * n)
+def _march_worker(out: int, args) -> None:
+    """The forked side of `march_ahead`: march into the pipe, end the process.
 
-
-def _march_worker(ring, filled_w: int, free_r: int, args) -> None:
-    """The forked side of `march_ahead`: march, fill slots, end the process.
-
-    It ignores SIGINT: an interrupt reaches the consumer, whose `finally`
-    ends the worker.
+    A write blocks while the pipe is full and fails once the consumer has
+    gone.  SIGINT is ignored: an interrupt reaches the consumer, whose
+    `finally` ends the worker.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        stream = os.fdopen(out, "wb")
         try:
-            for i, (k, vec) in enumerate(march(*args)):
-                if not os.read(free_r, 1):
-                    return          # the consumer has gone
-                _slot(ring, i, vec.size)[:] = vec
-                os.write(filled_w, _HEADER.pack(k, 0))
+            for k, vec in march(*args):
+                stream.write(_HEADER.pack(k, 0))
+                stream.write(np.ascontiguousarray(vec, complex))
+                stream.flush()
         except Exception as exc:
             payload = pickle.dumps(exc)
-            os.write(filled_w, _HEADER.pack(-1, len(payload)) + payload)
-        # stay until the consumer closes its end, so that handing a slot back
-        # never writes to a pipe without a reader
-        while os.read(free_r, 4096):
-            pass
+            stream.write(_HEADER.pack(-1, len(payload)) + payload)
+            stream.flush()
     finally:
         os._exit(0)     # the consumer reads no exit status
 
@@ -222,38 +220,34 @@ def march_ahead(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
 
     Yields the same (k, vec), bit for bit; every vec, the first included, is
     a new complex array.  With at least two usable cores the march runs in
-    a forked process up to `_RING` states ahead of the caller, which must
-    close the generator (or exhaust it) to stop the worker.  An exception in
-    the march is raised after the last state it let through, with its type
-    and message; one that does not pickle, or a worker that dies, is an
-    EvolveError there.
+    a forked process, as far ahead of the caller as the pipe between them
+    holds; the caller must close the generator (or exhaust it) to stop the
+    worker.  An exception in the march is raised after the last state it let
+    through, with its type and message; one that does not pickle, or a
+    worker that dies, is an EvolveError there.
     """
     if len(os.sched_getaffinity(0)) < 2:
         yield from march(stepper, vec, n_steps, p, every=every)
         return
-    n = vec.size
-    ring = mmap.mmap(-1, _RING * 16 * n)
-    filled_r, filled_w = os.pipe()
-    free_r, free_w = os.pipe()
-    os.write(free_w, bytes(_RING))
+    r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
-        os.close(filled_r)
-        os.close(free_w)
-        _march_worker(ring, filled_w, free_r, (stepper, vec, n_steps, p, None, every))
-    os.close(filled_w)
-    os.close(free_r)
-    stream = os.fdopen(filled_r, "rb")
+        os.close(r)
+        _march_worker(w, (stepper, vec, n_steps, p, None, every))
+    os.close(w)
+    stream = os.fdopen(r, "rb")
+    ended = f"the march worker ended before step {n_steps}"
     try:
-        for i in itertools.count():
+        while True:
             head = stream.read(_HEADER.size)
             if len(head) < _HEADER.size:
-                raise EvolveError(f"the march worker ended before step {n_steps}")
+                raise EvolveError(ended)
             k, size = _HEADER.unpack(head)
             if k < 0:
                 raise pickle.loads(stream.read(size))
-            state = _slot(ring, i, n).copy()
-            os.write(free_w, b"\0")
+            state = np.empty(vec.size, complex)
+            if stream.readinto(state) < state.nbytes:
+                raise EvolveError(ended)
             yield k, state
             if k == n_steps:
                 return
@@ -261,8 +255,6 @@ def march_ahead(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         stream.close()
-        os.close(free_w)
-        ring.close()
 
 
 def step(u: Field, dt: float, p: float,
@@ -300,18 +292,18 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
     if not 1 < p < np.inf:
         raise EvolveInputError(f"need a finite exponent p > 1, got {p}")
     grid = u0.grid
-    if config.dt > config.c_stab * grid.spacing**2:
+    if config.dt > C_STAB * grid.spacing**2:
         raise EvolveError(
-            f"dt={config.dt} violates the accuracy bound c_stab*h^2="
-            f"{config.c_stab * grid.spacing**2:.3e}"
+            f"dt={config.dt} violates the accuracy bound C_STAB*h^2="
+            f"{C_STAB * grid.spacing**2:.3e}"
         )
     span = config.t1 - config.t0
-    n_steps = max(1, int(round(abs(span) / config.dt)))
+    n_steps = step_count(span, config.dt)
     dt = span / n_steps
     stepper = CrankNicolsonStepper(grid, dt)
     fparams = params or SolitonParams(omega=1e-30, v=(0.0,) * grid.dim, p=p)
 
-    guard = config.blowup_factor * max(h1_norm(u0), 1e-300)
+    guard = BLOWUP_FACTOR * max(h1_norm(u0), 1e-300)
     times, snapshots, rows = [], [], []
     for k, vec in march(stepper, to_active(u0), n_steps, p):
         if k % config.snapshot_every and k != n_steps:

@@ -40,6 +40,7 @@ from .evolve import (
     Trajectory,
     march,
     residual_l2,
+    step_count,
 )
 from .soliton import SolitonError, SolitonParams, _check_center, ansatz
 from .soliton import soliton_field  # noqa: F401  (bench/tests reads this binding)
@@ -144,7 +145,7 @@ def make_sources(params: SolitonParams, gs: GroundState, psi, grid: Grid,
 
 
 def _time_mesh(T0: float, Tmax: float, dt: float):
-    n = max(1, int(round((Tmax - T0) / dt)))
+    n = step_count(Tmax - T0, dt)
     try:
         return T0 + (Tmax - T0) / n * np.arange(n + 1), (Tmax - T0) / n
     except ValueError as exc:   # numpy refuses the size

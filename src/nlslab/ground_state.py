@@ -173,18 +173,21 @@ def _events(q0: float, deep_level: float | None):
 
 def _integrate(p, omega, dim, q0, r_stop, rtol, deep_level=None, dense=False):
     r0 = 1e-8 / np.sqrt(omega)
-    q2 = (omega * q0 - q0**p) / dim  # series value of Q''(0)
-    y0 = [q0 + 0.5 * q2 * r0**2, q2 * r0]
-    return solve_ivp(
-        _rhs(p, omega, dim),
-        (r0, r_stop),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol * 1e-3 * q0,
-        events=_events(q0, deep_level),
-        dense_output=dense,
-    )
+    try:
+        q2 = (omega * q0 - q0**p) / dim  # series value of Q''(0)
+        y0 = [q0 + 0.5 * q2 * r0**2, q2 * r0]
+        return solve_ivp(
+            _rhs(p, omega, dim),
+            (r0, r_stop),
+            y0,
+            method="DOP853",
+            rtol=rtol,
+            atol=rtol * 1e-3 * q0,
+            events=_events(q0, deep_level),
+            dense_output=dense,
+        )
+    except OverflowError as exc:
+        raise GroundStateError(f"the shot from q0={q0!r} at rtol={rtol} overflowed") from exc
 
 
 def _classify(p, omega, dim, q0, rtol):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolve import CrankNicolsonStepper, EvolveConfig, march_ahead
+from .evolve import CrankNicolsonStepper, EvolveConfig, march_ahead, step_count
 from .grid import (Field, Grid, PreconditionError, from_active, h1_norm, l2_norm,
                    real_inner, to_active)
 from .ground_state import GroundState
@@ -322,8 +322,8 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
     M = cfg.M if cfg.M is not None else 10.0 * max(r_h1 * np.exp(rate * cfg.Tn), 1.0)
     Mp = cfg.Mprime if cfg.Mprime is not None else M**2
 
-    n_steps = max(1, int(round((cfg.Tn - cfg.T0) / evolve_cfg.dt)))
-    dt = -(cfg.Tn - cfg.T0) / n_steps
+    n_steps = step_count(cfg.T0 - cfg.Tn, evolve_cfg.dt)
+    dt = (cfg.T0 - cfg.Tn) / n_steps
     stepper = CrankNicolsonStepper(grid, dt)
 
     rows = []

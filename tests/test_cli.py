@@ -231,6 +231,9 @@ EDGE_REFUSED = [
     *(f"evolve --in={{in}} --snapshot-every={val}" for val in ("0", "-1")),
     *(f"evolve --in={{in}} {v}--p={val}" for v in ("", "--v=0,0 ")
       for val in ("0", "-1", "1", "1e-300", "nan", "inf")),
+    # more than evolve.MAX_STEPS steps
+    "evolve --in={in} --dt=1e-300", "evolve --in={in} --t1=1e300",
+    "shoot --a=1 --dt=1e-300", "fixed-point --Tmax=1e300",
 ]
 
 
@@ -251,6 +254,23 @@ def test_edge_value_is_refused(tmp_path, monkeypatch, argv):
 def test_former_traceback_keeps_the_contract(tmp_path, argv, code):
     argv = argv.format(**{"in": _field_file(tmp_path / "u0.bin")})
     assert _contract_code(tmp_path, argv.split()) == code
+
+
+@pytest.mark.parametrize("arg", ["--p=1e300", "--omega=1e300"])
+def test_ground_state_overflow_names_its_shot(tmp_path, arg):
+    assert _contract_code(tmp_path, ["ground-state", arg]) == 3
+    failure = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert failure["type"] == "GroundStateError"
+    assert "q0=" in failure["error"]
+
+
+def test_evolve_zero_span_reports_the_step_it_ran(tmp_path):
+    argv = ["evolve", "--in", str(_field_file(tmp_path / "u0.bin")),
+            "--t0", "0.5", "--t1", "0.5"]
+    assert _contract_code(tmp_path, argv) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["steps"] == 1
+    assert summary["snapshots"] == 2
 
 
 @pytest.mark.parametrize("sub", ["evolve", "functionals"])
@@ -430,17 +450,10 @@ def test_spectrum_certificate_no_convergence_exits_3(tmp_path, monkeypatch):
 
 # --------------------------------------------------------------------- sweep
 
-def test_sweep_aggregate(tmp_path):
+def test_sweep_aggregate(tmp_path, monkeypatch):
     cfg = default_config()
-    env_backup = os.environ.get("OSL_THREADS")
-    os.environ["OSL_THREADS"] = "1"
-    try:
-        code = run_sweep("ground-state", cfg, "p", ["3", "7"], tmp_path)
-    finally:
-        if env_backup is None:
-            os.environ.pop("OSL_THREADS", None)
-        else:
-            os.environ["OSL_THREADS"] = env_backup
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    code = run_sweep("ground-state", cfg, "p", ["3", "7"], tmp_path)
     assert code == 0
     lines = (tmp_path / "aggregate.csv").read_text().splitlines()
     assert lines[0].startswith("# config=")
@@ -449,26 +462,20 @@ def test_sweep_aggregate(tmp_path):
     assert all(",ok," in line for line in lines[2:])
 
 
-def test_sweep_records_failures(tmp_path):
+def test_sweep_records_failures(tmp_path, monkeypatch):
     cfg = default_config()
     cfg["v"] = (1.0, 1.0)  # invalid for every run
-    os.environ["OSL_THREADS"] = "1"
-    try:
-        code = run_sweep("fixed-point", cfg, "p", ["3"], tmp_path)
-    finally:
-        os.environ.pop("OSL_THREADS", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    code = run_sweep("fixed-point", cfg, "p", ["3"], tmp_path)
     assert code == 0
     lines = (tmp_path / "aggregate.csv").read_text().splitlines()
     assert "precondition_error" in lines[2]
 
 
-def test_sweep_single_point_equals_run(tmp_path):
+def test_sweep_single_point_equals_run(tmp_path, monkeypatch):
     cfg = default_config()
-    os.environ["OSL_THREADS"] = "1"
-    try:
-        run_sweep("ground-state", cfg, "p", ["3"], tmp_path / "sweep")
-    finally:
-        os.environ.pop("OSL_THREADS", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    run_sweep("ground-state", cfg, "p", ["3"], tmp_path / "sweep")
     run("ground-state", {**cfg, "p": 3.0}, tmp_path / "single")
     swept = json.loads((tmp_path / "sweep/p_3/summary.json").read_text())
     single = json.loads((tmp_path / "single/summary.json").read_text())

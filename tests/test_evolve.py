@@ -1,10 +1,16 @@
+import fcntl
 import importlib
 import os
+import subprocess
+import sys
+import time
 from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlslab
 from nlslab.grid import Field, Obstacle, build_grid, h1_norm, l2_norm, to_active
 from nlslab.ground_state import solve_ground_state
 from nlslab.evolve import (
@@ -12,11 +18,14 @@ from nlslab.evolve import (
     CrankNicolsonStepper,
     EvolveConfig,
     EvolveError,
+    EvolveInputError,
     LinearSolveError,
+    MAX_STEPS,
     Trajectory,
     evolve,
     march,
     march_ahead,
+    step_count,
     _phase_half_step,
     _rotate,
     nls_residual,
@@ -281,6 +290,82 @@ def test_march_ahead_on_one_core_forks_nothing(monkeypatch, march_start):
     assert ahead == _states(march(stepper, vec, 25, 7.0, every=10))
 
 
+def test_march_ahead_reports_a_worker_that_ends_inside_a_state(monkeypatch, march_start):
+    _two_cores()
+    stepper, vec = march_start[7.0]
+    evolve_mod = importlib.import_module("nlslab.evolve")
+
+    def half_a_state(out, args):
+        os.write(out, evolve_mod._HEADER.pack(0, 0) + bytes(8 * vec.size))
+        os._exit(0)
+
+    monkeypatch.setattr(evolve_mod, "_march_worker", half_a_state)
+    with pytest.raises(EvolveError, match="march worker ended before step 10"):
+        next(march_ahead(stepper, vec, 10, 7.0))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_march_ahead_streams_a_state_larger_than_the_pipe(gs, dim):
+    _two_cores()
+    if dim == 1:
+        g = build_grid(1, 20.0, 8191, Obstacle("ball", 1.0))
+        pa = SolitonParams(omega=1.0, v=(1.0,), p=3.0, x0=(5.0,))
+        u0 = soliton_field(pa, gs, 0.0, g)
+    else:
+        g = build_grid(2, 16.0, 127, Obstacle("ball", 0.9))
+        pa = SolitonParams(omega=1.0, v=(0.5, 0.0), p=3.0, x0=(4.0, 0.0))
+        u0 = soliton_field(pa, solve_ground_state(3, 1.0, 2), 0.0, g)
+    stepper, vec = CrankNicolsonStepper(g, -0.002), to_active(u0)
+    r, w = os.pipe()
+    pipe_size = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ)
+    os.close(r)
+    os.close(w)
+    assert vec.nbytes > pipe_size
+    assert (_states(march_ahead(stepper, vec, 5, 3.0, 2))
+            == _states(march(stepper, vec, 5, 3.0, every=2)))
+
+
+# A consumer that takes two states of a long march and exits without closing
+# the generator; it writes the worker's pid to the file named in argv[1].
+_DYING_CONSUMER = """
+import os, sys
+import numpy as np
+from nlslab.evolve import CrankNicolsonStepper, march_ahead
+from nlslab.grid import build_grid
+
+fork = os.fork
+
+def forked():
+    pid = fork()
+    if pid:
+        with open(sys.argv[1], "w") as f:
+            f.write(str(pid))
+    return pid
+
+os.fork = forked
+grid = build_grid(1, 20.0, 511)
+states = march_ahead(CrankNicolsonStepper(grid, -0.002),
+                     np.full(grid.n_active, 0.5 + 0j), 10**6, 3.0)
+next(states), next(states)
+os._exit(0)
+"""
+
+
+def test_a_consumer_that_dies_leaves_no_live_worker(tmp_path):
+    _two_cores()
+    pid_file = tmp_path / "worker.pid"
+    env = {**os.environ, "PYTHONPATH": str(Path(nlslab.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", _DYING_CONSUMER, str(pid_file)],
+                   env=env, timeout=60, check=True)
+    status = Path(f"/proc/{int(pid_file.read_text())}/status")
+    deadline = time.monotonic() + 5.0
+    while status.exists() and "State:\tZ" not in status.read_text():
+        assert time.monotonic() < deadline, "the march worker outlived its consumer"
+        time.sleep(0.05)
+
+
 def test_traveling_soliton_order_two(gs):
     errs = []
     for n, dt in [(511, 0.01), (1023, 0.005)]:
@@ -364,9 +449,11 @@ def test_disk_obstacle_2d_smoke(gs):
     assert np.all(traj.snapshots[-1].values[~g.mask] == 0.0)
 
 
-def test_blowup_guard_raises(gs, grid):
+def test_blowup_guard_raises(monkeypatch, gs, grid):
     u0 = soliton_field(PARAMS, gs, 0.0, grid)
-    cfg = EvolveConfig(dt=0.01, t0=0.0, t1=1.0, blowup_factor=1.0 - 1e-9)
+    monkeypatch.setattr(importlib.import_module("nlslab.evolve"), "BLOWUP_FACTOR",
+                        1.0 - 1e-9)
+    cfg = EvolveConfig(dt=0.01, t0=0.0, t1=1.0)
     with pytest.raises(BlowUpError):
         evolve(u0, cfg, 3.0, PARAMS)
 
@@ -412,23 +499,33 @@ def test_evolve_equals_a_loop_of_steps(gs, dim, t0, t1):
         assert np.all(snap.values[~g.mask] == 0.0)
 
 
-def test_blowup_guard_fires_at_the_first_snapshot_past_it(gs, grid):
+def test_blowup_guard_fires_at_the_first_snapshot_past_it(monkeypatch, gs, grid):
     u0 = soliton_field(PARAMS, gs, 0.0, grid)
-    cfg = EvolveConfig(dt=0.01, t0=0.0, t1=1.0, snapshot_every=7,
-                       blowup_factor=1.0 - 1e-9)
+    monkeypatch.setattr(importlib.import_module("nlslab.evolve"), "BLOWUP_FACTOR",
+                        1.0 - 1e-9)
+    cfg = EvolveConfig(dt=0.01, t0=0.0, t1=1.0, snapshot_every=7)
     with pytest.raises(BlowUpError) as exc:
         evolve(u0, cfg, 3.0, PARAMS)
-    guard = cfg.blowup_factor * h1_norm(u0)
+    guard = (1.0 - 1e-9) * h1_norm(u0)
     by_step, _ = _reference_snapshots(u0, cfg, 3.0)
     k = next(k for k, u in enumerate(by_step) if k and h1_norm(u) > guard)
     assert exc.value.t == 0.0 + min(7 * k, 100) * 0.01
     assert exc.value.norm == h1_norm(by_step[k])
 
 
+def test_step_count():
+    assert step_count(0.0, 0.1) == 1
+    assert step_count(-0.3, 0.1) == 3
+    assert step_count(1.0, 1e-8) == MAX_STEPS
+    for span, dt in [(1.0, 0.99e-8), (1e300, 1.0), (np.inf, 1.0), (1.0, 1e-300)]:
+        with pytest.raises(EvolveInputError, match="MAX_STEPS"):
+            step_count(span, dt)
+
+
 def test_dt_accuracy_bound(gs, grid):
     u0 = soliton_field(PARAMS, gs, 0.0, grid)
     with pytest.raises(EvolveError):
-        evolve(u0, EvolveConfig(dt=10.0, t0=0.0, t1=20.0, c_stab=1.0), 3.0, PARAMS)
+        evolve(u0, EvolveConfig(dt=10.0, t0=0.0, t1=20.0), 3.0, PARAMS)
 
 
 # -------------------------------------------------------------- nls_residual
