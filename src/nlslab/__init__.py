@@ -1,74 +1,6 @@
 """Numerical laboratory for solitary waves of the focusing nonlinear
 Schroedinger equation in the exterior of a convex obstacle."""
 
-from .grid import (
-    CutoffPsi,
-    Field,
-    Grid,
-    NormConfig,
-    Obstacle,
-    build_cutoff,
-    build_grid,
-    gradient,
-    h1_norm,
-    h2_norm,
-    l2_norm,
-    laplacian_dirichlet,
-    load_field,
-    real_inner,
-    save_field,
-)
-from .ground_state import (
-    GroundState,
-    fit_decay,
-    ode_residual,
-    rescale,
-    sample_on_grid,
-    solve_ground_state,
-)
-from .linearized import (
-    EigenModes,
-    LinearizedPair,
-    assemble,
-    biorthogonal_family,
-    coercivity_certificate,
-    kernel_residuals,
-    measure_scaling_exponent,
-    rescale_modes,
-    solve_unstable_pair,
-)
-from .soliton import (
-    SolitonParams,
-    ansatz_functionals,
-    critical_exponent,
-    eigenmode_field,
-    functionals,
-    galilean_boost,
-    soliton_field,
-    threshold_report,
-)
-from .evolve import EvolveConfig, Trajectory, evolve, nls_residual, step
-from .fixedpoint import (
-    PicardReport,
-    SourceSet,
-    duhamel_apply,
-    e_norm,
-    interpolation_check,
-    make_sources,
-    picard,
-)
-from .modulation import (
-    ModulationContext,
-    ModulationState,
-    ShootConfig,
-    ShootLog,
-    alpha_minus_monitor,
-    backward_shoot,
-    coercivity_along_trajectory,
-    decompose,
-    final_data,
-    shoot_search,
-    solve_modulated_final_data,
-)
+from . import evolve, fixedpoint, grid, ground_state, linearized, modulation, soliton
 
 __version__ = "0.1.0"

@@ -403,6 +403,8 @@ def run(subcommand: str, cfg: dict, out_dir, in_path=None) -> int:
     """Execute one subcommand; returns the process exit code."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in ("summary.json", "failure.json"):   # an earlier run's status
+        (out / stale).unlink(missing_ok=True)
     try:
         if subcommand in NEEDS_INPUT and in_path is None:
             raise ConfigError(f"{subcommand} needs --in FIELD.bin")

@@ -36,7 +36,6 @@ from .ground_state import GroundState
 from .evolve import (
     CrankNicolsonStepper,
     EvolveConfig,
-    EvolveError,
     Trajectory,
     march,
     residual_l2,
@@ -304,17 +303,27 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     evaluated once on the time mesh.  The iterate is one (nt, n_active)
     array that each backward sweep overwrites in place; the weighted norms
     of the iterate and of its change are taken as each row is produced.
+    The ground state's frequency, the soliton's margin from the box edge and
+    the mesh length are checked before any source is evaluated.
 
     Returns the report and the last trajectory; a growing tail of iterate
     norms is reported as non-contraction, not raised.
     """
     if n_iters < 3:
         raise FixedPointInputError("need at least 3 iterations")
-    if sources.params.speed() <= 0:
+    params, gs, grid = sources.params, sources.gs, sources.grid
+    if params.speed() <= 0:
         raise FixedPointInputError("the construction needs |v| > 0")
-    grid = sources.grid
     ts, dt = _time_mesh(T0, Tmax, evolve_config.dt)
     nt = len(ts)
+    if not np.isclose(gs.omega, params.omega):
+        raise SolitonError("ground state frequency does not match parameters")
+    if nt < 3:
+        raise FixedPointInputError(
+            f"the residual's time derivative needs at least 3 mesh times, got {nt}")
+    # each coordinate of the centre is monotone in t, so |c| peaks at an end
+    _check_center(params, gs, ts[0], grid)
+    _check_center(params, gs, ts[-1], grid)
     norm = _ENorm(grid, enorm_cfg)
     weights = [norm.weight(t) for t in ts]
     mesh = _MeshSources(sources, ts, with_a0=True, ansatz=True)
@@ -402,18 +411,12 @@ def _residual(sources: SourceSet, ansatz, rows, ts) -> float:
     """max over interior times of the `nls_residual` of u = R + r.
 
     Streams over three consecutive rows of R + r instead of building the
-    `soliton_field` + r snapshots, keeping their check of the soliton's
-    distance from the box edge.
+    `soliton_field` + r snapshots.
     """
-    params, gs, grid, p = sources.params, sources.gs, sources.grid, sources.p
-    if not np.isclose(gs.omega, params.omega):
-        raise SolitonError("ground state frequency does not match parameters")
-    if len(ts) < 3:
-        raise EvolveError("need at least 3 snapshots for a time derivative")
+    grid, p = sources.grid, sources.p
     stencil = grid.stencil
 
     def u_at(k):
-        _check_center(params, gs, ts[k], grid)
         vec = ansatz[k] + rows[k]
         return vec, stencil.full(vec[None])[0]
 

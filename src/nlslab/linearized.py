@@ -39,14 +39,6 @@ from .grid import (
     real_inner,
     to_active,
 )
-
-__all__ = [
-    "LinearizedPair", "EigenModes", "BiorthogonalFamily", "CoercivityReport",
-    "SpectralError", "SpectrallyStableError", "SubcriticalError",
-    "DegenerateFamilyError", "assemble", "solve_unstable_pair", "rescale_modes",
-    "coercivity_certificate", "biorthogonal_family", "kernel_residuals",
-    "measure_scaling_exponent", "evaluate_mode_parts", "quadratic_form",
-]
 from .ground_state import (
     GroundState,
     rescale,
@@ -55,6 +47,7 @@ from .ground_state import (
 )
 
 EIGEN_TOL = 1e-12   # inverse iteration's target residual, relative to e0^2
+N_PROBES = 100      # random feasible directions the certificate checks from above
 
 
 class SpectralError(RuntimeError):
@@ -466,7 +459,7 @@ def _constrained_minimum(a, b, cmat: np.ndarray, sigma: float):
 
 
 def coercivity_certificate(pair: LinearizedPair, modes: EigenModes,
-                           n_probes: int = 100, seed: int = 0) -> CoercivityReport:
+                           seed: int = 0) -> CoercivityReport:
     """Constrained minimum of (l_plus h1, h1) + (l_minus h2, h2) over unit-H1 h.
 
     The H1 norm here is the operator-compatible quadratic form
@@ -493,7 +486,7 @@ def coercivity_certificate(pair: LinearizedPair, modes: EigenModes,
     qc, _ = np.linalg.qr(cmat)
     rng = np.random.default_rng(seed)
     probe_min = np.inf
-    for _ in range(n_probes):
+    for _ in range(N_PROBES):
         hvec = rng.standard_normal(2 * n)
         hvec -= qc @ (qc.T @ hvec)
         hvec /= np.sqrt(hvec @ (b @ hvec))

@@ -35,6 +35,7 @@ NEWTON_TOL = 1e-11       # modulation Newton residuals, relative to their scales
 MAX_NEWTON = 50
 FINAL_DATA_TOL = 1e-10   # final-data Newton residual, relative to the alpha+ target
 MAX_SHOOTS = 60          # bisection shots of the alpha+ search after its two ends
+GROWTH_FACTOR = 3.0      # growth_rate_fit's rows: |alpha+| past this x its final value
 
 
 class ModulationError(RuntimeError):
@@ -448,7 +449,7 @@ def alpha_minus_monitor(log: ShootLog) -> float:
     return float(np.max(ratios))
 
 
-def growth_rate_fit(log: ShootLog, factor: float = 3.0) -> float:
+def growth_rate_fit(log: ShootLog) -> float:
     """Backward growth rate of |alpha+| once it tops its final-data value.
 
     A mistuned shot has |alpha+| ~ |mistuning| e^{e (Tn - t)} on top of the
@@ -457,7 +458,7 @@ def growth_rate_fit(log: ShootLog, factor: float = 3.0) -> float:
     """
     a = np.abs(log.alpha_plus)
     base = max(abs(a[0]), 1e-300)
-    sel = a > factor * base
+    sel = a > GROWTH_FACTOR * base
     if sel.sum() < 4:
         raise ModulationError("not enough growth range to fit a rate")
     slope = np.polyfit(log.t[sel], np.log(a[sel]), 1)[0]

@@ -95,7 +95,7 @@ def test_criterion_04_coercivity_certificate(gs7):
     t0 = time.perf_counter()
     pair = assemble(gs7, build_grid(1, 15.0, 1023))
     modes = solve_unstable_pair(pair)
-    rep = coercivity_certificate(pair, modes, n_probes=100, seed=0)
+    rep = coercivity_certificate(pair, modes, seed=0)
     elapsed = time.perf_counter() - t0
     ok = (rep.lambda_min > 0 and rep.unconstrained_lplus_min < 0
           and rep.probe_min >= rep.lambda_min - 1e-8 and elapsed < 60.0)

@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import subprocess
@@ -178,6 +177,26 @@ def test_spectrum_bad_omegas_is_precondition(tmp_path, capsys, monkeypatch, omeg
     assert not (tmp_path / "failure.json").exists()
 
 
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("a precondition must be checked before the Picard sweeps")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the soliton's centre nears the box edge before Tmax (1d and 2d)
+    ("--p 3 --v 8 --a 1 --L 25 --n 1279 --iters 4", "too close to the box edge"),
+    ("--dim 2 --v 8,0 --L 16 --n 127 --dt 0.005 --T0 0.5 --Tmax 1.5",
+     "too close to the box edge"),
+    # one step: too short for the residual's centred time difference
+    ("--a 1 --n 255 --L 20 --T0 0.5 --Tmax 0.501", "at least 3 mesh times")],
+    ids=["edge-1d", "edge-2d", "one-step"])
+def test_fixed_point_refused_before_the_sweeps(tmp_path, capsys, monkeypatch, argv,
+                                               message):
+    monkeypatch.setattr("nlslab.fixedpoint._sweep", _no_sweep)
+    assert main(["fixed-point", *argv.split(), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "failure.json").exists()
+
+
 # ------------------------------------------------------ exit-code contract
 
 def _contract_code(tmp_path, argv):
@@ -338,7 +357,7 @@ def test_search_history_csv(tmp_path, winning_search):
 
 def _shoot_failure(tmp_path, monkeypatch, name):
     """failure.json of a short shot whose 40th phase rotation turns NaN."""
-    evolve_mod = importlib.import_module("nlslab.evolve")
+    import nlslab.evolve as evolve_mod
     rotate, calls = evolve_mod._rotate, []
 
     def poisoned(vals, h, p):
@@ -480,6 +499,26 @@ def test_sweep_single_point_equals_run(tmp_path, monkeypatch):
     swept = json.loads((tmp_path / "sweep/p_3/summary.json").read_text())
     single = json.loads((tmp_path / "single/summary.json").read_text())
     assert swept == single
+
+
+_STATUS_RUNS = {0: ["ground-state", "--p=3"], 2: ["ground-state", "--p=0"],
+                3: ["ground-state", "--p=1e300"]}
+
+
+@pytest.mark.parametrize("first, second", [(3, 0), (0, 3), (3, 2), (0, 2)])
+def test_a_run_leaves_only_its_own_status_file(tmp_path, first, second):
+    for code in (first, second):
+        assert main([*_STATUS_RUNS[code], "--out", str(tmp_path)]) == code
+    assert (tmp_path / "summary.json").exists() == (second == 0)
+    assert (tmp_path / "failure.json").exists() == (second == 3)
+
+
+def test_sweep_point_does_not_report_an_earlier_summary(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run("ground-state", default_config(), tmp_path / "p_1e300") == 0
+    assert run_sweep("ground-state", default_config(), "p", ["1e300"], tmp_path) == 0
+    row = (tmp_path / "aggregate.csv").read_text().splitlines()[2]
+    assert row == "1e300,numerical_failure,{}"
 
 
 def test_empty_sweep_rejected(tmp_path):

@@ -1,5 +1,4 @@
 import fcntl
-import importlib
 import os
 import subprocess
 import sys
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import nlslab
+import nlslab.evolve as evolve_mod
 from nlslab.grid import Field, Obstacle, build_grid, h1_norm, l2_norm, to_active
 from nlslab.ground_state import solve_ground_state
 from nlslab.evolve import (
@@ -91,8 +91,7 @@ def test_evolve_nonfinite_state_raises_evolve_error(grid, monkeypatch):
         calls.append(dt)
         return vals * np.nan if len(calls) == 2 else vals
 
-    monkeypatch.setattr(importlib.import_module("nlslab.evolve"), "_phase_half_step",
-                        half_step)
+    monkeypatch.setattr(evolve_mod, "_phase_half_step", half_step)
     with np.errstate(invalid="ignore"):
         with pytest.raises(EvolveError, match="non-finite state"):
             evolve(u0, EvolveConfig(dt=0.01, t1=0.01), 3.0)
@@ -248,7 +247,6 @@ def _until_error(gen):
 def test_march_ahead_raises_the_worker_error_after_its_states(monkeypatch, march_start,
                                                                call, n_states):
     stepper, vec = march_start[7.0]
-    evolve_mod = importlib.import_module("nlslab.evolve")
     with np.errstate(invalid="ignore"):
         monkeypatch.setattr(evolve_mod, "_rotate", _nan_at(call))
         serial = _until_error(march(stepper, vec, 40, 7.0, every=3))
@@ -271,7 +269,7 @@ def test_march_ahead_reports_a_worker_that_ends_early(monkeypatch, march_start):
     def rotate(vals, h, p):
         raise Unpicklable("x")
 
-    monkeypatch.setattr(importlib.import_module("nlslab.evolve"), "_rotate", rotate)
+    monkeypatch.setattr(evolve_mod, "_rotate", rotate)
     states = []
     with pytest.raises(EvolveError, match="march worker ended before step 10"):
         for k, _ in march_ahead(stepper, vec, 10, 7.0):
@@ -293,7 +291,6 @@ def test_march_ahead_on_one_core_forks_nothing(monkeypatch, march_start):
 def test_march_ahead_reports_a_worker_that_ends_inside_a_state(monkeypatch, march_start):
     _two_cores()
     stepper, vec = march_start[7.0]
-    evolve_mod = importlib.import_module("nlslab.evolve")
 
     def half_a_state(out, args):
         os.write(out, evolve_mod._HEADER.pack(0, 0) + bytes(8 * vec.size))
@@ -451,8 +448,7 @@ def test_disk_obstacle_2d_smoke(gs):
 
 def test_blowup_guard_raises(monkeypatch, gs, grid):
     u0 = soliton_field(PARAMS, gs, 0.0, grid)
-    monkeypatch.setattr(importlib.import_module("nlslab.evolve"), "BLOWUP_FACTOR",
-                        1.0 - 1e-9)
+    monkeypatch.setattr(evolve_mod, "BLOWUP_FACTOR", 1.0 - 1e-9)
     cfg = EvolveConfig(dt=0.01, t0=0.0, t1=1.0)
     with pytest.raises(BlowUpError):
         evolve(u0, cfg, 3.0, PARAMS)
@@ -501,8 +497,7 @@ def test_evolve_equals_a_loop_of_steps(gs, dim, t0, t1):
 
 def test_blowup_guard_fires_at_the_first_snapshot_past_it(monkeypatch, gs, grid):
     u0 = soliton_field(PARAMS, gs, 0.0, grid)
-    monkeypatch.setattr(importlib.import_module("nlslab.evolve"), "BLOWUP_FACTOR",
-                        1.0 - 1e-9)
+    monkeypatch.setattr(evolve_mod, "BLOWUP_FACTOR", 1.0 - 1e-9)
     cfg = EvolveConfig(dt=0.01, t0=0.0, t1=1.0, snapshot_every=7)
     with pytest.raises(BlowUpError) as exc:
         evolve(u0, cfg, 3.0, PARAMS)

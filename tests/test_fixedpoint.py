@@ -6,6 +6,8 @@ from nlslab.grid import (Field, NormConfig, Obstacle, build_cutoff, build_grid, 
 from nlslab.evolve import EvolveConfig, LinearSolveError, Trajectory
 from nlslab.fixedpoint import (
     FixedPointError,
+    FixedPointInputError,
+    _time_mesh,
     _over_power,
     duhamel_apply,
     e_norm,
@@ -14,7 +16,7 @@ from nlslab.fixedpoint import (
     picard,
     remainder_decay_rate,
 )
-from nlslab.soliton import SolitonParams
+from nlslab.soliton import SolitonError, SolitonParams, _check_center
 
 DELTA = 0.8  # 0.8 x fitted decay rate (= 1) of the cubic ground state
 
@@ -379,6 +381,49 @@ def test_picard_preconditions(gs3, box):
     cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(8.0,), T0=0.5)
     with pytest.raises(FixedPointError):
         picard(src, 0.5, 2.0, cfg, 2, EvolveConfig(dt=0.004))
+
+
+def _no_mesh(*args, **kwargs):
+    raise AssertionError("a precondition must be checked before the mesh sources")
+
+
+@pytest.mark.parametrize("omega, tmax, error, match", [
+    (1.0, 5.0, SolitonError, "too close to the box edge"),
+    (2.0, 2.0, SolitonError, "frequency does not match"),
+    (1.0, 0.501, FixedPointInputError, "at least 3 mesh times")],
+    ids=["edge", "frequency", "one-step"])
+def test_picard_refuses_before_the_mesh_sources(gs3, box, monkeypatch, omega, tmax,
+                                                error, match):
+    grid, psi = box
+    src = make_sources(SolitonParams(omega=omega, v=(8.0,), p=3.0), gs3, psi, grid, 3.0)
+    cfg = NormConfig("Eweighted", delta=DELTA, omega=omega, v=(8.0,), T0=0.5)
+    monkeypatch.setattr("nlslab.fixedpoint._MeshSources", _no_mesh)
+    with pytest.raises(error, match=match):
+        picard(src, 0.5, tmax, cfg, 3, EvolveConfig(dt=0.004))
+
+
+def test_centre_checks_at_the_mesh_ends_refuse_what_every_row_would(gs3):
+    # each coordinate of x0 + t v is monotone in t, so |c| peaks at an end
+    grid = build_grid(2, 20.0, 31)
+    rng = np.random.default_rng(11)
+
+    def refused(params, times):
+        try:
+            for t in times:
+                _check_center(params, gs3, t, grid)
+        except SolitonError:
+            return True
+        return False
+
+    seen = set()
+    for _ in range(300):
+        params = SolitonParams(omega=1.0, v=tuple(rng.uniform(-6.0, 6.0, 2)), p=3.0,
+                               x0=tuple(rng.uniform(-12.0, 12.0, 2)))
+        ts, _ = _time_mesh(rng.uniform(-1.0, 1.0), rng.uniform(1.5, 3.0), 0.01)
+        every_row = refused(params, ts)
+        assert refused(params, ts[[0, -1]]) == every_row
+        seen.add(every_row)
+    assert seen == {True, False}
 
 
 # -------------------------------------------------------- interpolation_check
