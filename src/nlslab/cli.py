@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -157,6 +158,15 @@ def write_search_history(path: Path, history, cfg_hash: str) -> None:
               [(str(k), *shot) for k, shot in enumerate(history)], cfg_hash)
 
 
+def _remove_numbered(directory: Path, stem: str) -> None:
+    """Remove the numbered files stem{k:05d}.bin an earlier run wrote here, so
+    that a rerun with a larger stride leaves only its own."""
+    name = re.compile(re.escape(stem) + r"[0-9]{5,}\.bin")
+    for path in directory.glob(f"{stem}*.bin"):
+        if name.fullmatch(path.name):
+            path.unlink()
+
+
 def _grid_from(cfg):
     obstacle = Obstacle("ball", cfg["a"]) if cfg["a"] > 0 else Obstacle()
     return build_grid(cfg["dim"], cfg["L"], cfg["n"], obstacle)
@@ -252,11 +262,12 @@ def run_functionals(cfg, out: Path, u) -> dict:
 
 
 def run_evolve(cfg, out: Path, u0) -> dict:
+    snap_dir = out / "snapshots"
+    _remove_numbered(snap_dir, "snap")
     params = _params_from(cfg) if len(cfg["v"]) == u0.grid.dim else None
     config = EvolveConfig(dt=cfg["dt"], t0=cfg["t0"], t1=cfg["t1"],
                           snapshot_every=cfg["snapshot_every"])
     traj = evolve_run(u0, config, cfg["p"], params)
-    snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
     for k, (t, u) in enumerate(zip(traj.times, traj.snapshots)):
         save_field(snap_dir / f"snap{k:05d}.bin", u)
@@ -273,6 +284,7 @@ def run_evolve(cfg, out: Path, u0) -> dict:
 
 
 def run_fixed_point(cfg, out: Path) -> dict:
+    _remove_numbered(out, "r")
     params = _params_from(cfg)
     speed = params.speed()
     if speed <= 0:

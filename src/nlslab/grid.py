@@ -175,9 +175,6 @@ class Field:
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros((grid.n,) * grid.dim, dtype=np.complex128))
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
     def __add__(self, other):
         self._check(other)
         return Field(self.grid, self.values + other.values)
@@ -193,9 +190,6 @@ class Field:
 
     def __neg__(self):
         return Field(self.grid, -self.values)
-
-    def conj(self) -> "Field":
-        return Field(self.grid, np.conj(self.values))
 
     def _check(self, other):
         if not isinstance(other, Field) or other.grid != self.grid:
@@ -281,9 +275,6 @@ class CutoffPsi:
             dpsi_dr * grid.coordinate(k) / safe_r for k in range(grid.dim)
         )
         self.lap_psi = d2psi_dr2 + (grid.dim - 1) * dpsi_dr / safe_r
-
-    def __call__(self) -> np.ndarray:
-        return self.psi
 
 
 def build_cutoff(grid: Grid, R1: float, R2: float) -> CutoffPsi:

@@ -467,16 +467,3 @@ def sample_on_grid(gs: GroundState, grid: Grid, center=None) -> Field:
     vals = gs(grid.radius(center))
     return Field(grid, vals.astype(np.complex128))
 
-
-def sample_gradient_on_grid(gs: GroundState, grid: Grid, center=None):
-    """Components of grad Q_omega(x - center) from the radial derivative."""
-    if center is None:
-        center = np.zeros(grid.dim)
-    center = np.asarray(center, dtype=float)
-    r = grid.radius(center)
-    safe = np.where(r > 0, r, 1.0)
-    dq = gs.derivative(r)
-    return tuple(
-        Field(grid, (dq * (grid.coordinate(k) - center[k]) / safe).astype(np.complex128))
-        for k in range(grid.dim)
-    )

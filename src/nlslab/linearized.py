@@ -39,12 +39,7 @@ from .grid import (
     real_inner,
     to_active,
 )
-from .ground_state import (
-    GroundState,
-    rescale,
-    sample_gradient_on_grid,
-    sample_on_grid,
-)
+from .ground_state import GroundState, rescale
 
 EIGEN_TOL = 1e-12   # inverse iteration's target residual, relative to e0^2
 N_PROBES = 100      # random feasible directions the certificate checks from above
@@ -82,44 +77,45 @@ class EigenModes:
     p: float
     residuals: dict = field(default_factory=dict)
     _pair: LinearizedPair = None
-    _interp: tuple = field(default=None, repr=False)
+    _interp: object = field(default=None, repr=False)
 
     def mode(self, sign: int) -> Field:
         """The complex eigenmode y1 + i sign y2 (sign=+1 decays forward)."""
         return Field(self.y1.grid, self.y1.values + 1j * sign * self.y2.values)
 
 
-def _potential_jump(gs: GroundState, grid: Grid) -> float:
-    pot = sample_on_grid(gs, grid).values.real ** (gs.p - 1.0)
+def _potential_jump(pair: LinearizedPair) -> float:
+    """Largest change of Q^(p-1) between neighbours, relative to its peak."""
+    pot = pair.q_field.values.real ** (pair.ground.p - 1.0)
     jump = 0.0
-    for ax in range(grid.dim):
-        sl_lo = [slice(None)] * grid.dim
-        sl_hi = [slice(None)] * grid.dim
-        sl_lo[ax] = slice(None, -1)
-        sl_hi[ax] = slice(1, None)
-        jump = max(jump, float(np.max(np.abs(pot[tuple(sl_hi)] - pot[tuple(sl_lo)]))))
+    for ax in range(pair.grid.dim):
+        jump = max(jump, float(np.max(np.abs(np.diff(pot, axis=ax)))))
     return jump / np.max(pot)
 
 
 def _build_pair(gs: GroundState, grid: Grid) -> LinearizedPair:
-    q = sample_on_grid(gs, grid)
-    pot = q.values.real ** (gs.p - 1.0)
-    lap = laplacian_matrix(grid)
-    base = -lap + gs.omega * sp.identity(grid.n_active, format="csr")
-    pot_active = pot[grid.mask]
+    """The pair, Q and grad Q on `grid` from one pass over the profile."""
+    r = grid.radius()
+    q, dq = gs.evaluate(r)
+    q_field = Field(grid, q.astype(np.complex128))
+    safe = np.where(r > 0, r, 1.0)
+    dq_fields = tuple(Field(grid, (dq * grid.coordinate(k) / safe).astype(np.complex128))
+                      for k in range(grid.dim))
+    pot_active = to_active(q_field).real ** (gs.p - 1.0)
+    base = -laplacian_matrix(grid) + gs.omega * sp.identity(grid.n_active, format="csr")
     l_plus = (base - gs.p * sp.diags(pot_active)).tocsr()
     l_minus = (base - sp.diags(pot_active)).tocsr()
-    dq = sample_gradient_on_grid(gs, grid)
-    return LinearizedPair(gs, grid, l_plus, l_minus, q, dq)
+    return LinearizedPair(gs, grid, l_plus, l_minus, q_field, dq_fields)
 
 
 def assemble(gs: GroundState, grid: Grid) -> LinearizedPair:
     """Build l_plus / l_minus on the (obstacle-free) spectral grid."""
-    if _potential_jump(gs, grid) > 0.2:
+    pair = _build_pair(gs, grid)
+    if _potential_jump(pair) > 0.2:
         raise SpectralError(
             "grid too coarse for the potential: Q^(p-1) varies more than 20% per cell"
         )
-    return _build_pair(gs, grid)
+    return pair
 
 
 def kernel_residuals(pair: LinearizedPair) -> dict:
@@ -136,13 +132,14 @@ def kernel_residuals(pair: LinearizedPair) -> dict:
     return out
 
 
-def _coarse_grid(gs: GroundState, grid: Grid, half_width: float) -> Grid | None:
-    """The coarsest doubling of the base resolution on (-half_width, half_width)^d
-    that resolves the potential to 30% per cell, or None below grid.n."""
+def _coarse_grid(gs: GroundState, grid: Grid, half_width: float) -> LinearizedPair | None:
+    """The pair on the coarsest doubling of the base resolution on
+    (-half_width, half_width)^d that resolves the potential to 30% per cell,
+    or None below grid.n."""
     n_coarse = {1: 511, 2: 31, 3: 11}[grid.dim]
     while n_coarse < grid.n:
-        coarse = Grid(grid.dim, half_width, n_coarse, grid.obstacle)
-        if _potential_jump(gs, coarse) <= 0.3:
+        coarse = _build_pair(gs, Grid(grid.dim, half_width, n_coarse, grid.obstacle))
+        if _potential_jump(coarse) <= 0.3:
             return coarse
         n_coarse = 2 * n_coarse + 1
     return None
@@ -157,20 +154,19 @@ def _coarse_growth_estimate(pair: LinearizedPair) -> float:
     is found by a dense symmetric solve, which is robust at any resolution.
     """
     grid, gs = pair.grid, pair.ground
-    coarse = _coarse_grid(gs, grid, grid.half_width) or grid
-    if coarse.n_active > 2000:
+    cp = _coarse_grid(gs, grid, grid.half_width) or pair
+    if cp.grid.n_active > 2000:
         # a narrow profile (large omega) needs fine cells everywhere in the
         # full box; Q decays like exp(-sqrt(omega) |x|) and the mode faster,
         # so a half-width of 20/sqrt(omega) holds both
-        coarse = _coarse_grid(gs, grid, min(grid.half_width, 20.0 / np.sqrt(gs.omega)))
-        if coarse is None or coarse.n_active > 2000:
+        cp = _coarse_grid(gs, grid, min(grid.half_width, 20.0 / np.sqrt(gs.omega)))
+        if cp is None or cp.grid.n_active > 2000:
             raise SpectralError("coarse spectral estimate would not be coarse")
-    cp = pair if coarse is grid else _build_pair(gs, coarse)
     vals, vecs = sla.eigh(cp.l_minus.toarray())
     root = vecs @ (np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T)
     sym = -root @ (cp.l_plus @ root)
     top = float(sla.eigh(sym, eigvals_only=True,
-                         subset_by_index=[coarse.n_active - 1] * 2)[0])
+                         subset_by_index=[cp.grid.n_active - 1] * 2)[0])
     if top <= 1e-8 * pair.ground.omega**2:
         raise SpectrallyStableError(
             f"no positive real eigenvalue of the composed operator (top = {top}): "
@@ -280,32 +276,28 @@ def solve_unstable_pair(pair: LinearizedPair, *,
     return modes
 
 
-def _interpolators(modes: EigenModes):
-    """The y1, y2 interpolants, built on first use and kept on the modes."""
+def _interpolator(modes: EigenModes):
+    """One interpolant of (y1, y2) over the last axis, built on first use and
+    kept on the modes; zero outside the box."""
     if modes._interp is not None:
         return modes._interp
     grid = modes.y1.grid
+    both = np.stack([modes.y1.values.real, modes.y2.values.real], axis=-1)
     if grid.dim == 1:
         x = grid.axes[0]
-        s1 = CubicSpline(x, modes.y1.values.real)
-        s2 = CubicSpline(x, modes.y2.values.real)
+        spline = CubicSpline(x, both)
 
-        def ev(spline, pts):
-            pts = np.asarray(pts)
+        def interp(pts):
+            pts = pts[..., 0]
             inside = (pts >= x[0]) & (pts <= x[-1])
-            out = np.zeros(pts.shape)
+            out = np.zeros(pts.shape + (2,))
             out[inside] = spline(pts[inside])
             return out
 
-        modes._interp = ((lambda pts: ev(s1, pts[..., 0])),
-                         (lambda pts: ev(s2, pts[..., 0])))
+        modes._interp = interp
     else:
-        modes._interp = (
-            RegularGridInterpolator(grid.axes, modes.y1.values.real,
-                                    bounds_error=False, fill_value=0.0),
-            RegularGridInterpolator(grid.axes, modes.y2.values.real,
-                                    bounds_error=False, fill_value=0.0),
-        )
+        modes._interp = RegularGridInterpolator(grid.axes, both, bounds_error=False,
+                                                fill_value=0.0)
     return modes._interp
 
 
@@ -313,8 +305,8 @@ def evaluate_mode_parts(modes: EigenModes, grid: Grid, center) -> tuple[Field, F
     """y1(x - center), y2(x - center) sampled onto another grid."""
     center = np.asarray(center, dtype=float)
     pts = np.stack([grid.coordinate(k) - center[k] for k in range(grid.dim)], axis=-1)
-    f1, f2 = _interpolators(modes)
-    return Field(grid, f1(pts).astype(complex)), Field(grid, f2(pts).astype(complex))
+    both = _interpolator(modes)(pts).astype(complex)
+    return Field(grid, both[..., 0]), Field(grid, both[..., 1])
 
 
 def rescale_modes(modes: EigenModes, omega: float) -> EigenModes:

@@ -62,10 +62,10 @@ class ModulationContext:
     def __post_init__(self):
         if not np.isclose(self.gs.omega, self.params.omega):
             raise SolitonError("ground state frequency does not match parameters")
-        q = self.gs(self.gs.r_samples)
-        mass = np.trapezoid(q**2, self.gs.r_samples)
-        if self.gs.dim == 1:
-            mass *= 2.0
+        r, d = self.gs.r_samples, self.gs.dim
+        # |Q|_L2^2 = |S^(d-1)| int Q^2 r^(d-1) dr; r**0 is exactly 1
+        sphere = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
+        mass = sphere * np.trapezoid(self.gs(r) ** 2 * r ** (d - 1), r)
         self.eps_mod = 0.1 * float(np.sqrt(mass))
 
     def rate(self, delta: float) -> float:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import TWO_PI, Field, Grid, PreconditionError, cis, gradient, l2_norm
+from .grid import TWO_PI, Field, Grid, PreconditionError, cis, to_active
 from .ground_state import GroundState, sample_on_grid
 from .linearized import EigenModes, evaluate_mode_parts
 
@@ -144,6 +144,17 @@ class Functionals:
     energy: float
     momentum: tuple
     lyapunov: float
+    kinetic: float      # int |grad u|^2
+
+
+def _conserved(params: SolitonParams, mass: float, kinetic: float, potential: float,
+               momentum: tuple) -> Functionals:
+    """The energy and the conserved combination from the integrals."""
+    energy = 0.5 * kinetic - potential / (params.p + 1.0)
+    lyap = energy + (params.omega / 2.0 + params.speed() ** 2 / 8.0) * mass \
+        - 0.5 * sum(vk * pk for vk, pk in zip(params.v, momentum))
+    return Functionals(mass=mass, energy=energy, momentum=momentum, lyapunov=lyap,
+                       kinetic=kinetic)
 
 
 def functionals(u: Field, params: SolitonParams) -> Functionals:
@@ -151,16 +162,12 @@ def functionals(u: Field, params: SolitonParams) -> Functionals:
     g = u.grid
     w = g.cell_volume()
     mass = float(np.sum(np.abs(u.values) ** 2)) * w
-    grads = gradient(u)
-    kinetic = sum(float(np.sum(np.abs(c.values) ** 2)) for c in grads) * w
+    # zero on the masked points, as the values are
+    grads = g.stencil.gradient(to_active(u)[None])[:, 0]
+    kinetic = sum(float(np.sum(np.abs(c) ** 2)) for c in grads) * w
     potential = float(np.sum(np.abs(u.values) ** (params.p + 1))) * w
-    energy = 0.5 * kinetic - potential / (params.p + 1.0)
-    momentum = tuple(
-        float(np.sum(c.values * np.conj(u.values)).imag) * w for c in grads
-    )
-    lyap = energy + (params.omega / 2.0 + params.speed() ** 2 / 8.0) * mass \
-        - 0.5 * sum(vk * pk for vk, pk in zip(params.v, momentum))
-    return Functionals(mass=mass, energy=energy, momentum=momentum, lyapunov=lyap)
+    momentum = tuple(float(np.sum(c * np.conj(u.values)).imag) * w for c in grads)
+    return _conserved(params, mass, kinetic, potential, momentum)
 
 
 def ansatz_functionals(params: SolitonParams, gs: GroundState, t: float,
@@ -182,11 +189,8 @@ def ansatz_functionals(params: SolitonParams, gs: GroundState, t: float,
         # |grad H|_k^2 = slope^2 + (v_k/2)^2 amp^2, cross term is imaginary
         kinetic += float(np.sum(slope**2 + (0.5 * vk * a.qpsi) ** 2)) * w
     potential = float(np.sum(a.qpsi ** (params.p + 1))) * w
-    energy = 0.5 * kinetic - potential / (params.p + 1.0)
-    momentum = tuple(0.5 * vk * mass for vk in params.v)
-    lyap = energy + (params.omega / 2.0 + params.speed() ** 2 / 8.0) * mass \
-        - 0.5 * sum(vk * pk for vk, pk in zip(params.v, momentum))
-    return Functionals(mass=mass, energy=energy, momentum=momentum, lyapunov=lyap)
+    return _conserved(params, mass, kinetic, potential,
+                      tuple(0.5 * vk * mass for vk in params.v))
 
 
 @dataclass(frozen=True)
@@ -215,16 +219,14 @@ def threshold_report(u: Field, p: float, gs: GroundState | None = None) -> Thres
     params = SolitonParams(omega=gs.omega if gs else 1.0,
                            v=(0.0,) * u.grid.dim, p=p)
     f = functionals(u, params)
-    grad = np.sqrt(sum(l2_norm(c) ** 2 for c in gradient(u)))
+    grad = np.sqrt(f.kinetic)
     mass = np.sqrt(f.mass)
     gq = mass ** (1.0 - s) * grad**s if mass > 0 else 0.0
     me = _signed_power(f.mass, 1.0 - s) * _signed_power(f.energy, s)
     gt = mt = None
     if gs is not None:
-        qf = sample_on_grid(gs, u.grid)
-        fq = functionals(qf, params)
-        gradq = np.sqrt(sum(l2_norm(c) ** 2 for c in gradient(qf)))
-        gt = np.sqrt(fq.mass) ** (1.0 - s) * gradq**s
+        fq = functionals(sample_on_grid(gs, u.grid), params)
+        gt = np.sqrt(fq.mass) ** (1.0 - s) * np.sqrt(fq.kinetic) ** s
         mt = _signed_power(fq.mass, 1.0 - s) * _signed_power(fq.energy, s)
     return ThresholdReport(
         s=s,

@@ -513,6 +513,34 @@ def test_a_run_leaves_only_its_own_status_file(tmp_path, first, second):
     assert (tmp_path / "failure.json").exists() == (second == 3)
 
 
+# A rerun with a larger stride writes fewer numbered files; it must leave only
+# its own, and no file of a name the program does not write is touched.
+def test_fixed_point_rerun_leaves_only_its_own_snapshots(tmp_path):
+    argv = ["fixed-point", "--v", "8", "--n", "255", "--a", "1", "--dt", "0.004",
+            "--iters", "3", "--out", str(tmp_path)]
+    (tmp_path / "r1.bin").write_text("not a snapshot")
+    for every in ("100", "200"):
+        assert main([*argv, "--snapshot-every", every]) == 0
+    rows = (tmp_path / "remainder_norms.csv").read_text().splitlines()[2:]
+    assert len(rows) >= 2
+    assert {p.name for p in tmp_path.glob("r*.bin")} == \
+        {"r1.bin"} | {f"r{200 * j:05d}.bin" for j in range(len(rows))}
+
+
+def test_evolve_rerun_leaves_only_its_own_snapshots(tmp_path):
+    argv = ["evolve", "--in", str(_field_file(tmp_path / "u0.bin")), "--t1", "0.4",
+            "--dt", "0.004", "--out", str(tmp_path / "out")]
+    snaps = tmp_path / "out" / "snapshots"
+    snaps.mkdir(parents=True)
+    (snaps / "snap1.bin").write_text("not a snapshot")
+    for every in ("10", "20"):
+        assert main([*argv, "--snapshot-every", every]) == 0
+    count = json.loads((tmp_path / "out" / "summary.json").read_text())["snapshots"]
+    assert count == 6
+    assert {p.name for p in snaps.iterdir()} == \
+        {"snap1.bin"} | {f"snap{k:05d}.bin" for k in range(count)}
+
+
 def test_sweep_point_does_not_report_an_earlier_summary(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert run("ground-state", default_config(), tmp_path / "p_1e300") == 0

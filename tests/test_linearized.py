@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 import nlslab.linearized as linearized
 
-from nlslab.grid import build_grid, l2_norm, real_inner, to_active
-from nlslab.ground_state import rescale, solve_ground_state
+from nlslab.grid import Field, build_grid, l2_norm, real_inner, to_active
+from nlslab.ground_state import rescale, sample_on_grid, solve_ground_state
 from nlslab.linearized import (
+    EigenModes,
     SpectralError,
     SpectrallyStableError,
     assemble,
@@ -92,6 +94,22 @@ def test_symmetry(work):
     for op in (pair.l_plus, pair.l_minus):
         a, b = float((op @ u) @ w), float(u @ (op @ w))
         assert abs(a - b) < 1e-12 * max(abs(a), 1.0)
+
+
+@pytest.mark.parametrize("p, dim, half_width, n", [(7.0, 1, 30.0, 4095), (3.0, 3, 6.0, 31)])
+def test_pair_samples_equal_the_separate_passes(p, dim, half_width, n):
+    # the reference: Q through the profile's value pass, then each component
+    # of grad Q from a second pass for Q'
+    gs = solve_ground_state(p, 1.0, dim)
+    grid = build_grid(dim, half_width, n)
+    pair = linearized._build_pair(gs, grid)
+    assert pair.q_field.values.tobytes() == sample_on_grid(gs, grid).values.tobytes()
+    r = grid.radius(np.zeros(dim))
+    safe = np.where(r > 0, r, 1.0)
+    dq = gs.derivative(r)
+    for k, dqf in enumerate(pair.dq_fields):
+        ref = Field(grid, (dq * (grid.coordinate(k) - 0.0) / safe).astype(np.complex128))
+        assert dqf.values.tobytes() == ref.values.tobytes()
 
 
 def test_coarse_grid_rejected(gs7):
@@ -219,12 +237,57 @@ def test_mode_interpolants_built_once(work, monkeypatch):
     fresh = dataclasses.replace(modes, _interp=None)
     evaluate_mode_parts(fresh, grid, [0.3])
     second = evaluate_mode_parts(fresh, grid, [-1.7])
-    assert len(built) == 2  # y1 and y2, once each
+    assert len(built) == 1  # one spline for (y1, y2), once
     reference = evaluate_mode_parts(dataclasses.replace(modes, _interp=None),
                                     grid, [-1.7])
-    assert len(built) == 4
+    assert len(built) == 2
     for got, ref in zip(second, reference):
         assert np.array_equal(got.values, ref.values)
+
+
+def separate_interpolants(modes, grid, center):
+    """y1 and y2 at x - center, each through an interpolant of its own."""
+    src = modes.y1.grid
+    pts = np.stack([grid.coordinate(k) - center[k] for k in range(grid.dim)], axis=-1)
+    out = []
+    for y in (modes.y1.values.real, modes.y2.values.real):
+        if grid.dim == 1:
+            x, at = src.axes[0], pts[..., 0]
+            inside = (at >= x[0]) & (at <= x[-1])
+            vals = np.zeros(at.shape)
+            vals[inside] = CubicSpline(x, y)(at[inside])
+        else:
+            vals = RegularGridInterpolator(src.axes, y, bounds_error=False,
+                                           fill_value=0.0)(pts)
+        out.append(vals)
+    return out
+
+
+def synthetic_modes(dim):
+    grid = build_grid(dim, 10.0, {2: 127, 3: 47}[dim])
+    r = grid.radius([0.2] * dim)
+    y1 = np.exp(-r**2 / 4.0) * np.cos(grid.coordinate(0))
+    y2 = np.exp(-r / 2.0) / np.cosh(grid.coordinate(dim - 1))
+    return EigenModes(e0=1.0, y1=Field(grid, y1), y2=Field(grid, y2), omega=1.0,
+                      pairing=1.0, p=3.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mode_parts_equal_separate_interpolants(work, dim):
+    # one interpolant over both columns: the same bits in 1d and 3d; in 2d
+    # SciPy evaluates a stacked table on another path, off by roundoff.  The
+    # target box reaches past the modes' box, where both read zero.
+    modes = work[1] if dim == 1 else synthetic_modes(dim)
+    grid = build_grid(dim, 32.0 if dim == 1 else 12.0, {1: 3071, 2: 95, 3: 39}[dim])
+    center = [0.31] * dim
+    got = evaluate_mode_parts(modes, grid, center)
+    for field_, ref in zip(got, separate_interpolants(modes, grid, center)):
+        vals = field_.values.real
+        if dim == 2:
+            assert np.max(np.abs(vals - ref)) <= 1e-15 * np.max(np.abs(ref))
+        else:
+            assert vals.tobytes() == ref.tobytes()
+        assert not field_.values.imag.any()
 
 
 def test_rescale_rejects_bad_args(work):

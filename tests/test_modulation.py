@@ -7,7 +7,7 @@ import pytest
 import nlslab.modulation as modulation
 from nlslab.fixedpoint import make_sources
 from nlslab.grid import Field, Obstacle, PreconditionError, build_cutoff, build_grid, l2_norm
-from nlslab.ground_state import solve_ground_state
+from nlslab.ground_state import sample_on_grid, solve_ground_state
 from nlslab.modulation import (
     ModulationContext,
     ModulationError,
@@ -183,6 +183,19 @@ def test_too_far_from_soliton_rejected(shoot_ctx):
     # with a guess the distance is taken to R~(guess), the first iterate
     st = decompose(shoot_ctx, u, T_REF, guess=np.array([1.5, 0.0]))
     assert st.y[0] == pytest.approx(1.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, half_width, n", [(1, 30.0, 3071), (2, 10.0, 127),
+                                               (3, 8.0, 63)])
+def test_eps_mod_is_a_tenth_of_the_profile_norm(dim, half_width, n):
+    # the radial mass carries the measure |S^(d-1)| r^(d-1); the lattice norm
+    # of the sampled profile is an independent quadrature of the same integral
+    gs = solve_ground_state(3, 1.0, dim)
+    grid = build_grid(dim, half_width, n)
+    params = SolitonParams(omega=1.0, v=(1.0,) * dim, p=3.0)
+    ctx = ModulationContext(params=params, gs=gs, modes=None, psi=None, grid=grid)
+    assert (ctx.eps_mod / 0.1) ** 2 == pytest.approx(
+        l2_norm(sample_on_grid(gs, grid)) ** 2, rel=1e-4)
 
 
 def test_decompose_one_profile_pass_per_iterate(shoot_ctx, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlslab.grid import Obstacle, build_cutoff, build_grid, l2_dot
+from nlslab.grid import Obstacle, build_cutoff, build_grid, gradient, l2_dot, l2_norm
 from nlslab.ground_state import sample_on_grid, solve_ground_state
 from nlslab.linearized import assemble, solve_unstable_pair
 from nlslab.soliton import (
@@ -155,6 +155,18 @@ def test_threshold_report_fields(gs, grid):
     assert rep.grad_quantity == pytest.approx(rep.grad_threshold, rel=1e-6)
     rep2 = threshold_report(u, 6.0)
     assert not rep2.in_range
+
+
+def test_one_gradient_gives_kinetic_and_threshold(gs):
+    # next to the obstacle, where the stencil goes one-sided and masks points
+    grid = build_grid(1, 30.0, 2047, Obstacle("ball", 1.0))
+    pa = SolitonParams(1.0, (2.0,), 3.0, x0=(2.0,))
+    u = soliton_field(pa, gs, 0.0, grid)
+    f = functionals(u, pa)
+    kinetic = sum(l2_norm(c) ** 2 for c in gradient(u))
+    assert f.kinetic == pytest.approx(kinetic, rel=1e-14)
+    rep = threshold_report(u, 3.0)
+    assert rep.grad_quantity == pytest.approx(f.mass**0.25 * kinetic**0.25, rel=1e-14)
 
 
 def test_cutoff_mass_deficit(gs):
