@@ -297,6 +297,8 @@ def run_fixed_point(cfg, out: Path) -> dict:
     ecfg = EvolveConfig(dt=cfg["dt"], snapshot_every=cfg["snapshot_every"])
     if tmax is not None:
         step_count(tmax - t0, ecfg.dt)
+    if not cfg["a"] > 0:   # without one the remainder is identically zero
+        raise ConfigError("fixed-point needs an obstacle (a > 0)")
     grid = _grid_from(cfg)
     psi = _cutoff_from(cfg, grid)
     gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"])
@@ -338,9 +340,7 @@ def run_fixed_point(cfg, out: Path) -> dict:
         "Tmax": tmax,
     }
     if report.converged:
-        # an identically zero remainder (no obstacle) has no rate to fit
-        summary["decay_rate"] = (fp.remainder_decay_rate(traj)
-                                 if report.iterate_norms[-1] > 0 else None)
+        summary["decay_rate"] = fp.remainder_decay_rate(traj)
         summary["decay_rate_target"] = 0.9 * delta * np.sqrt(cfg["omega"]) * speed
     return summary
 
@@ -354,6 +354,9 @@ def run_shoot(cfg, out: Path) -> dict:
     step_count(shoot_cfg.T0 - shoot_cfg.Tn, ecfg.dt)
     if not cfg["a"] > 0:
         raise ConfigError("shoot needs an obstacle (a > 0)")
+    if cfg["dim"] != 1:
+        raise ConfigError(f"shoot runs in 1d only (its spectral grid has 4095 points "
+                          f"per axis), got dim={cfg['dim']}")
     grid = _grid_from(cfg)
     psi = _cutoff_from(cfg, grid)
     gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"])

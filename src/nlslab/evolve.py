@@ -45,7 +45,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import (Field, Grid, PreconditionError, cis, from_active, h1_norm,
-                   laplacian_dirichlet, laplacian_matrix, to_active)
+                   laplacian_matrix, to_active)
 from .soliton import SolitonParams, functionals
 
 LIN_TOL = 1e-10        # bound on each CN solve's relative residual
@@ -100,6 +100,12 @@ def step_count(span: float, dt: float) -> int:
     if not ratio <= MAX_STEPS:     # NaN and inf fail too
         raise EvolveInputError(f"{ratio:.3g} steps of dt={dt} exceed MAX_STEPS={MAX_STEPS}")
     return max(1, int(round(ratio)))
+
+
+def check_finite(vec: np.ndarray, t: float) -> None:
+    """Raise EvolveError if the state at time t has a non-finite entry."""
+    if not np.all(np.isfinite(vec)):
+        raise EvolveError(f"non-finite state at t={t}")
 
 
 class CrankNicolsonStepper:
@@ -309,8 +315,7 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
         if k % config.snapshot_every and k != n_steps:
             continue
         t = config.t0 + k * dt
-        if not np.all(np.isfinite(vec)):
-            raise EvolveError(f"non-finite state at t={t}")
+        check_finite(vec, t)
         u = from_active(grid, vec)
         hn = h1_norm(u)
         if k and hn > guard:
@@ -327,27 +332,32 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
                       conservation=rows, p=p, params=params)
 
 
-def residual_l2(u_lo: np.ndarray, u: np.ndarray, u_hi: np.ndarray, dt2: float,
-                lap: np.ndarray, p: float, grid: Grid) -> float:
-    """L2 norm of i u_t + lap u + |u|^(p-1) u at the middle of three lattice
-    arrays, with u_t the centered difference over the time span dt2."""
-    res = 1j * ((u_hi - u_lo) / dt2) + lap + np.abs(u) ** (p - 1.0) * u
-    res[~grid.mask] = 0.0
-    out = float(np.sqrt(np.sum(np.abs(res) ** 2)) * np.sqrt(grid.cell_volume()))
-    if not np.isfinite(out):
-        raise EvolveError(f"non-finite equation residual {out}")
-    return out
+def residual_norms(vec_at, ts, p: float, grid: Grid):
+    """L2 norms of i u_t + lap u + |u|^(p-1) u at the interior times ts[1:-1].
+
+    vec_at(k) is the active vector at ts[k]; it is called once per k, in
+    increasing k.  u_t is the centred difference over the two neighbouring
+    times.  A non-finite norm raises EvolveError.
+    """
+    stencil, u, vec = grid.stencil, None, None
+    for k in range(len(ts)):
+        vec_hi = vec_at(k)
+        u_hi = stencil.full(vec_hi[None])[0]
+        if k >= 2:      # u_lo, u, u_hi at ts[k - 2], ts[k - 1], ts[k]
+            res = (1j * ((u_hi - u_lo) / (ts[k] - ts[k - 2]))
+                   + stencil.laplacian(vec[None])[0] + np.abs(u) ** (p - 1.0) * u)
+            res[~grid.mask] = 0.0
+            out = float(np.sqrt(np.sum(np.abs(res) ** 2)) * np.sqrt(grid.cell_volume()))
+            if not np.isfinite(out):
+                raise EvolveError(f"non-finite equation residual {out}")
+            yield out
+        u_lo, u, vec = u, u_hi, vec_hi
 
 
 def nls_residual(traj: Trajectory) -> np.ndarray:
     """Centered-difference residual of the equation on interior snapshots."""
     if len(traj) < 3:
         raise EvolveError("need at least 3 snapshots for a time derivative")
-    out = []
-    for k in range(1, len(traj) - 1):
-        u = traj.snapshots[k]
-        out.append(residual_l2(traj.snapshots[k - 1].values, u.values,
-                               traj.snapshots[k + 1].values,
-                               traj.times[k + 1] - traj.times[k - 1],
-                               laplacian_dirichlet(u).values, traj.p, u.grid))
-    return np.asarray(out)
+    snaps = traj.snapshots
+    return np.asarray(list(residual_norms(lambda k: to_active(snaps[k]), traj.times,
+                                          traj.p, snaps[0].grid)))

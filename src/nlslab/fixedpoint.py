@@ -30,6 +30,7 @@ from .grid import (
     from_active,
     l2_norm,
     laplacian_dirichlet,
+    physical_memory,
     to_active,
 )
 from .ground_state import GroundState
@@ -38,7 +39,7 @@ from .evolve import (
     EvolveConfig,
     Trajectory,
     march,
-    residual_l2,
+    residual_norms,
     step_count,
 )
 from .soliton import SolitonError, SolitonParams, _check_center, ansatz
@@ -303,8 +304,9 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     evaluated once on the time mesh.  The iterate is one (nt, n_active)
     array that each backward sweep overwrites in place; the weighted norms
     of the iterate and of its change are taken as each row is produced.
-    The ground state's frequency, the soliton's margin from the box edge and
-    the mesh length are checked before any source is evaluated.
+    The ground state's frequency, the soliton's margin from the box edge,
+    the mesh length and the memory of the two mesh arrays are checked before
+    any source is evaluated.
 
     Returns the report and the last trajectory; a growing tail of iterate
     norms is reported as non-contraction, not raised.
@@ -324,6 +326,10 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     # each coordinate of the centre is monotone in t, so |c| peaks at an end
     _check_center(params, gs, ts[0], grid)
     _check_center(params, gs, ts[-1], grid)
+    need = 2 * nt * grid.n_active * 16    # the ansatz R and the iterate
+    if need > physical_memory():
+        raise FixedPointInputError(f"{nt} mesh times of the ansatz and the iterate need "
+                                   f"{need / 1e9:.3g} GB, above physical memory")
     norm = _ENorm(grid, enorm_cfg)
     weights = [norm.weight(t) for t in ts]
     mesh = _MeshSources(sources, ts, with_a0=True, ansatz=True)
@@ -374,7 +380,8 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
 
     final_residual = None
     if not non_contracting:
-        final_residual = _residual(sources, mesh.R, rows, ts)
+        final_residual = max(residual_norms(lambda k: mesh.R[k] + rows[k], ts,
+                                            sources.p, grid))
     mesh = None    # free the ansatz before the Fields are built
     traj = _trajectory(sources, ts, rows)
 
@@ -405,30 +412,6 @@ def _over_power(jk: float, r: float, k: int) -> float:
     for _ in range(k):
         jk /= r
     return jk
-
-
-def _residual(sources: SourceSet, ansatz, rows, ts) -> float:
-    """max over interior times of the `nls_residual` of u = R + r.
-
-    Streams over three consecutive rows of R + r instead of building the
-    `soliton_field` + r snapshots.
-    """
-    grid, p = sources.grid, sources.p
-    stencil = grid.stencil
-
-    def u_at(k):
-        vec = ansatz[k] + rows[k]
-        return vec, stencil.full(vec[None])[0]
-
-    window = [u_at(0), u_at(1)]
-    worst = []
-    for k in range(1, len(ts) - 1):
-        window.append(u_at(k + 1))
-        (_, u_lo), (vec, u), (_, u_hi) = window
-        worst.append(residual_l2(u_lo, u, u_hi, ts[k + 1] - ts[k - 1],
-                                 stencil.laplacian(vec[None])[0], p, grid))
-        window.pop(0)
-    return max(worst)
 
 
 def remainder_decay_rate(traj: Trajectory) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,11 @@ def cis(theta: np.ndarray) -> np.ndarray:
     out.real = np.cos(theta)
     out.imag = np.sin(theta)
     return out
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory, against which array sizes are refused."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class PreconditionError(Exception):
@@ -75,6 +81,9 @@ class Grid:
         if not (half_width > 0.0 and 0.0 < h2 * h2 and h2 < np.inf):
             raise GridError(f"need L > 0, h^2 < inf and h^4 > 0 (the composed operators "
                             f"of `linearized` divide by h^4), got L={half_width}")
+        if 16 * int(n) ** dim > physical_memory():
+            raise GridError(f"a {n}^{dim} lattice of complex values needs "
+                            f"{16 * int(n) ** dim / 1e9:.3g} GB, above physical memory")
         a = obstacle.a if obstacle.kind == "ball" else 0.0
         if half_width <= a:
             raise GridError("obstacle swallows domain: L <= a")

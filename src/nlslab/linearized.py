@@ -259,21 +259,21 @@ def solve_unstable_pair(pair: LinearizedPair, *,
     c = 1.0 / np.sqrt(zeta)
     y1 *= c
     y2 *= c
+    return _eigen_modes(pair, e0, y1, y2, gs.omega)
 
+
+def _eigen_modes(pair: LinearizedPair, e: float, y1: np.ndarray, y2: np.ndarray,
+                 omega: float) -> EigenModes:
+    """The modes of the real active vectors y1, y2 at rate e, with the
+    residuals of l_plus y1 = e y2 and l_minus y2 = -e y1 relative to the
+    modes' norm, and the pairing -2 (y1, y2)."""
+    w = pair.grid.cell_volume()
     scale = np.sqrt(float(y1 @ y1 + y2 @ y2) * w)
-    res_plus = float(np.linalg.norm(lp @ y1 - e0 * y2)) * np.sqrt(w) / scale
-    res_minus = float(np.linalg.norm(lm @ y2 + e0 * y1)) * np.sqrt(w) / scale
-    modes = EigenModes(
-        e0=e0,
-        y1=from_active(pair.grid, y1),
-        y2=from_active(pair.grid, y2),
-        omega=gs.omega,
-        pairing=-2.0 * float(y1 @ y2) * w,
-        p=gs.p,
-        residuals={"plus": res_plus, "minus": res_minus},
-        _pair=pair,
-    )
-    return modes
+    res_plus = float(np.linalg.norm(pair.l_plus @ y1 - e * y2)) * np.sqrt(w) / scale
+    res_minus = float(np.linalg.norm(pair.l_minus @ y2 + e * y1)) * np.sqrt(w) / scale
+    return EigenModes(e0=e, y1=from_active(pair.grid, y1), y2=from_active(pair.grid, y2),
+                      omega=omega, pairing=-2.0 * float(y1 @ y2) * w, p=pair.ground.p,
+                      residuals={"plus": res_plus, "minus": res_minus}, _pair=pair)
 
 
 def _interpolator(modes: EigenModes):
@@ -326,28 +326,13 @@ def rescale_modes(modes: EigenModes, omega: float) -> EigenModes:
     amp = omega**0.25
     src = modes.y1.grid
     grid = Grid(src.dim, src.half_width / np.sqrt(omega), src.n, src.obstacle)
-    y1 = Field(grid, amp * modes.y1.values)
-    y2 = Field(grid, amp * modes.y2.values)
-
     pair_w = _build_pair(rescale(modes._pair.ground, omega), grid)
-    v1, v2 = to_active(y1).real, to_active(y2).real
-    w = grid.cell_volume()
+    # real views of complex products: the dot products below read them strided
+    v1, v2 = ((amp * y.values[grid.mask]).real for y in (modes.y1, modes.y2))
     e_plus = float(v2 @ (pair_w.l_plus @ v1)) / float(v2 @ v2)
     e_minus = -float(v1 @ (pair_w.l_minus @ v2)) / float(v1 @ v1)
-    e_w = 0.5 * (e_plus + e_minus)
-    scale = np.sqrt(float(v1 @ v1 + v2 @ v2) * w)
-    res_plus = float(np.linalg.norm(pair_w.l_plus @ v1 - e_w * v2)) * np.sqrt(w) / scale
-    res_minus = float(np.linalg.norm(pair_w.l_minus @ v2 + e_w * v1)) * np.sqrt(w) / scale
-    return EigenModes(
-        e0=e_w,
-        y1=y1,
-        y2=y2,
-        omega=float(omega),
-        pairing=-2.0 * float(v1 @ v2) * w,
-        p=modes.p,
-        residuals={"plus": res_plus, "minus": res_minus},
-        _pair=pair_w,
-    )
+    # rescale returns the omega = 1 profile for any omega close to 1
+    return _eigen_modes(pair_w, 0.5 * (e_plus + e_minus), v1, v2, float(omega))
 
 
 def measure_scaling_exponent(gs1: GroundState, grid: Grid, omegas=(1.0, 2.0, 4.0),

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolve import CrankNicolsonStepper, EvolveConfig, march_ahead, step_count
+from .evolve import (CrankNicolsonStepper, EvolveConfig, check_finite, march_ahead,
+                     step_count)
 from .grid import (Field, Grid, PreconditionError, from_active, h1_norm, l2_norm,
                    real_inner, to_active)
 from .ground_state import GroundState
@@ -309,7 +310,7 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
     """Integrate backward from tuned final data, logging the bootstrap bounds.
 
     Stops at T0 or at the first violated bound; a modulation breakdown
-    terminates with a partial log.
+    terminates with a partial log.  A non-finite state raises EvolveError.
     """
     if not np.isfinite(alpha_plus):
         raise ModulationInputError(f"need a finite alpha+, got {alpha_plus}")
@@ -358,6 +359,7 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
             if k == 0:
                 continue
             t = cfg.Tn + k * dt
+            check_finite(vec, t)
             u_here = from_active(grid, vec)
             try:
                 state = decompose(ctx, u_here, t, guess)

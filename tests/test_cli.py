@@ -133,7 +133,7 @@ def test_ground_state_below_energy_critical_runs(tmp_path, p, dim):
 
 
 def test_fixed_point_too_few_iters_is_precondition(tmp_path, capsys):
-    assert main(["fixed-point", "--iters", "2", "--n", "255",
+    assert main(["fixed-point", "--iters", "2", "--n", "255", "--a", "1",
                  "--out", str(tmp_path)]) == 2
     assert "at least 3 iterations" in capsys.readouterr().err
 
@@ -157,15 +157,13 @@ def test_fixed_point_bad_horizon_or_delta_is_precondition(tmp_path, capsys,
     assert not (tmp_path / "failure.json").exists()
 
 
-def test_fixed_point_zero_iterate_runs(tmp_path):
-    # without an obstacle the soliton is exact and every iterate is zero
+def test_fixed_point_without_obstacle_is_refused(tmp_path, capsys, monkeypatch):
+    # without an obstacle the soliton is exact and every iterate would be zero
+    monkeypatch.setattr("nlslab.ground_state.solve_ground_state", _no_ground_state)
     assert main(["fixed-point", "--Tmax", "0.6", "--T0", "0.5", "--n", "255",
-                 "--L", "20", "--out", str(tmp_path)]) == 0
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["iterate_norms"] == [0.0, 0.0]
-    assert summary["decay_rate"] is None
-    assert {k: v for k, v in summary["j_norms"].items() if "over" in k} == {
-        "J1_over_r": 0.0, "J2_over_r2": 0.0, "J3_over_r3": 0.0}
+                 "--L", "20", "--out", str(tmp_path)]) == 2
+    assert "fixed-point needs an obstacle (a > 0)" in capsys.readouterr().err
+    assert not (tmp_path / "failure.json").exists()
 
 
 @pytest.mark.parametrize("omegas", ["1,1", "1,2,1", "0,1", "-1,2", "1,nan", "1,inf"])
@@ -184,7 +182,7 @@ def _no_sweep(*args, **kwargs):
 @pytest.mark.parametrize("argv, message", [
     # the soliton's centre nears the box edge before Tmax (1d and 2d)
     ("--p 3 --v 8 --a 1 --L 25 --n 1279 --iters 4", "too close to the box edge"),
-    ("--dim 2 --v 8,0 --L 16 --n 127 --dt 0.005 --T0 0.5 --Tmax 1.5",
+    ("--dim 2 --v 8,0 --a 1 --L 16 --n 127 --dt 0.005 --T0 0.5 --Tmax 1.5",
      "too close to the box edge"),
     # one step: too short for the residual's centred time difference
     ("--a 1 --n 255 --L 20 --T0 0.5 --Tmax 0.501", "at least 3 mesh times")],
@@ -195,6 +193,40 @@ def test_fixed_point_refused_before_the_sweeps(tmp_path, capsys, monkeypatch, ar
     assert main(["fixed-point", *argv.split(), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "failure.json").exists()
+
+
+def test_picard_arrays_above_physical_memory_are_refused(tmp_path, capsys,
+                                                         monkeypatch):
+    # 51 mesh times of 255 active points: two arrays of 208 kB
+    monkeypatch.setattr("nlslab.fixedpoint.physical_memory", lambda: 10**5)
+    monkeypatch.setattr("nlslab.fixedpoint._MeshSources", _no_sweep)
+    assert main(["fixed-point", "--a", "1", "--n", "255", "--L", "20", "--T0", "0.5",
+                 "--Tmax", "0.6", "--out", str(tmp_path)]) == 2
+    assert "GB, above physical memory" in capsys.readouterr().err
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a precondition must be checked before the grid")
+
+
+@pytest.mark.parametrize("sub", ["spectrum", "fixed-point --a=1"])
+def test_lattice_above_physical_memory_is_refused(tmp_path, capsys, monkeypatch, sub):
+    # a 64^2 lattice needs 65.5 kB; the refusal comes before any array
+    monkeypatch.setattr("nlslab.grid.physical_memory", lambda: 65535)
+    monkeypatch.setattr("nlslab.ground_state.solve_ground_state", _no_ground_state)
+    argv = [*sub.split(), "--dim=2", "--v=2,0", "--n=64", "--L=20"]
+    assert _contract_code(tmp_path, argv) == 2
+    assert "a 64^2 lattice of complex values needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim, v", [("2", "2,0"), ("3", "2,0,0")])
+def test_shoot_outside_1d_is_refused_before_the_grid(tmp_path, capsys, monkeypatch,
+                                                     dim, v):
+    monkeypatch.setattr("nlslab.ground_state.solve_ground_state", _no_ground_state)
+    monkeypatch.setattr("nlslab.cli._grid_from", _no_grid)
+    assert _contract_code(tmp_path, ["shoot", "--a=1", f"--dim={dim}", f"--v={v}"]) == 2
+    assert f"shoot runs in 1d only (its spectral grid has 4095 points per axis), " \
+        f"got dim={dim}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------ exit-code contract
@@ -224,15 +256,18 @@ EDGE_REFUSED = [
     *(f"ground-state --{key}={val}" for key in ("p", "omega")
       for val in ("0", "-1", "nan", "inf")),
     "ground-state --dim=0", "ground-state --dim=-1",
-    *(f"{sub} --L={val}" for sub in ("spectrum", "fixed-point", "shoot --a=1")
+    *(f"{sub} --L={val}" for sub in ("spectrum", "fixed-point", "fixed-point --a=1",
+                                     "shoot --a=1")
       for val in _EDGE),
-    *(f"{sub} --n={val}" for sub in ("spectrum", "fixed-point", "shoot --a=1")
+    *(f"{sub} --n={val}" for sub in ("spectrum", "fixed-point", "fixed-point --a=1",
+                                     "shoot --a=1")
       for val in _INT_EDGE),
     *(f"{sub} --a={val}" for sub in ("fixed-point", "shoot") for val in ("inf", "1e300")),
-    *(f"shoot --a={val}" for val in ("0", "-1", "nan")),
+    *(f"{sub} --a={val}" for sub in ("fixed-point", "shoot") for val in ("0", "-1", "nan")),
     *(f"{sub} --a=1 --{key}={val}" for sub in ("fixed-point", "shoot")
       for key in ("R1", "R2") for val in _EDGE),
-    *(f"{sub} --dim={val}" for sub in ("spectrum", "fixed-point", "shoot --a=1")
+    *(f"{sub} --dim={val}" for sub in ("spectrum", "fixed-point", "fixed-point --a=1",
+                                       "shoot --a=1")
       for val in ("0", "-1")),
     *(f"{sub} --omega={val}" for sub in ("fixed-point", "shoot --a=1", "functionals --in={in}")
       for val in ("0", "-1", "nan", "inf")),
@@ -268,7 +303,8 @@ def test_edge_value_is_refused(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("argv, code", [
     ("ground-state --p=1e300", 3), ("ground-state --omega=1e300", 3),
     ("spectrum --p=1e300", 3), ("spectrum --L=1e-300", 2),
-    ("fixed-point --L=1e300", 2), ("functionals --in={in} --p=-1", 2),
+    ("fixed-point --L=1e300", 2), ("fixed-point --a=1 --L=1e300", 2),
+    ("functionals --in={in} --p=-1", 2),
     ("shoot --a=1 --p=3", 2)])
 def test_former_traceback_keeps_the_contract(tmp_path, argv, code):
     argv = argv.format(**{"in": _field_file(tmp_path / "u0.bin")})

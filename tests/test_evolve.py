@@ -11,7 +11,8 @@ import pytest
 
 import nlslab
 import nlslab.evolve as evolve_mod
-from nlslab.grid import Field, Obstacle, build_grid, h1_norm, l2_norm, to_active
+from nlslab.grid import (Field, Obstacle, build_grid, h1_norm, l2_norm, laplacian_dirichlet,
+                         to_active)
 from nlslab.ground_state import solve_ground_state
 from nlslab.evolve import (
     BlowUpError,
@@ -547,3 +548,28 @@ def test_residual_needs_three_snapshots(grid):
                       snapshots=[Field.zeros(grid)] * 2, conservation=[], p=3.0)
     with pytest.raises(EvolveError):
         nls_residual(traj)
+
+
+def _three_array_residuals(traj):
+    """The residual as first written: the lattice arrays of three snapshots
+    and the `laplacian_dirichlet` Field of the middle one."""
+    out = []
+    for k in range(1, len(traj) - 1):
+        u = traj.snapshots[k]
+        res = (1j * ((traj.snapshots[k + 1].values - traj.snapshots[k - 1].values)
+                     / (traj.times[k + 1] - traj.times[k - 1]))
+               + laplacian_dirichlet(u).values + np.abs(u.values) ** (traj.p - 1.0) * u.values)
+        res[~u.grid.mask] = 0.0
+        out.append(float(np.sqrt(np.sum(np.abs(res) ** 2)) * np.sqrt(u.grid.cell_volume())))
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("dim, half_width, n, dt", [(1, 20.0, 1023, 0.002),
+                                                    (2, 16.0, 63, 0.01)])
+def test_residual_is_the_three_array_formula(dim, half_width, n, dt):
+    g = build_grid(dim, half_width, n, Obstacle("ball", 1.0))
+    r2 = (g.coordinate(0) - 4.0) ** 2 + sum(g.coordinate(k) ** 2 for k in range(1, dim))
+    u0 = Field(g, 2.0 * np.exp(-r2) * np.exp(0.5j * g.coordinate(0)))
+    traj = evolve(u0, EvolveConfig(dt=dt, t1=0.2, snapshot_every=5), 3.0)
+    assert len(traj) > 3
+    assert nls_residual(traj).tobytes() == _three_array_residuals(traj).tobytes()

@@ -3,7 +3,7 @@ import pytest
 
 from nlslab.grid import (Field, NormConfig, Obstacle, build_cutoff, build_grid, h2_norm,
                          l2_norm, to_active)
-from nlslab.evolve import EvolveConfig, LinearSolveError, Trajectory
+from nlslab.evolve import EvolveConfig, LinearSolveError, Trajectory, nls_residual
 from nlslab.fixedpoint import (
     FixedPointError,
     FixedPointInputError,
@@ -16,7 +16,7 @@ from nlslab.fixedpoint import (
     picard,
     remainder_decay_rate,
 )
-from nlslab.soliton import SolitonError, SolitonParams, _check_center
+from nlslab.soliton import SolitonError, SolitonParams, _check_center, soliton_field
 
 DELTA = 0.8  # 0.8 x fitted decay rate (= 1) of the cubic ground state
 
@@ -340,6 +340,16 @@ def test_picard_v8_matches_recorded_values(picard_v8):
     }
     for key, ref in PICARD_V8_RECORDED.items():
         assert np.asarray(got[key]) == pytest.approx(np.asarray(ref), rel=1e-12), key
+
+
+def test_final_residual_is_the_nls_residual_of_ansatz_plus_remainder(gs3, box, picard_v8):
+    rep, traj, _ = picard_v8
+    grid, psi = box
+    params = SolitonParams(omega=1.0, v=(8.0,), p=3.0)
+    snaps = [soliton_field(params, gs3, t, grid, psi) + r
+             for t, r in zip(traj.times, traj.snapshots)]
+    full = Trajectory(times=traj.times, snapshots=snaps, conservation=[], p=3.0)
+    assert rep.final_residual == max(nls_residual(full))
 
 
 def test_in_sweep_norm_equals_e_norm(picard_v8):

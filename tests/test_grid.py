@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlslab.grid as grid_mod
 from nlslab.grid import (
     ActiveStencil,
     CutoffPsi,
@@ -107,6 +108,15 @@ def test_rejections():
         build_grid(1, 10.0, 8)  # n < 16
     with pytest.raises(GridError):
         build_grid(1, 3.0, 64, Obstacle("ball", 1.0))  # L <= 4a
+
+
+def test_lattice_above_physical_memory_is_refused(monkeypatch):
+    # 32^3 complex values are 524288 bytes: refused above, built at that size
+    monkeypatch.setattr(grid_mod, "physical_memory", lambda: 524287)
+    with pytest.raises(GridError, match="above physical memory"):
+        build_grid(3, 10.0, 32)
+    monkeypatch.setattr(grid_mod, "physical_memory", lambda: 524288)
+    assert build_grid(3, 10.0, 32).n_active == 32**3
 
 
 # ------------------------------------------------------- laplacian_dirichlet

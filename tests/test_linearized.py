@@ -165,6 +165,30 @@ def test_rescale_exact_lattice_residual(work):
     assert m2.pairing == pytest.approx(1.0, abs=1e-6)
 
 
+def _finisher_formulas(pair, e, y1, y2):
+    """The residuals and pairing as `solve_unstable_pair` and `rescale_modes`
+    each computed them before they shared a finisher."""
+    w = pair.grid.cell_volume()
+    scale = np.sqrt(float(y1 @ y1 + y2 @ y2) * w)
+    res_plus = float(np.linalg.norm(pair.l_plus @ y1 - e * y2)) * np.sqrt(w) / scale
+    res_minus = float(np.linalg.norm(pair.l_minus @ y2 + e * y1)) * np.sqrt(w) / scale
+    return {"plus": res_plus, "minus": res_minus}, -2.0 * float(y1 @ y2) * w
+
+
+def test_solved_and_rescaled_modes_share_one_finisher(work):
+    pair, modes = work
+    # the solve finishes on contiguous vectors
+    y1, y2 = (np.ascontiguousarray(to_active(y).real) for y in (modes.y1, modes.y2))
+    assert (modes.residuals, modes.pairing) == _finisher_formulas(pair, modes.e0, y1, y2)
+    # the rescaling on the real parts of the amplified complex vectors
+    m2 = rescale_modes(modes, 2.0)
+    v1, v2 = ((2.0**0.25 * to_active(y)).real for y in (modes.y1, modes.y2))
+    assert (m2.residuals, m2.pairing) == _finisher_formulas(m2._pair, m2.e0, v1, v2)
+    assert np.array_equal(to_active(m2.y1), v1) and np.array_equal(to_active(m2.y2), v2)
+    # the profile of any omega close to 1 is the omega = 1 one; the modes keep omega
+    assert rescale_modes(modes, 1.0 + 1e-10).omega == 1.0 + 1e-10
+
+
 def test_measured_scaling_exponent(gs7, work):
     pair, _ = work
     kappa, residual, es = measure_scaling_exponent(gs7, pair.grid, (1.0, 2.0, 4.0))

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+import nlslab.evolve as evolve
 import nlslab.modulation as modulation
+from nlslab.evolve import EvolveError
 from nlslab.fixedpoint import make_sources
 from nlslab.grid import Field, Obstacle, PreconditionError, build_cutoff, build_grid, l2_norm
 from nlslab.ground_state import sample_on_grid, solve_ground_state
@@ -427,6 +429,27 @@ def test_search_is_the_same_with_and_without_the_march_worker(shoot_ctx, evolve_
     serial = shoot_search(shoot_ctx, cfg, evolve_cfg)
     assert serial.found and len(serial.history) > 2
     assert _search_bytes(forked) == _search_bytes(serial)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "serial"])
+def test_shoot_names_the_time_of_a_non_finite_state(shoot_ctx, evolve_cfg, monkeypatch,
+                                                    forked):
+    if not forked:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    half_step, calls = evolve._phase_half_step, []
+
+    def poisoned(vals, dt, p):
+        calls.append(None)
+        # the second half step is the trailing half of the first logged state
+        return half_step(vals, dt, p) * (np.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(evolve, "_phase_half_step", poisoned)
+    cfg = ShootConfig(T0=7.9, Tn=8.0, delta=0.4, log_every=10)
+    with pytest.raises(EvolveError) as exc:
+        backward_shoot(shoot_ctx, 0.0, cfg, evolve_cfg)
+    assert str(exc.value) == f"non-finite state at t={cfg.Tn + 10 * ((cfg.T0 - cfg.Tn) / 50)}"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
