@@ -68,8 +68,6 @@ CONFIG_KEYS = {
     "Tn": (float, 8.0),
     "Tmax": (float, None),
     "delta": (float, None),
-    "M": (float, None),
-    "Mprime": (float, None),
     "iters": (int, 6),
     "seed": (int, 0),
     "snapshot_every": (int, 10),
@@ -126,19 +124,9 @@ def load_config(path) -> dict:
     return cfg
 
 
-class _JsonEncoder(json.JSONEncoder):
-    def default(self, obj):
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        return super().default(obj)
-
-
 def write_summary(out_dir: Path, summary: dict) -> Path:
     path = out_dir / "summary.json"
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2,
-                               cls=_JsonEncoder) + "\n")
+    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -168,16 +156,11 @@ def _remove_numbered(directory: Path, stem: str) -> None:
 
 
 def _grid_from(cfg):
-    obstacle = Obstacle("ball", cfg["a"]) if cfg["a"] > 0 else Obstacle()
-    return build_grid(cfg["dim"], cfg["L"], cfg["n"], obstacle)
-
-
-def _cutoff_from(cfg, grid):
-    if cfg["a"] <= 0:
-        return None
+    """The lattice outside the ball of radius a, and its cutoff Psi."""
+    grid = build_grid(cfg["dim"], cfg["L"], cfg["n"], Obstacle("ball", cfg["a"]))
     r1 = cfg["R1"] if cfg["R1"] is not None else 1.5 * cfg["a"]
     r2 = cfg["R2"] if cfg["R2"] is not None else 3.0 * cfg["a"]
-    return build_cutoff(grid, r1, r2)
+    return grid, build_cutoff(grid, r1, r2)
 
 
 def _params_from(cfg) -> SolitonParams:
@@ -299,8 +282,7 @@ def run_fixed_point(cfg, out: Path) -> dict:
         step_count(tmax - t0, ecfg.dt)
     if not cfg["a"] > 0:   # without one the remainder is identically zero
         raise ConfigError("fixed-point needs an obstacle (a > 0)")
-    grid = _grid_from(cfg)
-    psi = _cutoff_from(cfg, grid)
+    grid, psi = _grid_from(cfg)
     gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"])
     gs = gsmod.rescale(gs1, cfg["omega"])
     if delta is None:
@@ -310,8 +292,7 @@ def run_fixed_point(cfg, out: Path) -> dict:
     if not np.isfinite(tmax):
         raise ConfigError(f"the derived Tmax {tmax} is not finite")
     src = fp.make_sources(params, gs, psi, grid, cfg["p"])
-    norm_cfg = NormConfig("Eweighted", delta=delta, omega=cfg["omega"],
-                          v=params.v, T0=t0)
+    norm_cfg = NormConfig(delta=delta, omega=cfg["omega"], v=params.v)
     report, traj = fp.picard(src, t0, tmax, norm_cfg, cfg["iters"], ecfg)
     rows = []
     for k in range(0, len(traj), ecfg.snapshot_every):
@@ -348,7 +329,6 @@ def run_fixed_point(cfg, out: Path) -> dict:
 def run_shoot(cfg, out: Path) -> dict:
     params = _params_from(cfg)
     shoot_cfg = mod.ShootConfig(T0=cfg["T0"], Tn=cfg["Tn"], delta=cfg["delta"],
-                                M=cfg["M"], Mprime=cfg["Mprime"],
                                 log_every=cfg["log_every"])
     ecfg = EvolveConfig(dt=cfg["dt"])
     step_count(shoot_cfg.T0 - shoot_cfg.Tn, ecfg.dt)
@@ -357,8 +337,7 @@ def run_shoot(cfg, out: Path) -> dict:
     if cfg["dim"] != 1:
         raise ConfigError(f"shoot runs in 1d only (its spectral grid has 4095 points "
                           f"per axis), got dim={cfg['dim']}")
-    grid = _grid_from(cfg)
-    psi = _cutoff_from(cfg, grid)
+    grid, psi = _grid_from(cfg)
     gs1 = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"])
     gs = gsmod.rescale(gs1, cfg["omega"])
     spectral = build_grid(cfg["dim"], 30.0 / np.sqrt(cfg["omega"]), 4095)
@@ -390,11 +369,8 @@ def run_shoot(cfg, out: Path) -> dict:
                 summary["fitted_growth_rate"] = mod.growth_rate_fit(log)
             except mod.ModulationError:
                 summary["fitted_growth_rate"] = None
-    summary["exit_time"] = log.exit_time
-    summary["exit_reason"] = log.exit_reason
-    summary["M"] = log.M
-    summary["Mprime"] = log.Mprime
-    summary["delta"] = log.delta
+    summary.update(exit_time=log.exit_time, exit_reason=log.exit_reason, M=log.M,
+                   Mprime=log.Mprime, delta=log.delta)
     write_csv(out / "shoot_log.csv",
               ("t", "r_L2", "r_H1", "abs_y", "abs_mu", "alpha_plus",
                "alpha_minus", "lyapunov", "N", "tilde_lyapunov"),

@@ -243,7 +243,7 @@ def h2_norm(u: Field) -> float:
 class NormConfig:
     """The rate data of the E-weighted norm (`fixedpoint.e_norm`).
 
-    ``which`` and ``T0`` are read by nothing; callers still pass them.
+    ``which`` and ``T0`` are read by nothing; the benchmark workloads pass them.
     """
 
     which: str = "L2"

@@ -85,14 +85,9 @@ class ModulationState:
     _ansatz: Ansatz = field(default=None, repr=False)
 
 
-def _tilde_pieces(ctx: ModulationContext, t: float, y, mu: float) -> Ansatz:
-    """Q~ Psi, its gradient fields and the phase for given modulation."""
-    return ansatz(ctx.params, ctx.gs, t, ctx.grid, ctx.psi, y, mu)
-
-
 def _orthogonality(ctx: ModulationContext, u: Field, t: float, y, mu):
     """Residuals of the d+1 conditions and the pieces needed around them."""
-    a = _tilde_pieces(ctx, t, y, mu)
+    a = ansatz(ctx.params, ctx.gs, t, ctx.grid, ctx.psi, y, mu)
     r_vals = u.values - a.values()
     w = ctx.grid.cell_volume()
     h = r_vals * np.conj(a.ph)
@@ -180,7 +175,7 @@ def decompose(ctx: ModulationContext, u: Field, t: float,
 def _final_data_map(ctx: ModulationContext, Tn: float):
     """lam -> u(Tn), with R(Tn) and Y+-(Tn) built once (u is affine in lam)."""
     _check_center(ctx.params, ctx.gs, Tn, ctx.grid)
-    a = _tilde_pieces(ctx, Tn, 0.0, 0.0)
+    a = ansatz(ctx.params, ctx.gs, Tn, ctx.grid, ctx.psi)
     R = a.values()
     yp, ym = mode_pair(ctx.modes, ctx.grid, a.c, a.pvals, a.ph)
 
@@ -239,8 +234,6 @@ class ShootConfig:
     T0: float
     Tn: float
     delta: float = None          # default: 0.7 * fitted ground-state rate
-    M: float = None              # default: 10 * max(|r(Tn)| e^{rate Tn}, 1)
-    Mprime: float = None         # default: M^2
     log_every: int = 10
 
     def __post_init__(self):
@@ -302,15 +295,18 @@ def tilde_lyapunov(ctx: ModulationContext, t: float, y) -> float:
     backward_shoot logs the same value from the pieces of the converged
     Newton iterate instead of evaluating the profile again.
     """
-    return _ansatz_lyapunov(ctx, _tilde_pieces(ctx, t, np.asarray(y), 0.0))
+    return _ansatz_lyapunov(ctx, ansatz(ctx.params, ctx.gs, t, ctx.grid, ctx.psi,
+                                        np.asarray(y)))
 
 
 def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
                    evolve_cfg: EvolveConfig) -> ShootLog:
     """Integrate backward from tuned final data, logging the bootstrap bounds.
 
-    Stops at T0 or at the first violated bound; a modulation breakdown
-    terminates with a partial log.  A non-finite state raises EvolveError.
+    The bounds are |alpha+-| <= e^{-rate t}, |r|_H1 <= M e^{-rate t} and
+    |y|, |mu| <= M' e^{-rate t}, with M = 10 max(|r(Tn)|_H1 e^{rate Tn}, 1)
+    and M' = M^2.  Stops at T0 or at the first violated bound; a modulation
+    breakdown ends the log early.  A non-finite state raises EvolveError.
     """
     if not np.isfinite(alpha_plus):
         raise ModulationInputError(f"need a finite alpha+, got {alpha_plus}")
@@ -321,8 +317,8 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
     if np.any(np.abs(lam) > 10.0 * np.exp(-rate * cfg.Tn)):
         raise ModulationError(f"final-data amplitude {lam} out of admissible range")
     r_h1 = h1_norm(state.r)
-    M = cfg.M if cfg.M is not None else 10.0 * max(r_h1 * np.exp(rate * cfg.Tn), 1.0)
-    Mp = cfg.Mprime if cfg.Mprime is not None else M**2
+    M = 10.0 * max(r_h1 * np.exp(rate * cfg.Tn), 1.0)
+    Mp = M**2
 
     n_steps = step_count(cfg.T0 - cfg.Tn, evolve_cfg.dt)
     dt = (cfg.T0 - cfg.Tn) / n_steps
@@ -416,7 +412,7 @@ def shoot_search(ctx: ModulationContext, cfg: ShootConfig,
         if log.exit_reason != "alpha_bound":
             raise ShootSearchError(
                 f"no unstable crossing detected: endpoint {a} exited via "
-                f"{log.exit_reason}; check M, M', p or the horizon"
+                f"{log.exit_reason}; check delta, p or the horizon"
             )
     s_lo, s_hi = np.sign(log_lo.alpha_plus[-1]), np.sign(log_hi.alpha_plus[-1])
     if s_lo == s_hi:
@@ -522,7 +518,7 @@ def coercivity_along_trajectory(ctx: ModulationContext, log: ShootLog,
     out = []
     for (t, u), y, mu, ap, am in zip(log.snapshots, log.y, log.mu,
                                      log.alpha_plus, log.alpha_minus):
-        a = _tilde_pieces(ctx, t, y, mu)
+        a = ansatz(ctx.params, ctx.gs, t, ctx.grid, ctx.psi, y, mu)
         h_vals = (u.values - a.values()) * np.conj(a.ph)
         pot = a.q ** (ctx.params.p - 1.0)
         form = 0.0

@@ -39,10 +39,6 @@ class SolitonParams:
         x0 = self.x0 if self.x0 is not None else (0.0,) * len(self.v)
         object.__setattr__(self, "x0", tuple(float(c) for c in x0))
 
-    @property
-    def dim(self) -> int:
-        return len(self.v)
-
     def speed(self) -> float:
         return float(np.linalg.norm(self.v))
 
@@ -171,18 +167,18 @@ def functionals(u: Field, params: SolitonParams) -> Functionals:
 
 
 def ansatz_functionals(params: SolitonParams, gs: GroundState, t: float,
-                       grid: Grid, psi=None) -> Functionals:
+                       grid: Grid) -> Functionals:
     """Functionals of the traveling ansatz with the gradient taken exactly.
 
     The lattice gradient carries an O(h^2 |v|^4) error on the boosted phase
     that swamps fine identities like E(H) = |v|^2/8 M(Q) + E(Q); here the
-    derivative of the ansatz (profile slope, phase twist, cutoff slope) is
-    evaluated pointwise in closed form, so only quadrature error remains.
+    derivative of the ansatz (profile slope, phase twist) is evaluated
+    pointwise in closed form, so only quadrature error remains.
     """
     if not np.isclose(gs.omega, params.omega):
         raise SolitonError("ground state frequency does not match parameters")
     w = grid.cell_volume()
-    a = ansatz(params, gs, t, grid, psi)
+    a = ansatz(params, gs, t, grid)
     mass = float(np.sum(a.qpsi**2)) * w
     kinetic = 0.0
     for vk, slope in zip(params.v, a.slopes()):

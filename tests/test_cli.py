@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlslab
 from nlslab.cli import (
     ConfigError,
     config_hash,
@@ -18,9 +20,9 @@ from nlslab.cli import (
     run_sweep,
     write_search_history,
 )
-from nlslab.grid import Field, build_grid, save_field
+from nlslab.grid import Field, build_grid, load_field, save_field
 from nlslab.ground_state import rescale, solve_ground_state
-from nlslab.soliton import SolitonParams, soliton_field
+from nlslab.soliton import SolitonParams, functionals, soliton_field, threshold_report
 
 
 # --------------------------------------------------------------- config file
@@ -391,6 +393,12 @@ def test_search_history_csv(tmp_path, winning_search):
     assert rows[-1][3] == "reached_T0"
 
 
+# p=7 at |v|=2 on a short horizon: the search finds T0 after four shots, and
+# the single shot at alpha+ = 0 exits through the alpha bound
+_SHOOT = ("shoot --p=7 --v=2 --a=1 --R1=1.5 --R2=3 --L=30 --n=1535 --T0=7.5 "
+          "--Tn=8 --delta=0.4 --dt=0.004").split()
+
+
 def _shoot_failure(tmp_path, monkeypatch, name):
     """failure.json of a short shot whose 40th phase rotation turns NaN."""
     import nlslab.evolve as evolve_mod
@@ -402,10 +410,8 @@ def _shoot_failure(tmp_path, monkeypatch, name):
         return out * np.nan if len(calls) == 40 else out
 
     monkeypatch.setattr(evolve_mod, "_rotate", poisoned)
-    argv = ("shoot --p=7 --v=2 --a=1 --R1=1.5 --R2=3 --L=30 --n=1535 --T0=7.5 "
-            "--Tn=8 --delta=0.4 --dt=0.004").split()
     with np.errstate(invalid="ignore"):
-        assert _contract_code(tmp_path / name, argv) == 3
+        assert _contract_code(tmp_path / name, _SHOOT) == 3
     return (tmp_path / name / "out" / "failure.json").read_bytes()
 
 
@@ -420,6 +426,54 @@ def test_shoot_worker_error_is_the_serial_failure(tmp_path, monkeypatch):
     assert json.loads(serial)["type"] == "LinearSolveError"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _summary_and_csv(out, name):
+    summary = json.loads((out / "summary.json").read_text())
+    lines = (out / name).read_text().splitlines()
+    assert lines[0] == f"# config={summary['config_hash']}"
+    return summary, [line.split(",") for line in lines[2:]]
+
+
+def test_shoot_search_writes_the_winning_shot(tmp_path):
+    assert _contract_code(tmp_path, [*_SHOOT, "--search=1"]) == 0
+    out = tmp_path / "out"
+    summary, history = _summary_and_csv(out, "search_history.csv")
+    assert summary["found"] is True
+    assert summary["shoots"] == len(history)
+    assert history[-1][3] == "reached_T0" == summary["exit_reason"]
+    assert {"fitted_C", "lyapunov_fit", "alpha_minus_max_ratio"} <= set(summary)
+    assert summary["Mprime"] == summary["M"] ** 2
+    _, rows = _summary_and_csv(out, "shoot_log.csv")
+    assert float(rows[-1][0]) == summary["exit_time"]
+
+
+def test_single_shoot_fits_the_growth_rate(tmp_path):
+    assert _contract_code(tmp_path, _SHOOT) == 0
+    summary, _ = _summary_and_csv(tmp_path / "out", "shoot_log.csv")
+    assert summary["exit_reason"] == "alpha_bound"
+    assert np.isfinite(summary["fitted_growth_rate"])
+    assert summary["Mprime"] == summary["M"] ** 2
+
+
+def test_functionals_run_reports_the_field(tmp_path):
+    path = _field_file(tmp_path / "u0.bin")
+    assert _contract_code(tmp_path, ["functionals", "--in", str(path), "--p=3",
+                                     "--v=1"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    u = load_field(path)[0]
+    f = functionals(u, SolitonParams(omega=1.0, v=(1.0,), p=3.0))
+    assert [summary[k] for k in ("M", "E", "P", "lyapunov")] == \
+        [f.mass, f.energy, list(f.momentum), f.lyapunov]
+    rep = threshold_report(u, 3.0, solve_ground_state(3.0, 1.0, 1))
+    assert summary["s"] == rep.s
+    assert summary["thresholds"] == {
+        "grad_quantity": rep.grad_quantity,
+        "mass_energy_quantity": rep.mass_energy_quantity,
+        "grad_threshold": rep.grad_threshold,
+        "mass_energy_threshold": rep.mass_energy_threshold,
+        "p_in_range": rep.in_range,
+    }
 
 
 def test_missing_input_rejected(tmp_path):
@@ -591,11 +645,18 @@ def test_empty_sweep_rejected(tmp_path):
 
 # -------------------------------------------------------------- entry point
 
+def _child_env():
+    """The environment in which `python -m nlslab.cli` imports this nlslab,
+    installed or not."""
+    path = [str(Path(nlslab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def test_console_entry_point(tmp_path):
     r = subprocess.run(
         [sys.executable, "-m", "nlslab.cli", "ground-state", "--p", "3",
          "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert r.returncode == 0
     assert (tmp_path / "summary.json").exists()
@@ -607,7 +668,7 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     r = subprocess.run(
         [sys.executable, "-m", "nlslab.cli", "ground-state", "--config",
          str(bad), "--out", str(tmp_path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert r.returncode == 2
     assert "nonsense" in r.stderr

@@ -191,6 +191,20 @@ def test_duhamel_linearity(gs3):
     assert np.max(np.abs(diff)) < 1e-11
 
 
+def test_picard_iterates_the_duhamel_map(gs3, box):
+    # one more Duhamel application to the third iterate is the fourth iterate
+    horizon = 2.0
+    _, traj3, _ = run_picard(gs3, box, 8.0, n_iters=3, horizon=horizon)
+    _, traj4, _ = run_picard(gs3, box, 8.0, n_iters=4, horizon=horizon)
+    assert not np.array_equal(traj3.snapshots[0].values, traj4.snapshots[0].values)
+    src, _ = sources_at(gs3, box, 8.0)
+    step = duhamel_apply(src, traj3, 0.5, 0.5 + horizon / (DELTA * 8.0),
+                         EvolveConfig(dt=0.004))
+    assert np.array_equal(step.times, traj4.times)
+    for got, want in zip(step.snapshots, traj4.snapshots):
+        assert np.array_equal(got.values, want.values)
+
+
 # -------------------------------------------------------------------- e_norm
 
 def test_enorm_zero(box):

@@ -27,14 +27,14 @@ from nlslab.modulation import (
     tilde_lyapunov,
     uniform_distance_fit,
 )
-from nlslab.modulation import _final_data_map, _jacobian, _orthogonality, _tilde_pieces
-from nlslab.soliton import SolitonParams, eigenmode_field, soliton_field
+from nlslab.modulation import _final_data_map, _jacobian, _orthogonality
+from nlslab.soliton import SolitonParams, ansatz, eigenmode_field, soliton_field
 
 T_REF = 6.0
 
 
 def make_state(ctx, t, y, mu, extra=None):
-    a = _tilde_pieces(ctx, t, np.atleast_1d(y), mu)
+    a = ansatz(ctx.params, ctx.gs, t, ctx.grid, ctx.psi, np.atleast_1d(y), mu)
     vals = a.qpsi * a.ph
     if extra is not None:
         vals = vals + extra
@@ -49,7 +49,7 @@ def test_every_ansatz_copy_agrees_bit_for_bit(shoot_ctx, t):
     ctx = shoot_ctx
     R = soliton_field(ctx.params, ctx.gs, t, ctx.grid, ctx.psi).values
     src = make_sources(ctx.params, ctx.gs, ctx.psi, ctx.grid)
-    a = _tilde_pieces(ctx, t, 0, 0)
+    a = ansatz(ctx.params, ctx.gs, t, ctx.grid, ctx.psi, 0, 0)
     assert np.array_equal(Field(ctx.grid, src._ansatz(t)).values, R)
     assert np.array_equal(Field(ctx.grid, a.qpsi * a.ph).values, R)
     data = inspect.getclosurevars(_final_data_map(ctx, t)).nonlocals
@@ -125,7 +125,8 @@ def test_exact_jacobian_matches_finite_differences_2d():
     params = SolitonParams(omega=1.0, v=(1.0, 0.5), p=3.0)
     ctx = ModulationContext(params=params, gs=gs, modes=None, psi=psi, grid=grid)
     t = 2.4  # centre (2.4, 1.2): the profile overlaps the cutoff's slope
-    a = _tilde_pieces(ctx, t, np.array([0.04, -0.03]), 0.05)
+    a = ansatz(ctx.params, ctx.gs, t, ctx.grid, ctx.psi, np.array([0.04, -0.03]),
+               0.05)
     xx, yy = grid.coordinate(0), grid.coordinate(1)
     bump = 0.02 * np.exp(-((xx - 3.0) ** 2 + (yy - 0.5) ** 2)) * (1.0 - 0.7j)
     u = Field(grid, a.qpsi * a.ph + bump)
