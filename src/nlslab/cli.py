@@ -37,6 +37,7 @@ from .grid import (
     h2_norm,
     l2_norm,
     load_field,
+    physical_memory,
     save_field,
 )
 from .soliton import SolitonParams, functionals, threshold_report
@@ -195,6 +196,12 @@ def run_spectrum(cfg, out: Path) -> dict:
     if cfg["seed"] < 0:   # numpy's generators take no negative seed
         raise ConfigError(f"need seed >= 0, got {cfg['seed']}")
     grid = build_grid(cfg["dim"], cfg["L"], cfg["n"])
+    # the sparse LU factors of the eigensolve and the certificate peaked at
+    # about 6 kB per point in 2d: 379 MB on 255^2 points, 1.57 GB on 511^2
+    need = 6e3 * grid.n_active
+    if need > physical_memory():
+        raise ConfigError(f"factoring the spectrum's operators on {grid.n_active} points "
+                          f"needs about {need / 1e9:.3g} GB, above physical memory")
     gs = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"])
     gs_w = gsmod.rescale(gs, cfg["omega"])
     pair = lin.assemble(gs_w, grid)
@@ -221,11 +228,7 @@ def run_spectrum(cfg, out: Path) -> dict:
 
 
 def run_functionals(cfg, out: Path, u) -> dict:
-    params = SolitonParams(omega=cfg["omega"],
-                           v=cfg["v"][: u.grid.dim] if len(cfg["v"]) >= u.grid.dim
-                           else (0.0,) * u.grid.dim,
-                           p=cfg["p"])
-    f = functionals(u, params)
+    f = functionals(u, _params_from({**cfg, "dim": u.grid.dim}))
     gs = gsmod.solve_ground_state(cfg["p"], cfg["omega"], u.grid.dim)
     rep = threshold_report(u, cfg["p"], gs)
     return {

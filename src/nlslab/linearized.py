@@ -85,15 +85,6 @@ class EigenModes:
         return Field(self.y1.grid, self.y1.values + 1j * sign * self.y2.values)
 
 
-def _potential_jump(pair: LinearizedPair) -> float:
-    """Largest change of Q^(p-1) between neighbours, relative to its peak."""
-    pot = pair.q_field.values.real ** (pair.ground.p - 1.0)
-    jump = 0.0
-    for ax in range(pair.grid.dim):
-        jump = max(jump, float(np.max(np.abs(np.diff(pot, axis=ax)))))
-    return jump / np.max(pot)
-
-
 def _build_pair(gs: GroundState, grid: Grid) -> LinearizedPair:
     """The pair, Q and grad Q on `grid` from one pass over the profile."""
     r = grid.radius()
@@ -110,9 +101,13 @@ def _build_pair(gs: GroundState, grid: Grid) -> LinearizedPair:
 
 
 def assemble(gs: GroundState, grid: Grid) -> LinearizedPair:
-    """Build l_plus / l_minus on the (obstacle-free) spectral grid."""
+    """Build l_plus / l_minus on the (obstacle-free) spectral grid, refusing
+    one on which Q^(p-1) changes between neighbours by more than 20% of its
+    peak."""
     pair = _build_pair(gs, grid)
-    if _potential_jump(pair) > 0.2:
+    pot = pair.q_field.values.real ** (gs.p - 1.0)
+    jump = max(float(np.max(np.abs(np.diff(pot, axis=ax)))) for ax in range(grid.dim))
+    if jump / np.max(pot) > 0.2:
         raise SpectralError(
             "grid too coarse for the potential: Q^(p-1) varies more than 20% per cell"
         )
@@ -133,42 +128,34 @@ def kernel_residuals(pair: LinearizedPair) -> dict:
     return out
 
 
-def _coarse_grid(gs: GroundState, grid: Grid, half_width: float) -> LinearizedPair | None:
-    """The pair on the coarsest doubling of the base resolution on
-    (-half_width, half_width)^d that resolves the potential to 30% per cell,
-    or None below grid.n."""
-    n_coarse = {1: 511, 2: 31, 3: 11}[grid.dim]
-    while n_coarse < grid.n:
-        coarse = _build_pair(gs, Grid(grid.dim, half_width, n_coarse, grid.obstacle))
-        if _potential_jump(coarse) <= 0.3:
-            return coarse
-        n_coarse = 2 * n_coarse + 1
-    return None
+def _radial_growth_estimate(gs: GroundState) -> float:
+    """Estimate e0^2 from the radial (l = 0) sector of the pair, in any d.
 
-
-def _coarse_growth_estimate(pair: LinearizedPair) -> float:
-    """Estimate e0^2 on a coarse resampling of the same box, or of the mode's
-    support when the box would need more than 2000 points.
-
+    Q is radial, and the positive eigenvalue of -l_minus l_plus is simple with
+    a radial eigenfunction (Weinstein 1985; Schlag 2009).  The radial
+    operators are built on 200 cell-centred cells over (0, R) with
+    R = min(20 / sqrt(omega), r_end), which holds Q, decaying like
+    exp(-sqrt(omega) r), and the mode: the cells carry their exact shell
+    volumes, no flux crosses r = 0 and the value is 0 at r = R.
     l_minus is positive semidefinite, so -l_minus l_plus is similar to the
-    symmetric matrix -sqrt(l_minus) l_plus sqrt(l_minus); its top eigenvalue
-    is found by a dense symmetric solve, which is robust at any resolution.
+    symmetric matrix -sqrt(l_minus) l_plus sqrt(l_minus), whose top
+    eigenvalue a dense symmetric solve finds.
     """
-    grid, gs = pair.grid, pair.ground
-    cp = _coarse_grid(gs, grid, grid.half_width) or pair
-    if cp.grid.n_active > 2000:
-        # a narrow profile (large omega) needs fine cells everywhere in the
-        # full box; Q decays like exp(-sqrt(omega) |x|) and the mode faster,
-        # so a half-width of 20/sqrt(omega) holds both
-        cp = _coarse_grid(gs, grid, min(grid.half_width, 20.0 / np.sqrt(gs.omega)))
-        if cp is None or cp.grid.n_active > 2000:
-            raise SpectralError("coarse spectral estimate would not be coarse")
-    vals, vecs = sla.eigh(cp.l_minus.toarray())
+    cells, d = 200, gs.dim
+    h = min(20.0 / np.sqrt(gs.omega), gs.r_end) / cells
+    faces = h * np.arange(cells + 1)
+    flux = faces[1:] ** (d - 1) / h       # through each cell's outer face
+    flux[-1] *= 2.0
+    stiff = sp.diags([-flux[:-1], flux + np.r_[0.0, flux[:-1]], -flux[:-1]],
+                     [-1, 0, 1]).toarray()
+    scale = 1.0 / np.sqrt(np.diff(faces ** d) / d)
+    pot = gs.evaluate(faces[:-1] + 0.5 * h)[0] ** (gs.p - 1.0)
+    base = scale[:, None] * stiff * scale + gs.omega * np.identity(cells)
+    vals, vecs = sla.eigh(base - np.diag(pot))
     root = vecs @ (np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T)
-    sym = -root @ (cp.l_plus @ root)
-    top = float(sla.eigh(sym, eigvals_only=True,
-                         subset_by_index=[cp.grid.n_active - 1] * 2)[0])
-    if top <= 1e-8 * pair.ground.omega**2:
+    sym = -root @ (base - gs.p * np.diag(pot)) @ root
+    top = float(sla.eigh(sym, eigvals_only=True, subset_by_index=[cells - 1] * 2)[0])
+    if top <= 1e-8 * gs.omega**2:
         raise SpectrallyStableError(
             f"no positive real eigenvalue of the composed operator (top = {top}): "
             "spectrally stable configuration"
@@ -176,24 +163,18 @@ def _coarse_growth_estimate(pair: LinearizedPair) -> float:
     return top
 
 
-def _solved_on(modes: EigenModes, grid: Grid, p: float) -> bool:
-    """Whether `modes` were solved on `grid` for the exponent p."""
-    return modes.y1.grid == grid and modes.p == p
-
-
-def solve_unstable_pair(pair: LinearizedPair, *,
-                        like: EigenModes | None = None) -> EigenModes:
+def solve_unstable_pair(pair: LinearizedPair) -> EigenModes:
     """Unstable eigenvalue e0 and mode from the composed operator -l_minus l_plus.
 
-    The inverse-iteration shift comes from an estimate of e0^2.  Without
-    `like`, a dense solve on a coarse resampling brackets e0^2 first.  With
-    `like`, modes already solved on this grid for the same p at a frequency
-    omega_s, the estimate is the lattice dilation law
-    e0^2 = (omega / omega_s)^2 e_s^2 and no dense solve is made.  Either way
-    the fine value is then pinned by shift-inverted inverse iteration, which
-    is immune to the huge negative branch of the composed spectrum.  Kernels
-    need no deflation here because the shift sits next to e0^2, far from
-    zero.  Everything is deterministic: no randomized starts.
+    The radial estimate of e0^2 sets the shift of a shift-inverted inverse
+    iteration, which pins the lattice value and is immune to the huge
+    negative branch of the composed spectrum.  The estimate need not be
+    accurate: l_minus >= 0 and l_plus has one negative direction, so every
+    other eigenvalue is <= 0 and any shift s > e0^2 / 2 converges to e0^2.
+    That is checked afterwards; a shift that did not hold e0^2 is a
+    SpectralError, not stability.  Kernels need no deflation here because the
+    shift sits next to e0^2, far from zero.  Everything is deterministic: no
+    randomized starts.
     """
     gs = pair.ground
     if not gs.p > 1.0 + 4.0 / gs.dim:
@@ -202,22 +183,14 @@ def solve_unstable_pair(pair: LinearizedPair, *,
             f"{1.0 + 4.0 / gs.dim}): no real unstable eigenvalue exists"
         )
     lp, lm = pair.l_plus, pair.l_minus
-    if like is None:
-        lam_est = _coarse_growth_estimate(pair)
-    elif _solved_on(like, pair.grid, gs.p):
-        lam_est = (gs.omega / like.omega * like.e0) ** 2
-    else:
-        raise SpectralError(
-            f"modes solved for p={like.p} on {like.y1.grid} cannot set the shift "
-            f"for p={gs.p} on {pair.grid}"
-        )
+    lam_est = _radial_growth_estimate(gs)
 
     composed = (-(lm @ lp)).tocsc()
     n = pair.grid.n_active
     y1 = to_active(pair.q_field).real ** 2
     y1 /= np.linalg.norm(y1)
     lam = lam_est
-    shift = lam_est * 1.05 + 1e-3
+    shift = first_shift = lam_est * 1.05 + 1e-3
     done = False
     for refine in range(3):
         solver = spla.splu(composed - shift * sp.identity(n, format="csc"))
@@ -243,10 +216,11 @@ def solve_unstable_pair(pair: LinearizedPair, *,
         raise SpectralError(
             f"inverse iteration did not converge (lam={lam}, resid={resid})"
         )
-    if lam <= 1e-8 * gs.omega**2:
-        raise SpectrallyStableError(
-            f"no positive real eigenvalue of the composed operator (got {lam}): "
-            "spectrally stable configuration"
+    # the shift must sit nearer lam than 0, the nearest nonpositive eigenvalue
+    if not 1e-8 * gs.omega**2 < lam < 2.0 * first_shift:
+        raise SpectralError(
+            f"the shift {first_shift} from the radial estimate e0^2 ~ {lam_est} is "
+            f"not nearer the eigenvalue {lam} that inverse iteration reached than 0"
         )
     e0 = float(np.sqrt(lam))
     if y1[np.argmax(np.abs(y1))] < 0:
@@ -342,21 +316,16 @@ def measure_scaling_exponent(gs1: GroundState, grid: Grid, omegas=(1.0, 2.0, 4.0
 
     `solved` may carry modes the caller already solved on `grid` for `gs1`
     rescaled to one of the omegas; that frequency takes its e0 instead of
-    solving the same operators again.  Only one frequency per call pays for
-    the dense coarse estimate of e0^2: every solve takes its shift from
-    `solved`, or from the first frequency solved here, by the dilation law.
+    solving the same operators again.
     """
     es = []
-    like = solved if solved is not None and _solved_on(solved, grid, gs1.p) else None
     for om in omegas:
         gs = rescale(gs1, om)
-        if like is not None and like.omega == gs.omega:
-            es.append(like.e0)
-            continue
-        modes = solve_unstable_pair(assemble(gs, grid), like=like)
-        if like is None:
-            like = modes
-        es.append(modes.e0)
+        if solved is not None and (solved.y1.grid, solved.p, solved.omega) \
+                == (grid, gs.p, gs.omega):
+            es.append(solved.e0)
+        else:
+            es.append(solve_unstable_pair(assemble(gs, grid)).e0)
     es = np.asarray(es)
     logw = np.log(np.asarray(omegas, dtype=float))
     kappa, logc = np.polyfit(logw, np.log(es), 1)

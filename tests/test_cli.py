@@ -221,6 +221,17 @@ def test_lattice_above_physical_memory_is_refused(tmp_path, capsys, monkeypatch,
     assert "a 64^2 lattice of complex values needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("memory, code", [(24_575_999, 2), (24_576_000, 3)])
+def test_spectrum_lattice_beyond_its_factorization_is_refused(tmp_path, capsys,
+                                                              monkeypatch, memory, code):
+    # 64^2 points at 6 kB each: 24.576 MB; one byte more gets to the ground state
+    monkeypatch.setattr("nlslab.cli.physical_memory", lambda: memory)
+    monkeypatch.setattr("nlslab.ground_state.solve_ground_state", _no_ground_state)
+    assert _contract_code(tmp_path, ["spectrum", "--dim=2", "--n=64"]) == code
+    refused = "factoring the spectrum's operators on 4096 points needs about 0.0246 GB"
+    assert (refused in capsys.readouterr().err) == (code == 2)
+
+
 @pytest.mark.parametrize("dim, v", [("2", "2,0"), ("3", "2,0,0")])
 def test_shoot_outside_1d_is_refused_before_the_grid(tmp_path, capsys, monkeypatch,
                                                      dim, v):
@@ -273,6 +284,7 @@ EDGE_REFUSED = [
       for val in ("0", "-1")),
     *(f"{sub} --omega={val}" for sub in ("fixed-point", "shoot --a=1", "functionals --in={in}")
       for val in ("0", "-1", "nan", "inf")),
+    "functionals --in={in} --v=1,5",
     *(f"{sub} --v={val}" for sub in ("fixed-point", "shoot --a=1")
       for val in ("nan", "inf", "1e300")),
     "fixed-point --v=0",
@@ -280,6 +292,7 @@ EDGE_REFUSED = [
       for val in ("0", "-1", "nan")),
     *(f"fixed-point --snapshot-every={val}" for val in ("0", "-1")),
     "spectrum --seed=-1",
+    "spectrum --dim=2",   # 2047^2 points: about 25 GB of LU factors
     *(f"shoot --a=1 --T0={val}" for val in ("0", "-1", "nan", "inf", "1e300")),
     *(f"shoot --a=1 --Tn={val}" for val in ("0", "-1", "nan", "1e-300")),
     *(f"shoot --a=1 --log-every={val}" for val in ("0", "-1")),
@@ -295,6 +308,8 @@ EDGE_REFUSED = [
 
 @pytest.mark.parametrize("argv", EDGE_REFUSED)
 def test_edge_value_is_refused(tmp_path, monkeypatch, argv):
+    # the lattice sizes refused here are refused on any desk of 8 GB or less
+    monkeypatch.setattr("nlslab.cli.physical_memory", lambda: 8 * 10**9)
     if not argv.startswith("ground-state"):
         monkeypatch.setattr("nlslab.ground_state.solve_ground_state", _no_ground_state)
     argv = argv.format(**{"in": _field_file(tmp_path / "u0.bin")})
@@ -502,38 +517,38 @@ def test_spectrum_run_and_determinism(tmp_path):
 
 
 def test_spectrum_defaults_p7(tmp_path):
-    # L=40, n=2047, omegas 1,2,4: the certificate runs on the full grid; the
-    # omega=2 and 4 shifts come from the omega=1 modes, so the coarse estimate
-    # never needs the narrowed box here (test_linearized reaches it directly)
+    # L=40, n=2047, omegas 1,2,4: the certificate runs on the full grid
     assert main(["spectrum", "--p", "7", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["lambda_min"] > 0
     assert len(summary["scaling_rates"]) == 3
 
 
+def test_spectrum_in_2d(tmp_path):
+    # the lattice passes assemble's 20% check (jump 0.17)
+    argv = ["spectrum", "--dim=2", "--p=4", "--L=6", "--n=127", "--omegas=1"]
+    assert _contract_code(tmp_path, argv) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["e0"] == pytest.approx(3.90657, rel=1e-5)
+    assert summary["lambda_min"] > 0
+    assert max(summary["eigen_residuals"].values()) < 1e-10
+
+
 def test_spectrum_solves_its_own_frequency_once(tmp_path, monkeypatch):
     import nlslab.linearized as linearized
 
-    solved, estimated = [], []
+    solved = []
     real = linearized.solve_unstable_pair
-    real_estimate = linearized._coarse_growth_estimate
 
     def counting(pair, *args, **kwargs):
         solved.append(pair.ground.omega)
         return real(pair, *args, **kwargs)
 
-    def counting_estimate(pair):
-        estimated.append(pair.ground.omega)
-        return real_estimate(pair)
-
     monkeypatch.setattr(linearized, "solve_unstable_pair", counting)
-    monkeypatch.setattr(linearized, "_coarse_growth_estimate", counting_estimate)
     cfg = default_config()
     cfg.update({"p": 7.0, "L": 15.0, "n": 1023, "omegas": (1.0, 2.0, 4.0)})
     assert run("spectrum", cfg, tmp_path) == 0
     assert solved == [1.0, 2.0, 4.0]
-    # one dense estimate per run: omega=2 and 4 take the dilated shift
-    assert estimated == [1.0]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["scaling_rates"][0] == summary["e0"]
     gs = solve_ground_state(7.0, 1.0, 1)

@@ -219,32 +219,38 @@ def test_scaling_takes_e0_from_solved_modes(gs7, monkeypatch):
     assert solved[3:] == [1.0, 2.0]
 
 
-def test_narrowed_box_estimate_at_large_omega(gs7, monkeypatch):
-    # at omega=4 the full L=40 box would need 2047 coarse points, so the dense
-    # estimate resamples half-width 20/sqrt(omega) = 10; the lattice dilation
-    # makes the rate 4 e0 of the L=40/n=1023 omega=1 grid
-    widths = []
-    real = linearized._coarse_grid
-
-    def recording(gs, grid, half_width):
-        widths.append(half_width)
-        return real(gs, grid, half_width)
-
-    monkeypatch.setattr(linearized, "_coarse_grid", recording)
+def test_rate_at_large_omega_is_the_dilated_rate(gs7):
+    # the omega=4 pair on L=40/n=2047 is the omega=1 pair on L=40/n=1023
+    # dilated by 2, so its rate is 4 e0 of that grid
     modes4 = solve_unstable_pair(assemble(rescale(gs7, 4.0), build_grid(1, 40.0, 2047)))
-    assert widths == [40.0, 10.0]
     modes1 = solve_unstable_pair(assemble(gs7, build_grid(1, 40.0, 1023)))
     assert modes4.e0 == pytest.approx(4.0 * modes1.e0, rel=1e-10)
 
 
-def test_shift_from_modes_of_another_grid_or_p_refused(gs7, cert):
-    _, modes, _ = cert
-    with pytest.raises(SpectralError, match="cannot set the shift"):
-        solve_unstable_pair(assemble(rescale(gs7, 2.0), build_grid(1, 12.0, 511)),
-                            like=modes)
-    with pytest.raises(SpectralError, match="cannot set the shift"):
-        solve_unstable_pair(assemble(rescale(gs7, 2.0), modes.y1.grid),
-                            like=dataclasses.replace(modes, p=9.0))
+@pytest.mark.parametrize("p, dim, half_width, n", [(7.0, 1, 30.0, 4095), (4.0, 2, 6.0, 127)])
+def test_radial_estimate_holds_the_lattice_rate(p, dim, half_width, n):
+    # the shift converges to e0^2 whenever it is above e0^2 / 2
+    gs = solve_ground_state(p, 1.0, dim)
+    e2 = solve_unstable_pair(assemble(gs, build_grid(dim, half_width, n))).e0 ** 2
+    est = linearized._radial_growth_estimate(gs)
+    assert est > 0.5 * e2
+    assert est == pytest.approx(e2, rel=0.1)
+
+
+def test_shift_below_half_the_rate_is_a_spectral_error(cert, monkeypatch):
+    # a shift nearer 0 than e0^2 pulls inverse iteration off the positive
+    # eigenvalue: a bad estimate, not stability
+    pair, modes, _ = cert
+    monkeypatch.setattr(linearized, "_radial_growth_estimate",
+                        lambda gs: 0.4 * modes.e0**2)
+    with pytest.raises(SpectralError, match="from the radial estimate") as err:
+        solve_unstable_pair(pair)
+    assert not isinstance(err.value, SpectrallyStableError)
+
+
+def test_radial_estimate_of_a_subcritical_profile_is_stable(gs3):
+    with pytest.raises(SpectrallyStableError, match="spectrally stable"):
+        linearized._radial_growth_estimate(gs3)
 
 
 def test_mode_interpolants_built_once(work, monkeypatch):
