@@ -203,6 +203,11 @@ def run_spectrum(cfg, out: Path) -> dict:
         raise ConfigError(f"factoring the spectrum's operators on {grid.n_active} points "
                           f"needs about {need / 1e9:.3g} GB, above physical memory")
     gs = gsmod.solve_ground_state(cfg["p"], 1.0, cfg["dim"])
+    # every frequency's lattice, before the first eigensolve
+    for om in [cfg["omega"], *(omegas if len(omegas) >= 2 else ())]:
+        q, _ = gsmod.rescale(gs, om).evaluate(grid.radius())
+        if lin.potential_jump(q, gs.p) > lin.MAX_POTENTIAL_JUMP:
+            raise ConfigError(f"{lin.COARSE_FOR_THE_POTENTIAL} at omega={om}")
     gs_w = gsmod.rescale(gs, cfg["omega"])
     pair = lin.assemble(gs_w, grid)
     modes = lin.solve_unstable_pair(pair)

@@ -22,7 +22,8 @@ the Picard sweeps, each step is the plain Strang step.
 `march_ahead` runs `march` in a forked worker process on the second core;
 the backward shoot uses it, so the march of one shot hides behind its
 decompositions and log rows.  The worker writes each state down a pipe (a
-header, then its bytes), and the consumer reads it into a new array.  The
+header, then its bytes; the pipe, like the Picard worker's, comes from
+`worker_pipe`), and the consumer reads it into a new array.  The
 pipe is the flow control: a full pipe blocks the worker, an empty one the
 consumer, and neither spins.  The generator's `finally` kills and reaps the
 worker on every path out of the consumer's loop; if the consumer's process
@@ -34,6 +35,7 @@ process runs the serial arithmetic, so every state keeps its bits.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pickle
 import signal
@@ -193,6 +195,24 @@ def march(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
             yield k, vec
 
 
+# asked of every worker pipe: 32 rows of the Picard mesh, 22 shoot states
+PIPE_BYTES = 1 << 20
+
+
+def worker_pipe() -> tuple[int, int]:
+    """An os.pipe() raised to PIPE_BYTES where the system allows it.
+
+    A refusal (above the system's pipe-max-size, or over the user's quota
+    of pipe pages) keeps the default size, which only holds less.
+    """
+    r, w = os.pipe()
+    try:
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except OSError:
+        pass
+    return r, w
+
+
 _HEADER = struct.Struct("qq")  # (k, 0): state k's 16 n bytes follow;
                                # (-1, n): an n-byte pickled exception follows
 
@@ -235,7 +255,7 @@ def march_ahead(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
     if len(os.sched_getaffinity(0)) < 2:
         yield from march(stepper, vec, n_steps, p, every=every)
         return
-    r, w = os.pipe()
+    r, w = worker_pipe()
     pid = os.fork()
     if pid == 0:
         os.close(r)

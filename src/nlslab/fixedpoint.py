@@ -12,10 +12,22 @@ and the contraction is measured rather than assumed.
 
 For p other than 3 the nonlinearity is Taylor-split into the same A0, the
 exact linear part, and a single exact remainder (slot A2, with A3 empty).
+
+With two usable cores `picard` forks one worker per call, as
+`evolve.march_ahead` does: a pipe each way, and a `finally` that kills and
+reaps it.  The worker builds the upper two thirds of the ansatz mesh while
+the caller evaluates a0 and the rest; then it takes each sweep's weighted
+norms behind the march, from the rows the caller writes down the pipe.
+Each process runs the serial arithmetic, so every number keeps its bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +53,7 @@ from .evolve import (
     march,
     residual_norms,
     step_count,
+    worker_pipe,
 )
 from .soliton import SolitonError, SolitonParams, _check_center, ansatz
 from .soliton import soliton_field  # noqa: F401  (bench/tests reads this binding)
@@ -152,15 +165,32 @@ def _time_mesh(T0: float, Tmax: float, dt: float):
         raise FixedPointInputError(f"time mesh of {n:.3g} steps: {exc}") from exc
 
 
+def _lower_rows(nt: int) -> int:
+    """The ansatz rows [0, nt // 3) that `picard` builds beside a0, while its
+    worker builds the rest: on picard_v8's mesh (2-core desk) a0 takes
+    0.29 s and all of R 0.72 s, so both finish their part in about 0.5 s."""
+    return nt // 3
+
+
+def _ansatz_rows(sources: SourceSet, ts, out) -> None:
+    """out[k] = the ansatz R(ts[k]) on the active points."""
+    mask = sources.grid.mask
+    for k, t in enumerate(ts):
+        out[k] = sources._ansatz(t)[mask]
+
+
 class _MeshSources:
     """A SourceSet evaluated once on a time mesh, as active vectors.
 
     a0(t_k) is kept on its support (the cutoff window); the ansatz R(t_k),
     which the feedback terms need, is one (nt, n_active) array, built only
-    when ``ansatz`` is set.
+    when ``ansatz`` is set.  ``upper``, if given, fills rows
+    [_lower_rows(nt), nt) of R instead; it is called after a0 and the lower
+    rows, so that an error keeps the serial order.
     """
 
-    def __init__(self, sources: SourceSet, ts, with_a0: bool, ansatz: bool):
+    def __init__(self, sources: SourceSet, ts, with_a0: bool, ansatz: bool,
+                 upper=None):
         mask = sources.grid.mask
         self.p = sources.p
         self.n_active = sources.grid.n_active
@@ -173,8 +203,10 @@ class _MeshSources:
         self.R = None
         if ansatz:
             self.R = np.empty((len(ts), self.n_active), dtype=complex)
-            for k, t in enumerate(ts):
-                self.R[k] = sources._ansatz(t)[mask]
+            lower = len(ts) if upper is None else _lower_rows(len(ts))
+            _ansatz_rows(sources, ts[:lower], self.R[:lower])
+            if upper is not None:
+                upper(self.R[lower:])
 
     def source(self, which, rows):
         """k -> the selected sources at t_k on rows[k] (rows may be None)."""
@@ -271,6 +303,197 @@ class _ENorm:
         return vals
 
 
+# what a sweep's rows are to its norms: the first iterate, a later iterate
+# (its change from the one it replaces counts too), or a J-diagnostic sweep,
+# which leaves the iterate alone
+_FIRST, _NEXT, _PROBE = 0, 1, 2
+
+
+class _SweepNorms:
+    """Sups of the weighted norms of one sweep's rows, taken as they come.
+
+    ``old`` is the iterate that a _NEXT sweep's rows replace; whoever holds
+    it stores each kept row after the norms have seen it.  `end` returns the
+    two sups (iterate, change) and starts the next sweep.
+    """
+
+    def __init__(self, norm: _ENorm, weights: np.ndarray, old: np.ndarray):
+        self._norm, self._weights, self.old = norm, weights, old
+        self._sup = [0.0, 0.0]
+
+    def row(self, k: int, vec: np.ndarray, kind: int) -> None:
+        if kind == _NEXT:
+            it, d = self._norm(self._weights[k], np.stack([vec, vec - self.old[k]]))
+            self._sup[1] = max(self._sup[1], d)
+        else:
+            it = self._norm(self._weights[k], vec[None])[0]
+        self._sup[0] = max(self._sup[0], it)
+
+    def block(self, k: int, vecs: np.ndarray, kind: int) -> None:
+        """`row` of vecs[i] at k - i for each i, in one norm call: each row's
+        norm is the same bits in a stack.  A non-finite norm is raised as
+        `row` raises it, at its row."""
+        ks = k - np.arange(len(vecs))
+        w, stack = self._weights[ks], vecs
+        if kind == _NEXT:
+            w, stack = np.concatenate([w, w]), np.concatenate([vecs, vecs - self.old[ks]])
+        try:
+            vals = self._norm(w, stack)
+        except FixedPointError:
+            for i, vec in enumerate(vecs):
+                self.row(k - i, vec, kind)
+            raise
+        self._sup[0] = max(self._sup[0], vals[:len(vecs)].max())
+        if kind == _NEXT:
+            self._sup[1] = max(self._sup[1], vals[len(vecs):].max())
+
+    def end(self) -> tuple:
+        sup, self._sup = tuple(self._sup), [0.0, 0.0]
+        return sup
+
+
+_BLOCK = struct.Struct("qqq")   # to the worker: (k, kind, m) and the bytes of
+                                # rows k, k - 1, ..., k - m + 1; (-1, 0, 0) ends
+                                # a sweep
+_REPLY = struct.Struct("qq")    # back: (0, n) and n bytes (a pickle at a
+                                # sweep's end), or (-1, n) and an n-byte
+                                # pickled exception
+_BLOCK_ROWS = 8     # a row is sent with the next 7: the stacked norms take
+                    # 0.10 s a picard_v8 sweep (2-core desk), 0.20 s row by row
+_ENDED = "the Picard norm worker ended"
+
+
+def _reply(stream, tag: int, payload) -> None:
+    stream.write(_REPLY.pack(tag, memoryview(payload).nbytes))
+    stream.write(payload)
+    stream.flush()
+
+
+def _serve(rx_fd: int, tx_fd: int, sources: SourceSet, ts, norms: _SweepNorms) -> None:
+    """The forked side of `_NormWorker`: the upper ansatz rows, then norms.
+
+    A norm error is held until the sweep's end and sent then; the rows in
+    between are read and dropped, so the march never blocks on a full pipe.
+    SIGINT is ignored: an interrupt reaches `picard`, which ends the worker.
+    """
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        rx, tx = os.fdopen(rx_fd, "rb"), os.fdopen(tx_fd, "wb")
+        lower, n_active = _lower_rows(len(ts)), norms.old.shape[1]
+        try:
+            upper = np.empty((len(ts) - lower, n_active), dtype=complex)
+            _ansatz_rows(sources, ts[lower:], upper)
+        except Exception as exc:
+            _reply(tx, -1, pickle.dumps(exc))
+            return
+        _reply(tx, 0, upper)
+        del upper
+        vecs = np.empty((_BLOCK_ROWS, n_active), dtype=complex)
+        failed = None
+        while len(head := rx.read(_BLOCK.size)) == _BLOCK.size:
+            k, kind, m = _BLOCK.unpack(head)
+            if k < 0:
+                if failed is None:
+                    _reply(tx, 0, pickle.dumps(norms.end()))
+                else:
+                    _reply(tx, -1, pickle.dumps(failed))
+                continue
+            if rx.readinto(vecs[:m]) < vecs[:m].nbytes:
+                return
+            if failed is None:
+                try:
+                    norms.block(k, vecs[:m], kind)
+                except Exception as exc:
+                    failed = exc
+            if kind != _PROBE:
+                norms.old[k - m + 1:k + 1] = vecs[m - 1::-1]
+    finally:
+        os._exit(0)     # `picard` reads no exit status
+
+
+class _NormWorker:
+    """`picard`'s second process, with the methods of `_SweepNorms`.
+
+    The worker is forked with the caller's `_SweepNorms`; its copy of the
+    iterate is its own from then on.  It first builds rows
+    [_lower_rows(nt), nt) of the ansatz, which `upper` reads.  Then `row`
+    gathers a sweep's new rows and writes them down a pipe, _BLOCK_ROWS at a
+    time; the worker takes their norms behind the march and keeps them in
+    its copy of the iterate (_PROBE rows it does not keep).  `end` sends the
+    last rows and returns the sweep's sups, or raises the worker's error:
+    the serial loop would have raised it at its row.  A full pipe blocks the
+    writer and an empty one the reader, so neither spins.  `close` kills and
+    reaps the worker.
+    """
+
+    def __init__(self, sources: SourceSet, ts, norms: _SweepNorms):
+        rows_r, rows_w = worker_pipe()
+        back_r, back_w = worker_pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(rows_w)
+            os.close(back_r)
+            _serve(rows_r, back_w, sources, ts, norms)
+        os.close(rows_r)
+        os.close(back_w)
+        self._tx = os.fdopen(rows_w, "wb")
+        self._rx = os.fdopen(back_r, "rb")
+        self._vecs = np.empty((_BLOCK_ROWS, norms.old.shape[1]), dtype=complex)
+        self._m = 0         # rows gathered in _vecs
+        self._head = None   # (k, kind) of the first of them
+
+    def _read(self, size: int) -> bytes:
+        data = self._rx.read(size)
+        if len(data) < size:
+            raise FixedPointError(_ENDED)
+        return data
+
+    def _answer(self) -> int:
+        """The size of the worker's next reply, or its error raised."""
+        tag, size = _REPLY.unpack(self._read(_REPLY.size))
+        if tag < 0:
+            raise pickle.loads(self._read(size))
+        return size
+
+    def upper(self, out: np.ndarray) -> None:
+        self._answer()
+        if self._rx.readinto(out) < out.nbytes:
+            raise FixedPointError(_ENDED)
+
+    def _write(self, *chunks) -> None:
+        try:
+            for chunk in chunks:
+                self._tx.write(chunk)
+            self._tx.flush()
+        except OSError as exc:     # the worker has gone
+            raise FixedPointError(_ENDED) from exc
+
+    def _send(self) -> None:
+        m, self._m = self._m, 0
+        if m:
+            self._write(_BLOCK.pack(*self._head, m), self._vecs[:m])
+
+    def row(self, k: int, vec: np.ndarray, kind: int) -> None:
+        if not self._m:
+            self._head = (k, kind)
+        self._vecs[self._m] = vec
+        self._m += 1
+        if self._m == _BLOCK_ROWS:
+            self._send()
+
+    def end(self) -> tuple:
+        self._send()
+        self._write(_BLOCK.pack(-1, 0, 0))
+        return pickle.loads(self._read(self._answer()))
+
+    def close(self) -> None:
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        for stream in (self._tx, self._rx):
+            with contextlib.suppress(OSError):   # rows the worker never read
+                stream.close()
+
+
 def e_norm(traj: Trajectory, cfg: NormConfig) -> float:
     """sup over snapshots of exp(delta sqrt(omega) |v| t) (|v|^-3 H2 + L2)."""
     if cfg.speed() <= 0:
@@ -308,6 +531,14 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     the mesh length and the memory of the two mesh arrays are checked before
     any source is evaluated.
 
+    With at least two usable cores (`os.sched_getaffinity`) a forked
+    `_NormWorker` builds two thirds of the ansatz rows and takes the
+    norms, behind the march, in its own copy of the iterate; with one it all
+    runs here.  The report and the trajectory are the same bytes either
+    way, and an error is the one the serial loop raises first: a norm error
+    at a row comes before a later row's CN solve error.  A worker that dies
+    is a FixedPointError.  No process outlives the call.
+
     Returns the report and the last trajectory; a growing tail of iterate
     norms is reported as non-contraction, not raised.
     """
@@ -331,52 +562,55 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
         raise FixedPointInputError(f"{nt} mesh times of the ansatz and the iterate need "
                                    f"{need / 1e9:.3g} GB, above physical memory")
     norm = _ENorm(grid, enorm_cfg)
-    weights = [norm.weight(t) for t in ts]
-    mesh = _MeshSources(sources, ts, with_a0=True, ansatz=True)
-    stepper = CrankNicolsonStepper(grid, -dt)
+    weights = np.array([norm.weight(t) for t in ts])
     rows = np.zeros((nt, grid.n_active), dtype=complex)
+    norms_of = _SweepNorms(norm, weights, rows)
+    worker = None
+    if len(os.sched_getaffinity(0)) >= 2:
+        norms_of = worker = _NormWorker(sources, ts, norms_of)
+    try:
+        mesh = _MeshSources(sources, ts, with_a0=True, ansatz=True,
+                            upper=None if worker is None else worker.upper)
+        stepper = CrankNicolsonStepper(grid, -dt)
 
-    sup = [0.0, 0.0]   # iterate, difference
+        def sweep(source, kind, out=None):
+            try:
+                _sweep(stepper, nt, source, out, lambda k, vec: norms_of.row(k, vec, kind))
+            except Exception:
+                norms_of.end()    # a norm error at an earlier row comes first
+                raise
+            return norms_of.end()
 
-    def iterate_norm(k, vec):
-        sup[0] = max(sup[0], norm(weights[k], vec[None])[0])
+        norms = [sweep(mesh.source(_ALL_SOURCES, None), _FIRST, rows)[0]]
+        j0_norm = norms[0]
+        diffs = []
+        ratios = []
+        grow = 0
+        non_contracting = False
+        for it in range(1, n_iters):
+            sup, d = sweep(mesh.source(_ALL_SOURCES, rows), _NEXT, rows)
+            norms.append(sup)
+            diffs.append(d)
+            if len(diffs) >= 2 and diffs[-2] > 0:
+                ratios.append(diffs[-1] / diffs[-2])
+            grow = grow + 1 if (len(norms) >= 2 and norms[-1] > norms[-2]) else 0
+            if grow >= 3:
+                non_contracting = True
+                break
+            if d < 1e-14 * max(norms[-1], 1.0):
+                break
 
-    def both_norms(k, vec):
-        it, d = norm(weights[k], np.stack([vec, vec - rows[k]]))
-        sup[0], sup[1] = max(sup[0], it), max(sup[1], d)
-
-    _sweep(stepper, nt, mesh.source(_ALL_SOURCES, None), rows, iterate_norm)
-    norms = [sup[0]]
-    j0_norm = norms[0]
-    diffs = []
-    ratios = []
-    grow = 0
-    non_contracting = False
-    for it in range(1, n_iters):
-        sup[:] = [0.0, 0.0]
-        _sweep(stepper, nt, mesh.source(_ALL_SOURCES, rows), rows, both_norms)
-        norms.append(sup[0])
-        d = sup[1]
-        diffs.append(d)
-        if len(diffs) >= 2 and diffs[-2] > 0:
-            ratios.append(diffs[-1] / diffs[-2])
-        grow = grow + 1 if (len(norms) >= 2 and norms[-1] > norms[-2]) else 0
-        if grow >= 3:
-            non_contracting = True
-            break
-        if d < 1e-14 * max(norms[-1], 1.0):
-            break
-
-    rnorm = max(norms[-1], 1e-300)
-    j = {"J0": j0_norm}
-    if j_diagnostics:
-        for name, sel in (("J1", "a1"), ("J2", "a2"), ("J3", "a3")):
-            sup[0] = 0.0
-            _sweep(stepper, nt, mesh.source((sel,), rows), on_row=iterate_norm)
-            j[name] = sup[0]
-        j["J1_over_r"] = _over_power(j["J1"], rnorm, 1)
-        j["J2_over_r2"] = _over_power(j["J2"], rnorm, 2)
-        j["J3_over_r3"] = _over_power(j["J3"], rnorm, 3)
+        rnorm = max(norms[-1], 1e-300)
+        j = {"J0": j0_norm}
+        if j_diagnostics:
+            for name, sel in (("J1", "a1"), ("J2", "a2"), ("J3", "a3")):
+                j[name] = sweep(mesh.source((sel,), rows), _PROBE)[0]
+            j["J1_over_r"] = _over_power(j["J1"], rnorm, 1)
+            j["J2_over_r2"] = _over_power(j["J2"], rnorm, 2)
+            j["J3_over_r3"] = _over_power(j["J3"], rnorm, 3)
+    finally:
+        if worker is not None:
+            worker.close()
 
     final_residual = None
     if not non_contracting:

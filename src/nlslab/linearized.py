@@ -43,6 +43,9 @@ from .ground_state import GroundState, rescale
 
 EIGEN_TOL = 1e-12   # target residual / max(1, e0^2); solves stall above it first
                     # and are accepted below 1e-7 (1.8e-9 at L=30, n=4095, p=7)
+MAX_POTENTIAL_JUMP = 0.2    # of Q^(p-1)'s peak between lattice neighbours
+COARSE_FOR_THE_POTENTIAL = ("grid too coarse for the potential: "
+                            "Q^(p-1) varies more than 20% per cell")
 N_PROBES = 100      # random feasible directions the certificate checks from above
 
 
@@ -100,17 +103,21 @@ def _build_pair(gs: GroundState, grid: Grid) -> LinearizedPair:
     return LinearizedPair(gs, grid, l_plus, l_minus, q_field, dq_fields)
 
 
+def potential_jump(q: np.ndarray, p: float) -> float:
+    """The largest change of Q^(p-1) between lattice neighbours, over its
+    peak, from the samples q of Q on a lattice."""
+    pot = q ** (p - 1.0)
+    jump = max(float(np.max(np.abs(np.diff(pot, axis=ax)))) for ax in range(q.ndim))
+    return jump / np.max(pot)
+
+
 def assemble(gs: GroundState, grid: Grid) -> LinearizedPair:
     """Build l_plus / l_minus on the (obstacle-free) spectral grid, refusing
-    one on which Q^(p-1) changes between neighbours by more than 20% of its
-    peak."""
+    one on which Q^(p-1) changes between neighbours by more than
+    MAX_POTENTIAL_JUMP of its peak."""
     pair = _build_pair(gs, grid)
-    pot = pair.q_field.values.real ** (gs.p - 1.0)
-    jump = max(float(np.max(np.abs(np.diff(pot, axis=ax)))) for ax in range(grid.dim))
-    if jump / np.max(pot) > 0.2:
-        raise SpectralError(
-            "grid too coarse for the potential: Q^(p-1) varies more than 20% per cell"
-        )
+    if potential_jump(pair.q_field.values.real, gs.p) > MAX_POTENTIAL_JUMP:
+        raise SpectralError(COARSE_FOR_THE_POTENTIAL)
     return pair
 
 

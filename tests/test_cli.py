@@ -232,6 +232,23 @@ def test_spectrum_lattice_beyond_its_factorization_is_refused(tmp_path, capsys,
     assert (refused in capsys.readouterr().err) == (code == 2)
 
 
+def _no_eigensolve(*args, **kwargs):
+    raise AssertionError("every frequency's lattice must be checked before an eigensolve")
+
+
+@pytest.mark.parametrize("argv, omega", [
+    # Q_omega is Q narrowed by sqrt(omega): the 127^2 lattice over L = 6 holds
+    # the potential at omega = 1 (jump 0.17), not at the default omegas 2 and 4
+    ("--dim=2 --p=4 --L=6 --n=127", "2.0"),
+    ("--dim=2 --p=4 --L=6 --n=127 --omega=4 --omegas=1,4", "4.0"),
+    ("--p=7 --L=30 --n=127 --omegas=1", "1.0")], ids=["omegas", "omega", "1d"])
+def test_spectrum_refuses_a_coarse_frequency_before_any_eigensolve(tmp_path, capsys,
+                                                                   monkeypatch, argv, omega):
+    monkeypatch.setattr("nlslab.linearized.solve_unstable_pair", _no_eigensolve)
+    assert _contract_code(tmp_path, ["spectrum", *argv.split()]) == 2
+    assert f"varies more than 20% per cell at omega={omega}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dim, v", [("2", "2,0"), ("3", "2,0,0")])
 def test_shoot_outside_1d_is_refused_before_the_grid(tmp_path, capsys, monkeypatch,
                                                      dim, v):

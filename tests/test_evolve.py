@@ -27,6 +27,7 @@ from nlslab.evolve import (
     march,
     march_ahead,
     step_count,
+    worker_pipe,
     _phase_half_step,
     _rotate,
     nls_residual,
@@ -305,8 +306,9 @@ def test_march_ahead_reports_a_worker_that_ends_inside_a_state(monkeypatch, marc
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_march_ahead_streams_a_state_larger_than_the_pipe(gs, dim):
+def test_march_ahead_streams_a_state_larger_than_the_pipe(gs, monkeypatch, dim):
     _two_cores()
+    monkeypatch.setattr(evolve_mod, "PIPE_BYTES", 1 << 16)   # the size a refusal keeps
     if dim == 1:
         g = build_grid(1, 20.0, 8191, Obstacle("ball", 1.0))
         pa = SolitonParams(omega=1.0, v=(1.0,), p=3.0, x0=(5.0,))
@@ -316,13 +318,34 @@ def test_march_ahead_streams_a_state_larger_than_the_pipe(gs, dim):
         pa = SolitonParams(omega=1.0, v=(0.5, 0.0), p=3.0, x0=(4.0, 0.0))
         u0 = soliton_field(pa, solve_ground_state(3, 1.0, 2), 0.0, g)
     stepper, vec = CrankNicolsonStepper(g, -0.002), to_active(u0)
-    r, w = os.pipe()
+    r, w = worker_pipe()
     pipe_size = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ)
     os.close(r)
     os.close(w)
     assert vec.nbytes > pipe_size
     assert (_states(march_ahead(stepper, vec, 5, 3.0, 2))
             == _states(march(stepper, vec, 5, 3.0, every=2)))
+
+
+def test_worker_pipe_is_raised_where_allowed(monkeypatch):
+    r, w = worker_pipe()
+    size = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ)
+    os.close(r)
+    os.close(w)
+    assert size in (1 << 16, evolve_mod.PIPE_BYTES)
+    calls = []
+
+    def refuse(fd, cmd, arg=0):
+        calls.append(cmd)
+        raise PermissionError("pipe-max-size")
+
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    r, w = worker_pipe()
+    assert calls == [fcntl.F_SETPIPE_SZ]
+    os.write(w, b"row")
+    assert os.read(r, 3) == b"row"
+    os.close(r)
+    os.close(w)
 
 
 # A consumer that takes two states of a long march and exits without closing

@@ -1,6 +1,10 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
+import nlslab.fixedpoint as fp_mod
 from nlslab.grid import (Field, NormConfig, Obstacle, build_cutoff, build_grid, h2_norm,
                          l2_norm, to_active)
 from nlslab.evolve import EvolveConfig, LinearSolveError, Trajectory, nls_residual
@@ -448,6 +452,209 @@ def test_centre_checks_at_the_mesh_ends_refuse_what_every_row_would(gs3):
         assert refused(params, ts[[0, -1]]) == every_row
         seen.add(every_row)
     assert seen == {True, False}
+
+
+# ------------------------------------------------------------ two processes
+
+def _forks(monkeypatch):
+    """Record the pids os.fork returns in this process."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _one_core(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def _two_cores():
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("picard forks its norm worker only with two usable cores")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _picard_bytes(rep, traj):
+    """Every number of the report (repr keeps the float types) and every
+    snapshot, as bytes."""
+    numbers = (rep.iterate_norms, rep.diff_norms, rep.contraction_ratios,
+               sorted(rep.j_norms.items()), rep.final_residual, rep.tail_criterion,
+               rep.converged, rep.non_contracting)
+    return repr(numbers), traj.times.tobytes(), [u.values.tobytes() for u in traj.snapshots]
+
+
+@pytest.mark.parametrize("v, horizon, j_diag", [(8.0, 4.0, True), (2.0, 3.0, False)],
+                         ids=["contracting", "non-contracting"])
+def test_picard_on_two_cores_is_the_one_core_picard_bit_for_bit(gs3, box, monkeypatch,
+                                                               v, horizon, j_diag):
+    _two_cores()
+    pids = _forks(monkeypatch)
+    rep, traj, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
+    assert len(pids) == 1
+    _no_child_left()
+    _one_core(monkeypatch)
+    rep1, traj1, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
+    assert len(pids) == 1
+    assert rep.non_contracting == (v == 2.0)
+    assert _picard_bytes(rep, traj) == _picard_bytes(rep1, traj1)
+
+
+def test_picard_on_one_core_forks_nothing(gs3, box, monkeypatch):
+    _one_core(monkeypatch)
+    pids = _forks(monkeypatch)
+    run_picard(gs3, box, 8.0, n_iters=3, horizon=1.0)
+    assert pids == []
+
+
+def _short_picard(gs3, box):
+    """picard at v = 8 on 376 mesh times, 0.5 <= t <= 2; the mesh's times."""
+    src, _ = sources_at(gs3, box, 8.0)
+    cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(8.0,), T0=0.5)
+    return (lambda: picard(src, 0.5, 2.0, cfg, 4, EvolveConfig(dt=0.004),
+                           j_diagnostics=False)), src, _time_mesh(0.5, 2.0, 0.004)[0]
+
+
+def _error_of(run):
+    with pytest.raises(Exception) as exc:
+        run()
+    return type(exc.value), str(exc.value)
+
+
+def _nan_forcing_at(monkeypatch, row):
+    """Every sweep's forcing NaN at one mesh row: its CN solve fails there."""
+    source = fp_mod._MeshSources.source
+
+    def poisoned(mesh, which, rows):
+        at = source(mesh, which, rows)
+        return lambda k: at(k) * (np.nan if k == row else 1.0)
+
+    monkeypatch.setattr(fp_mod._MeshSources, "source", poisoned)
+
+
+@pytest.mark.parametrize("later_solve_error", [False, True],
+                         ids=["alone", "before-a-solve-error"])
+def test_norm_error_in_the_worker_is_the_serial_error(gs3, box, monkeypatch,
+                                                      later_solve_error):
+    # a NaN weight at row 300 fails the first sweep's norm there; a NaN
+    # forcing at row 100 fails its CN solve later in the same sweep, so the
+    # serial loop raises the norm error first
+    _two_cores()
+    run, _, ts = _short_picard(gs3, box)
+    weight = fp_mod._ENorm.weight
+    monkeypatch.setattr(fp_mod._ENorm, "weight",
+                        lambda norm, t: np.nan if t == ts[300] else weight(norm, t))
+    if later_solve_error:
+        _nan_forcing_at(monkeypatch, 100)
+    forked = _error_of(run)
+    _no_child_left()
+    _one_core(monkeypatch)
+    assert forked == _error_of(run)
+    assert forked[0] is FixedPointError
+    assert forked[1] == "non-finite weighted norm [nan] (weight nan)"
+
+
+@pytest.mark.parametrize("kind", [fp_mod._FIRST, fp_mod._NEXT, fp_mod._PROBE],
+                         ids=["first", "next", "probe"])
+def test_a_block_of_rows_is_its_rows_bit_for_bit(box, kind):
+    grid, _ = box
+    cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(8.0,), T0=0.5)
+    norm = fp_mod._ENorm(grid, cfg)
+    rng = np.random.default_rng(3)
+    old = rng.standard_normal((20, grid.n_active)) + 1j * rng.standard_normal((20, grid.n_active))
+    new = old + 0.1 * rng.standard_normal(old.shape)
+    weights = np.exp(np.linspace(0.0, 3.0, 20))
+    rows, blocks = (fp_mod._SweepNorms(norm, weights, old) for _ in range(2))
+    for k in range(19, -1, -1):
+        rows.row(k, new[k], kind)
+    for k in (19, 11, 3):    # blocks of 8, 8 and 4 rows, as a sweep sends them
+        blocks.block(k, new[k::-1][:min(8, k + 1)], kind)
+    assert repr(rows.end()) == repr(blocks.end())
+    weights[9] = np.nan
+    with pytest.raises(FixedPointError) as by_row:
+        rows.row(9, new[9], kind)
+    with pytest.raises(FixedPointError) as by_block:
+        blocks.block(11, new[11::-1][:8], kind)
+    assert str(by_block.value) == str(by_row.value)
+
+
+def test_solve_error_with_no_norm_error_is_the_serial_error(gs3, box, monkeypatch):
+    _two_cores()
+    run, src, ts = _short_picard(gs3, box)
+    ansatz = src._ansatz
+    src._ansatz = lambda t: ansatz(t) * (np.nan if t == ts[100] else 1.0)
+    forked = _error_of(run)
+    _one_core(monkeypatch)
+    assert forked == _error_of(run)
+    assert forked[0] is LinearSolveError
+    _no_child_left()
+
+
+@pytest.mark.parametrize("rows", [(300,), (100, 300)], ids=["upper", "lower-first"])
+def test_ansatz_error_in_the_worker_keeps_the_serial_order(gs3, box, monkeypatch, rows):
+    # the worker builds rows 125..375 of the ansatz; an error in the lower
+    # rows, which the caller builds, comes first, as in the serial loop
+    _two_cores()
+    run, src, ts = _short_picard(gs3, box)
+    ansatz = src._ansatz
+
+    def failing(t):
+        for k in rows:
+            if t == ts[k]:
+                raise FixedPointError(f"ansatz refused at row {k}")
+        return ansatz(t)
+
+    src._ansatz = failing
+    forked = _error_of(run)
+    _no_child_left()
+    _one_core(monkeypatch)
+    assert forked == _error_of(run) == (FixedPointError, f"ansatz refused at row {rows[0]}")
+
+
+def test_a_worker_killed_mid_sweep_is_a_fixed_point_error(gs3, box, monkeypatch):
+    # the worker takes 47 blocks of rows a sweep: the 60th is in the second
+    _two_cores()
+    run, _, _ = _short_picard(gs3, box)
+    calls, block = [], fp_mod._SweepNorms.block
+
+    def die(norms, k, vecs, kind):
+        calls.append(k)
+        if len(calls) == 60:
+            os.kill(os.getpid(), signal.SIGKILL)
+        block(norms, k, vecs, kind)
+
+    monkeypatch.setattr(fp_mod._SweepNorms, "block", die)
+    with pytest.raises(FixedPointError, match="Picard norm worker ended"):
+        run()
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_an_error_in_the_forcing_leaves_no_child(gs3, box, monkeypatch, error):
+    _two_cores()
+    run, _, _ = _short_picard(gs3, box)
+    calls, a2 = [], fp_mod._FEEDBACK["a2"]
+
+    def failing(R, r, p):
+        calls.append(1)
+        if len(calls) == 500:
+            raise error("in the forcing")
+        return a2(R, r, p)
+
+    monkeypatch.setitem(fp_mod._FEEDBACK, "a2", failing)
+    pids = _forks(monkeypatch)
+    with pytest.raises(error, match="in the forcing"):
+        run()
+    assert len(pids) == 1
+    _no_child_left()
 
 
 # -------------------------------------------------------- interpolation_check
