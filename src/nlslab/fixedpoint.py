@@ -13,21 +13,27 @@ and the contraction is measured rather than assumed.
 For p other than 3 the nonlinearity is Taylor-split into the same A0, the
 exact linear part, and a single exact remainder (slot A2, with A3 empty).
 
-With two usable cores `picard` forks one worker per call, as
-`evolve.march_ahead` does: a pipe each way, and a `finally` that kills and
-reaps it.  The worker builds the upper two thirds of the ansatz mesh while
-the caller evaluates a0 and the rest; then it takes each sweep's weighted
-norms behind the march, from the rows the caller writes down the pipe.
-Each process runs the serial arithmetic, so every number keeps its bits.
+The Picard loop splits its time mesh into two bands of rows.  With two
+usable cores `picard` forks one worker per call, as `evolve.march_ahead`
+does: a pipe each way, and a `finally` that kills and reaps it.  Each
+process owns the band whose ansatz it builds: it evaluates a0, every
+sweep's forcing and its part of the final residual there.  The caller
+marches every row, reads the worker's forcing rows from a pipe and writes
+every new row down the other, behind which the worker takes the weighted
+norms.  Each row is computed by the same function from the same bytes as in
+the serial loop, so every number keeps its bits.
 """
 
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
 import pickle
+import select
 import signal
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +99,11 @@ def _a3(R, r, p):
 # feedback terms of the ansatz R and the remainder r, any array shape
 _FEEDBACK = {"a1": _a1, "a2": _a2, "a3": _a3}
 _ALL_SOURCES = ("a0", "a1", "a2", "a3")
+# mesh rows of feedback forcing per pass of `_MeshSources.source`
+_FORCING_ROWS = 8
+# window values per pass of `SourceSet._a0_window`: 64 kB temporaries.  On
+# picard_v8's mesh all of a0 took 0.07 s this way and 0.13 s at 1 MB.
+_A0_POINTS = 1 << 12
 
 
 class SourceSet:
@@ -125,9 +136,47 @@ class SourceSet:
     def a0(self, t) -> Field:
         if self.psi is None:
             return Field.zeros(self.grid)
+        full = np.zeros((self.grid.n,) * self.grid.dim, dtype=complex)
+        full[self._window] = next(self._a0_window([t]))
+        return Field(self.grid, full)
+
+    def a0_active(self, ts) -> list:
+        """a0 at each time of ts as (positions, values) of its nonzero
+        entries in the active vector: the forcing adds only these."""
+        if self.psi is None:
+            return [(np.zeros(0, dtype=int), np.zeros(0, dtype=complex))] * len(ts)
+        grid = self.grid
+        active = np.cumsum(grid.mask.ravel()) - 1    # position in the active vector
+        inside = grid.mask[self._window]
+        at = active[np.flatnonzero(self._window.ravel())[inside]]
+        pairs = []
+        for vals in self._a0_window(ts):
+            vals = vals[inside]
+            nz = np.flatnonzero(vals)
+            pairs.append((at[nz], vals[nz]))
+        return pairs
+
+    def _a0_window(self, ts):
+        """a0 on the cutoff window at each time of ts, one row at a time.
+
+        One `_a0_pass` takes a chunk of times of about _A0_POINTS window
+        values; its arithmetic is elementwise, so each row has the bits of a
+        pass at its time alone.  A non-finite value raises as a `Field` of
+        it would.
+        """
+        ts = np.asarray(ts, dtype=float)[:, None]
+        step = max(1, _A0_POINTS // max(self._w0.size, 1))
+        for i in range(0, len(ts), step):
+            block = self._a0_pass(ts[i:i + step])
+            if not np.all(np.isfinite(block)):
+                raise FloatingPointError("field contains non-finite values")
+            yield from block
+
+    def _a0_pass(self, t) -> np.ndarray:
+        """a0 on the window at the column of times t."""
         params, gs = self.params, self.gs
         c = params.center(t)
-        r = np.sqrt(sum((xc - ck) ** 2 for xc, ck in zip(self._wcoords, c)))
+        r = np.sqrt(sum((xc - c[:, k:k + 1]) ** 2 for k, xc in enumerate(self._wcoords)))
         q, dq = gs.evaluate(r)
         safe = np.where(r > 0, r, 1.0)
         # this scalar order, not phase_factor's, is what the Picard numbers pin
@@ -137,11 +186,10 @@ class SourceSet:
         h = q * ph
         vals = self._w0 * np.abs(h) ** (self.p - 1.0) * h - self._lap_psi * h
         for k in range(self.grid.dim):
-            gh = (dq * (self._wcoords[k] - c[k]) / safe + 0.5j * params.v[k] * q) * ph
+            gh = (dq * (self._wcoords[k] - c[:, k:k + 1]) / safe
+                  + 0.5j * params.v[k] * q) * ph
             vals = vals - 2.0 * self._grad_psi[k] * gh
-        full = np.zeros((self.grid.n,) * self.grid.dim, dtype=complex)
-        full[self._window] = vals
-        return Field(self.grid, full)
+        return vals
 
     def total_active(self, r: Field | None, t, which) -> np.ndarray:
         """The selected sources at t on r (None: r = 0), as an active vector:
@@ -166,68 +214,104 @@ def _time_mesh(T0: float, Tmax: float, dt: float):
 
 
 def _lower_rows(nt: int) -> int:
-    """The ansatz rows [0, nt // 3) that `picard` builds beside a0, while its
-    worker builds the rest: on picard_v8's mesh (2-core desk) a0 takes
-    0.29 s and all of R 0.72 s, so both finish their part in about 0.5 s."""
-    return nt // 3
+    """The mesh rows [0, 2 nt // 5) that `picard` owns; its worker owns the
+    rest.  The caller also marches every row and the worker takes every
+    row's norms.  On picard_v8's mesh (2-core desk, 12 calls each) a split
+    at 1/2, 1/3, 1/4 and 2/5 gave medians of 2.30, 2.22, 2.27 and 2.03 s."""
+    return 2 * nt // 5
 
 
-def _ansatz_rows(sources: SourceSet, ts, out) -> None:
-    """out[k] = the ansatz R(ts[k]) on the active points."""
-    mask = sources.grid.mask
-    for k, t in enumerate(ts):
-        out[k] = sources._ansatz(t)[mask]
+def _own_pages(*shape) -> np.ndarray:
+    """An uninitialised complex array in anonymous pages of its own.
+
+    glibc raises its mmap threshold to the size of a freed mapped block
+    below 32 MB, and arrays under the threshold then come from the heap,
+    where freed memory can stay resident.  A band's ansatz freed that way
+    (14 MB at picard_v8) raised the caller's peak RSS by 3% over repeated
+    `picard` calls; pages of its own are unmapped when the array goes.
+    """
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, 16 * max(count, 1))
+    return np.frombuffer(buf, dtype=complex, count=count).reshape(shape)
 
 
 class _MeshSources:
-    """A SourceSet evaluated once on a time mesh, as active vectors.
+    """A SourceSet evaluated once on the mesh rows [lo, hi), as active vectors.
 
-    a0(t_k) is kept on its support (the cutoff window); the ansatz R(t_k),
-    which the feedback terms need, is one (nt, n_active) array, built only
-    when ``ansatz`` is set.  ``upper``, if given, fills rows
-    [_lower_rows(nt), nt) of R instead; it is called after a0 and the lower
-    rows, so that an error keeps the serial order.
+    a0(t_k) is kept on its support (the cutoff window).  The ansatz R(t_k),
+    which the feedback terms and the residual need, is one array on rows
+    [lo, hi + 2), clipped to the mesh: the residual's centred difference at
+    hi reaches row hi + 1.  It is built after a0 when ``ansatz`` is set, or
+    by stepping `build_ansatz`.  `source` and `residual` take the whole
+    iterate and mesh row numbers.
     """
 
     def __init__(self, sources: SourceSet, ts, with_a0: bool, ansatz: bool,
-                 upper=None):
-        mask = sources.grid.mask
-        self.p = sources.p
-        self.n_active = sources.grid.n_active
-        self.a0 = []
-        if with_a0:
-            for t in ts:
-                vals = sources.a0(t).values[mask]
-                idx = np.flatnonzero(vals)
-                self.a0.append((idx, vals[idx]))
+                 lo: int = 0, hi: int | None = None):
+        self.p, self.grid, self.ts, self.lo = sources.p, sources.grid, ts, lo
+        self.hi = len(ts) if hi is None else hi
+        self.a0 = sources.a0_active(ts[lo:self.hi]) if with_a0 else []
         self.R = None
         if ansatz:
-            self.R = np.empty((len(ts), self.n_active), dtype=complex)
-            lower = len(ts) if upper is None else _lower_rows(len(ts))
-            _ansatz_rows(sources, ts[:lower], self.R[:lower])
-            if upper is not None:
-                upper(self.R[lower:])
+            for _ in self.build_ansatz(sources):
+                pass
+
+    def build_ansatz(self, sources: SourceSet):
+        """Build R, one row per step of this generator."""
+        ts, mask = self.ts[self.lo:self.hi + 2], self.grid.mask
+        self.R = _own_pages(len(ts), self.grid.n_active)
+        for k, t in enumerate(ts):
+            self.R[k] = sources._ansatz(t)[mask]
+            yield
 
     def source(self, which, rows):
-        """k -> the selected sources at t_k on rows[k] (rows may be None)."""
+        """k -> the selected sources at t_k on rows[k] (rows may be None).
+
+        With feedback, asking for row k computes rows k - _FORCING_ROWS + 1
+        to k at once (not below lo) and keeps them for the next asks: the
+        arithmetic is elementwise, so each row has the bits of its own
+        pass.  The march asks in decreasing k, and rows[j] is read before
+        row j of the next iterate replaces it.
+        """
         terms = [_FEEDBACK[name] for name in ("a1", "a2", "a3") if name in which]
         if rows is None:
             terms = []     # the feedback of r = 0 vanishes
         with_a0 = "a0" in which
+        lo, n_active = self.lo, self.grid.n_active
+        kept = [None, None]     # the first row of the rows computed, and them
+
+        def rows_to(k):
+            j = max(lo, k - _FORCING_ROWS + 1)
+            R, r = self.R[j - lo:k + 1 - lo], rows[j:k + 1]
+            f = terms[0](R, r, self.p)
+            if with_a0:
+                for fk, (idx, vals) in zip(f, self.a0[j - lo:k + 1 - lo]):
+                    fk[idx] += vals
+            for term in terms[1:]:
+                f += term(R, r, self.p)
+            kept[:] = j, f
 
         def at(k):
-            if terms:
-                f = terms[0](self.R[k], rows[k], self.p)
-            else:
-                f = np.zeros(self.n_active, dtype=complex)
-            if with_a0:
-                idx, vals = self.a0[k]
-                f[idx] += vals
-            for term in terms[1:]:
-                f += term(self.R[k], rows[k], self.p)
-            return f
+            if not terms:
+                f = np.zeros(n_active, dtype=complex)
+                if with_a0:
+                    idx, vals = self.a0[k - lo]
+                    f[idx] += vals
+                return f
+            j, f = kept
+            if j is None or not j <= k < j + len(f):
+                rows_to(k)
+                j, f = kept
+            return f[k - j]
 
         return at
+
+    def residual(self, rows):
+        """The residual norms of R + rows at the interior mesh rows of
+        [lo + 1, hi], in increasing order (`evolve.residual_norms`)."""
+        lo, R = self.lo, self.R
+        return residual_norms(lambda j: R[j] + rows[lo + j], self.ts[lo:lo + len(R)],
+                              self.p, self.grid)
 
 
 def _sweep(stepper: CrankNicolsonStepper, nt: int, source, out=None, on_row=None):
@@ -352,78 +436,196 @@ class _SweepNorms:
         return sup
 
 
-_BLOCK = struct.Struct("qqq")   # to the worker: (k, kind, m) and the bytes of
-                                # rows k, k - 1, ..., k - m + 1; (-1, 0, 0) ends
-                                # a sweep
-_REPLY = struct.Struct("qq")    # back: (0, n) and n bytes (a pickle at a
-                                # sweep's end), or (-1, n) and an n-byte
-                                # pickled exception
+# to the worker: (k, kind, m) and the bytes of rows k, k - 1, ..., k - m + 1;
+# or a message with no bytes: _END of a sweep, _START of one with (feedback,
+# bits of the selected sources), or the _RESIDUAL
+_BLOCK = struct.Struct("qqq")
+_END, _START, _RESIDUAL = -1, -2, -3
+# back: (tag, n) and n bytes.  _ANSWER: a pickle (the build, a sweep's end,
+# the residual); _ROW: a forcing row; _ERROR, _ROW_ERROR: a pickled exception
+_REPLY = struct.Struct("qq")
+_ANSWER, _ERROR, _ROW, _ROW_ERROR = 0, -1, 1, 2
 _BLOCK_ROWS = 8     # a row is sent with the next 7: the stacked norms take
                     # 0.10 s a picard_v8 sweep (2-core desk), 0.20 s row by row
-_ENDED = "the Picard norm worker ended"
+_ENDED = "the Picard worker ended"
+# messages the worker reads ahead of its norms.  At picard_v8 (2-core desk)
+# its peak RSS read 117, 119 and 123 MB with 8, 16 and 32, and 132-140 MB
+# unbounded.  With 8 the caller waited 0.08-0.32 s a call on its writes;
+# unbounded, it waited about as long at the sweeps' ends instead.
+_INBOX = 8
 
 
-def _reply(stream, tag: int, payload) -> None:
-    stream.write(_REPLY.pack(tag, memoryview(payload).nbytes))
-    stream.write(payload)
-    stream.flush()
+def _selection(which) -> int:
+    return sum(1 << i for i, name in enumerate(_ALL_SOURCES) if name in which)
+
+
+def _selected(bits: int) -> tuple:
+    return tuple(name for i, name in enumerate(_ALL_SOURCES) if bits >> i & 1)
+
+
+class _Outbox:
+    """The worker's replies, written to a non-blocking pipe as far as it
+    takes them, so that the worker never blocks on a write."""
+
+    def __init__(self, fd: int):
+        os.set_blocking(fd, False)
+        self.fd, self._chunks = fd, deque()
+
+    def __bool__(self) -> bool:
+        return bool(self._chunks)
+
+    def put(self, tag: int, payload) -> None:
+        view = memoryview(payload).cast("B")
+        self._chunks += (memoryview(_REPLY.pack(tag, view.nbytes)), view)
+
+    def write(self) -> None:
+        while self._chunks:
+            try:
+                n = os.writev(self.fd, self._chunks)
+            except BlockingIOError:
+                return
+            while self._chunks and n >= len(self._chunks[0]):
+                n -= len(self._chunks.popleft())
+            if n:
+                self._chunks[0] = self._chunks[0][n:]
+
+
+def _fill(rx, buf) -> bool:
+    """Read exactly len(buf) bytes into buf; False at the end of the pipe."""
+    view, got = memoryview(buf).cast("B"), 0
+    while got < len(view):
+        n = rx.readinto(view[got:])
+        if not n:
+            return False
+        got += n
+    return True
+
+
+def _forcing_rows(at, ks):
+    """The replies for the forcing rows at(k), k in ks.  An exception of any
+    kind, an interrupt too, is sent in place of its row and ends them: the
+    caller raises it there, as its own forcing would."""
+    for k in ks:
+        try:
+            f = at(k)
+        except BaseException as exc:
+            yield _ROW_ERROR, pickle.dumps(exc)
+            return
+        yield _ROW, f
 
 
 def _serve(rx_fd: int, tx_fd: int, sources: SourceSet, ts, norms: _SweepNorms) -> None:
-    """The forked side of `_NormWorker`: the upper ansatz rows, then norms.
+    """The forked side of `_BandWorker`: a0 and the ansatz on the upper band,
+    then, message by message, its forcing rows, every row's norms and its
+    part of the residual.
 
-    A norm error is held until the sweep's end and sent then; the rows in
-    between are read and dropped, so the march never blocks on a full pipe.
-    SIGINT is ignored: an interrupt reaches `picard`, which ends the worker.
+    Work goes in this order: read what the caller has written (into the
+    inbox, up to _INBOX messages), write the next forcing row while the
+    pipe back has room, handle the inbox, build the next ansatz row.  Until
+    the ansatz is built only rows are handled; the messages that need it,
+    and the answer that would overtake the build's, wait.  A forcing row k
+    is computed before the caller's new row k arrives, so it reads the
+    previous iterate.  A norm error is held until the sweep's end and sent
+    then.  SIGINT is ignored: an interrupt reaches `picard`, which ends the
+    worker.
     """
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        rx, tx = os.fdopen(rx_fd, "rb"), os.fdopen(tx_fd, "wb")
-        lower, n_active = _lower_rows(len(ts)), norms.old.shape[1]
+        rx, out = os.fdopen(rx_fd, "rb", buffering=0), _Outbox(tx_fd)
+        nt, n_active = len(ts), norms.old.shape[1]
+        lo = _lower_rows(nt)
         try:
-            upper = np.empty((len(ts) - lower, n_active), dtype=complex)
-            _ansatz_rows(sources, ts[lower:], upper)
+            band = _MeshSources(sources, ts, True, False, lo, nt)
+            building = band.build_ansatz(sources)
         except Exception as exc:
-            _reply(tx, -1, pickle.dumps(exc))
-            return
-        _reply(tx, 0, upper)
-        del upper
-        vecs = np.empty((_BLOCK_ROWS, n_active), dtype=complex)
-        failed = None
-        while len(head := rx.read(_BLOCK.size)) == _BLOCK.size:
-            k, kind, m = _BLOCK.unpack(head)
-            if k < 0:
-                if failed is None:
-                    _reply(tx, 0, pickle.dumps(norms.end()))
+            out.put(_ERROR, pickle.dumps(exc))
+            building = None
+        inbox, spare, rows_out, failed = deque(), [], None, None
+        while True:
+            read = [rx] if len(inbox) < _INBOX else []
+            wait = [out.fd] if out or rows_out is not None else []
+            busy = inbox or building is not None
+            ready, room, _ = select.select(read, wait, [], 0 if busy else None)
+            if ready:
+                head = bytearray(_BLOCK.size)
+                if not _fill(rx, head):
+                    return
+                k, a, b = _BLOCK.unpack(head)
+                vecs = None
+                if k >= 0:
+                    vecs = (spare.pop() if spare
+                            else np.empty((_BLOCK_ROWS, n_active), dtype=complex))[:b]
+                    if not _fill(rx, vecs):
+                        return
+                inbox.append((k, a, b, vecs))
+            elif room:
+                if not out:
+                    reply = next(rows_out, None)
+                    if reply is None:
+                        rows_out = None
+                        continue
+                    out.put(*reply)
+                out.write()
+            elif inbox and (building is None or inbox[0][0] >= 0):
+                k, a, b, vecs = inbox.popleft()
+                if k >= 0:      # a is the kind, b the number of rows
+                    if failed is None:
+                        try:
+                            norms.block(k, vecs, a)
+                        except Exception as exc:
+                            failed = exc
+                    if a != _PROBE:
+                        norms.old[k - b + 1:k + 1] = vecs[::-1]
+                    spare.append(vecs.base)
+                elif k == _END:
+                    rows_out = None
+                    if failed is None:
+                        out.put(_ANSWER, pickle.dumps(norms.end()))
+                    else:
+                        out.put(_ERROR, pickle.dumps(failed))
+                elif k == _START:
+                    at = band.source(_selected(b), norms.old if a else None)
+                    rows_out = _forcing_rows(at, range(nt - 1, lo - 1, -1))
                 else:
-                    _reply(tx, -1, pickle.dumps(failed))
-                continue
-            if rx.readinto(vecs[:m]) < vecs[:m].nbytes:
-                return
-            if failed is None:
+                    try:
+                        out.put(_ANSWER, pickle.dumps(
+                            max(band.residual(norms.old), default=0.0)))
+                    except Exception as exc:
+                        out.put(_ERROR, pickle.dumps(exc))
+            elif building is not None:
                 try:
-                    norms.block(k, vecs[:m], kind)
+                    next(building)
+                except StopIteration:
+                    building = None
+                    out.put(_ANSWER, pickle.dumps(None))
                 except Exception as exc:
-                    failed = exc
-            if kind != _PROBE:
-                norms.old[k - m + 1:k + 1] = vecs[m - 1::-1]
+                    building = None
+                    out.put(_ERROR, pickle.dumps(exc))
     finally:
         os._exit(0)     # `picard` reads no exit status
 
 
-class _NormWorker:
-    """`picard`'s second process, with the methods of `_SweepNorms`.
+class _BandWorker:
+    """`picard`'s second process: the upper band of mesh rows and the norms.
 
-    The worker is forked with the caller's `_SweepNorms`; its copy of the
-    iterate is its own from then on.  It first builds rows
-    [_lower_rows(nt), nt) of the ansatz, which `upper` reads.  Then `row`
-    gathers a sweep's new rows and writes them down a pipe, _BLOCK_ROWS at a
-    time; the worker takes their norms behind the march and keeps them in
-    its copy of the iterate (_PROBE rows it does not keep).  `end` sends the
-    last rows and returns the sweep's sups, or raises the worker's error:
-    the serial loop would have raised it at its row.  A full pipe blocks the
-    writer and an empty one the reader, so neither spins.  `close` kills and
-    reaps the worker.
+    It has the methods of `_MeshSources` that `picard` uses on a band and
+    those of `_SweepNorms`.  The worker is forked with the caller's
+    `_SweepNorms`; its copy of the iterate is its own from then on.  It
+    builds a0 and the ansatz on rows [_lower_rows(nt), nt) while the first
+    sweep runs, which needs a0 alone; the first answer asked of it (the
+    first sweep's `end`) raises a build error first, as the serial loop
+    raises it before any sweep.  `source` starts a sweep: the worker
+    computes the band's forcing rows from its copy, in the order the march
+    asks for them, and the function it returns reads them.  `row` gathers
+    every new row and writes it down a pipe, _BLOCK_ROWS at a time; the
+    worker takes their norms behind the march and keeps them in its copy
+    (_PROBE rows it does not keep).  `end` sends the last rows and returns
+    the sweep's sups, or raises the worker's error: the serial loop would
+    have raised it at its row; after an exception that stopped a message
+    halfway it returns at once.  `residual` asks for the band's residual
+    norms and yields their maximum.  The caller blocks on a full pipe or an
+    empty one, and the worker waits in `select`, so neither spins and they
+    cannot both wait on a write.  `close` kills and reaps the worker.
     """
 
     def __init__(self, sources: SourceSet, ts, norms: _SweepNorms):
@@ -441,32 +643,71 @@ class _NormWorker:
         self._vecs = np.empty((_BLOCK_ROWS, norms.old.shape[1]), dtype=complex)
         self._m = 0         # rows gathered in _vecs
         self._head = None   # (k, kind) of the first of them
+        self._built = False     # the build's answer has been read
+        self._cut = False       # a message was stopped halfway
+
+    @contextlib.contextmanager
+    def _whole(self):
+        """Mark the pipes cut when an exception (a signal handler's, say)
+        stops a message halfway: nothing can pass after it."""
+        try:
+            yield
+        except BaseException:
+            self._cut = True
+            raise
 
     def _read(self, size: int) -> bytes:
-        data = self._rx.read(size)
+        with self._whole():
+            data = self._rx.read(size)
         if len(data) < size:
             raise FixedPointError(_ENDED)
         return data
 
-    def _answer(self) -> int:
-        """The size of the worker's next reply, or its error raised."""
-        tag, size = _REPLY.unpack(self._read(_REPLY.size))
-        if tag < 0:
-            raise pickle.loads(self._read(size))
-        return size
-
-    def upper(self, out: np.ndarray) -> None:
-        self._answer()
-        if self._rx.readinto(out) < out.nbytes:
-            raise FixedPointError(_ENDED)
+    def _answer(self):
+        """The worker's next answer, or its error raised; the forcing rows
+        of an abandoned sweep before it are dropped.  The first call takes
+        the build's answer first."""
+        if not self._built:
+            self._built = True
+            self._answer()
+        while True:
+            tag, size = _REPLY.unpack(self._read(_REPLY.size))
+            payload = self._read(size)
+            if tag == _ERROR:
+                raise pickle.loads(payload)
+            if tag == _ANSWER:
+                return pickle.loads(payload)
 
     def _write(self, *chunks) -> None:
         try:
-            for chunk in chunks:
-                self._tx.write(chunk)
-            self._tx.flush()
+            with self._whole():
+                for chunk in chunks:
+                    self._tx.write(chunk)
+                self._tx.flush()
         except OSError as exc:     # the worker has gone
             raise FixedPointError(_ENDED) from exc
+
+    def source(self, which, rows):
+        self._write(_BLOCK.pack(_START, rows is not None, _selection(which)))
+        return self._forcing
+
+    def _forcing(self, k: int) -> np.ndarray:
+        tag, size = _REPLY.unpack(self._read(_REPLY.size))
+        if tag == _ROW_ERROR:
+            raise pickle.loads(self._read(size))
+        f = np.empty(self._vecs.shape[1], dtype=complex)
+        with self._whole():
+            got = self._rx.readinto(f)
+        if got < f.nbytes:
+            raise FixedPointError(_ENDED)
+        return f
+
+    def residual(self, rows):
+        self._write(_BLOCK.pack(_RESIDUAL, 0, 0))
+        return self._later()
+
+    def _later(self):
+        yield self._answer()
 
     def _send(self) -> None:
         m, self._m = self._m, 0
@@ -481,10 +722,14 @@ class _NormWorker:
         if self._m == _BLOCK_ROWS:
             self._send()
 
-    def end(self) -> tuple:
+    def end(self) -> tuple | None:
+        """The sweep's sups; None if the pipes were cut, which happens only
+        while the exception that cut them is on its way out of the sweep."""
+        if self._cut:
+            return None
         self._send()
-        self._write(_BLOCK.pack(-1, 0, 0))
-        return pickle.loads(self._read(self._answer()))
+        self._write(_BLOCK.pack(_END, 0, 0))
+        return self._answer()
 
     def close(self) -> None:
         os.kill(self.pid, signal.SIGKILL)
@@ -524,20 +769,27 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     """Iterate the Duhamel map from r = 0 and measure everything.
 
     The sources that do not depend on the iterate (a0 and the ansatz) are
-    evaluated once on the time mesh.  The iterate is one (nt, n_active)
-    array that each backward sweep overwrites in place; the weighted norms
-    of the iterate and of its change are taken as each row is produced.
-    The ground state's frequency, the soliton's margin from the box edge,
-    the mesh length and the memory of the two mesh arrays are checked before
-    any source is evaluated.
+    evaluated once on the time mesh, in two bands of rows split at
+    `_lower_rows`: the lower band first, then the upper.  The iterate is one
+    (nt, n_active) array that each backward sweep overwrites in place; each
+    band gives the forcing on its rows, and the weighted norms of the
+    iterate and of its change are taken as each row is produced.  The final
+    residual is the maximum over the two bands' parts.  The ground state's
+    frequency, the soliton's margin from the box edge, the mesh length and
+    the memory of the two mesh arrays are checked before any source is
+    evaluated.
 
-    With at least two usable cores (`os.sched_getaffinity`) a forked
-    `_NormWorker` builds two thirds of the ansatz rows and takes the
-    norms, behind the march, in its own copy of the iterate; with one it all
-    runs here.  The report and the trajectory are the same bytes either
-    way, and an error is the one the serial loop raises first: a norm error
-    at a row comes before a later row's CN solve error.  A worker that dies
-    is a FixedPointError.  No process outlives the call.
+    With at least two usable cores (`os.sched_getaffinity`) the upper band
+    lives in a forked `_BandWorker`.  It builds its ansatz while this
+    process marches the first sweep, for which it evaluates the upper a0
+    too.  Then it computes every sweep's forcing rows on its band ahead of
+    the march, takes all the norms behind it, in its own copy of the
+    iterate, and takes its part of the residual.  With one core both bands
+    are here.  The report and the trajectory are the same bytes either way,
+    and an error is the one the serial loop raises first: a build error
+    before any sweep's, and a norm error at a row before a later row's
+    forcing or CN solve error.  A worker that dies is a FixedPointError.  No
+    process outlives the call.
 
     Returns the report and the last trajectory; a growing tail of iterate
     norms is reported as non-contraction, not raised.
@@ -565,30 +817,37 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     weights = np.array([norm.weight(t) for t in ts])
     rows = np.zeros((nt, grid.n_active), dtype=complex)
     norms_of = _SweepNorms(norm, weights, rows)
+    lo = _lower_rows(nt)
     worker = None
     if len(os.sched_getaffinity(0)) >= 2:
-        norms_of = worker = _NormWorker(sources, ts, norms_of)
+        norms_of = worker = _BandWorker(sources, ts, norms_of)
     try:
-        mesh = _MeshSources(sources, ts, with_a0=True, ansatz=True,
-                            upper=None if worker is None else worker.upper)
+        lower = _MeshSources(sources, ts, True, True, 0, lo)
+        # the first sweep needs a0 only: here, beside the worker's ansatz
+        first = _MeshSources(sources, ts, True, worker is None, lo, nt)
+        upper = first if worker is None else worker
         stepper = CrankNicolsonStepper(grid, -dt)
 
-        def sweep(source, kind, out=None):
+        def sweep(which, kind, out=None, top=upper):
+            feedback = None if kind == _FIRST else rows
+            below, above = (band.source(which, feedback) for band in (lower, top))
             try:
-                _sweep(stepper, nt, source, out, lambda k, vec: norms_of.row(k, vec, kind))
+                _sweep(stepper, nt, lambda k: below(k) if k < lo else above(k), out,
+                       lambda k, vec: norms_of.row(k, vec, kind))
             except Exception:
                 norms_of.end()    # a norm error at an earlier row comes first
                 raise
             return norms_of.end()
 
-        norms = [sweep(mesh.source(_ALL_SOURCES, None), _FIRST, rows)[0]]
+        norms = [sweep(_ALL_SOURCES, _FIRST, rows, first)[0]]
+        first = None
         j0_norm = norms[0]
         diffs = []
         ratios = []
         grow = 0
         non_contracting = False
         for it in range(1, n_iters):
-            sup, d = sweep(mesh.source(_ALL_SOURCES, rows), _NEXT, rows)
+            sup, d = sweep(_ALL_SOURCES, _NEXT, rows)
             norms.append(sup)
             diffs.append(d)
             if len(diffs) >= 2 and diffs[-2] > 0:
@@ -604,19 +863,21 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
         j = {"J0": j0_norm}
         if j_diagnostics:
             for name, sel in (("J1", "a1"), ("J2", "a2"), ("J3", "a3")):
-                j[name] = sweep(mesh.source((sel,), rows), _PROBE)[0]
+                j[name] = sweep((sel,), _PROBE)[0]
             j["J1_over_r"] = _over_power(j["J1"], rnorm, 1)
             j["J2_over_r2"] = _over_power(j["J2"], rnorm, 2)
             j["J3_over_r3"] = _over_power(j["J3"], rnorm, 3)
+
+        final_residual = None
+        if not non_contracting:
+            # the worker starts on its part before this process takes its own
+            parts = [band.residual(rows) for band in (lower, upper)]
+            final_residual = max(max(part, default=0.0) for part in parts)
     finally:
         if worker is not None:
             worker.close()
 
-    final_residual = None
-    if not non_contracting:
-        final_residual = max(residual_norms(lambda k: mesh.R[k] + rows[k], ts,
-                                            sources.p, grid))
-    mesh = None    # free the ansatz before the Fields are built
+    lower = upper = None    # free the ansatz before the Fields are built
     traj = _trajectory(sources, ts, rows)
 
     report = PicardReport(

@@ -59,6 +59,7 @@ class ModulationContext:
     psi: object
     grid: Grid
     eps_mod: float = field(init=False)   # decompose's reach: a tenth of |Q|_L2
+    _steppers: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not np.isclose(self.gs.omega, self.params.omega):
@@ -71,6 +72,14 @@ class ModulationContext:
 
     def rate(self, delta: float) -> float:
         return delta * np.sqrt(self.params.omega) * self.params.speed()
+
+    def stepper(self, dt: float) -> CrankNicolsonStepper:
+        """The CN stepper of signed dt on the grid, factorized once per dt
+        and shared by every shot."""
+        dt = float(dt)
+        if dt not in self._steppers:
+            self._steppers[dt] = CrankNicolsonStepper(self.grid, dt)
+        return self._steppers[dt]
 
 
 @dataclass(eq=False)
@@ -322,7 +331,7 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
 
     n_steps = step_count(cfg.T0 - cfg.Tn, evolve_cfg.dt)
     dt = (cfg.T0 - cfg.Tn) / n_steps
-    stepper = CrankNicolsonStepper(grid, dt)
+    stepper = ctx.stepper(dt)
 
     rows = []
     snaps = []

@@ -4,6 +4,7 @@ import signal
 import numpy as np
 import pytest
 
+import nlslab.evolve as ev_mod
 import nlslab.fixedpoint as fp_mod
 from nlslab.grid import (Field, NormConfig, Obstacle, build_cutoff, build_grid, h2_norm,
                          l2_norm, to_active)
@@ -103,6 +104,39 @@ def test_a0_is_the_reference_formula_bit_for_bit(gs3, box):
         assert src.a0(t).values.tobytes() == _reference_a0(src, t).tobytes()
 
 
+def test_a0_at_a_block_of_times_is_a0_at_each_bit_for_bit(gs3, box, monkeypatch):
+    # passes of 3 times each: 100 times cross 33 chunk edges
+    grid, psi = box
+    params = SolitonParams(omega=1.0, v=(8.0,), p=3.0, theta0=2.5)
+    src = make_sources(params, gs3, psi, grid, 3.0)
+    monkeypatch.setattr(fp_mod, "_A0_POINTS", 3 * src._w0.size)
+    ts = np.linspace(0.5, 2.0, 100)
+    for t, (idx, vals) in zip(ts, src.a0_active(ts)):
+        vec = src.a0(t).values[grid.mask]
+        assert np.array_equal(idx, np.flatnonzero(vec))
+        assert vals.tobytes() == vec[idx].tobytes()
+
+
+@pytest.mark.parametrize("lo", [0, 20])
+def test_forcing_in_blocks_is_the_row_by_row_forcing_bit_for_bit(gs3, box, lo):
+    # 51 mesh times: the band's rows come in blocks of 8 and a shorter last
+    src, _ = sources_at(gs3, box, 8.0)
+    ts = _time_mesh(0.5, 0.7, 0.004)[0]
+    mesh = fp_mod._MeshSources(src, ts, True, True, lo, len(ts))
+    rng = np.random.default_rng(7)
+    shape = (len(ts), src.grid.n_active)
+    rows = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    at = mesh.source(fp_mod._ALL_SOURCES, rows)
+    for k in range(len(ts) - 1, lo - 1, -1):
+        R, r = mesh.R[k - lo], rows[k]
+        f = fp_mod._a1(R, r, 3.0)
+        idx, vals = mesh.a0[k - lo]
+        f[idx] += vals
+        f += fp_mod._a2(R, r, 3.0)
+        f += fp_mod._a3(R, r, 3.0)
+        assert at(k).tobytes() == f.tobytes()
+
+
 def test_a0_decay_rate(gs3, box):
     # fit once the soliton has cleared the cutoff annulus
     src, params = sources_at(gs3, box, 2.0)
@@ -158,6 +192,13 @@ def test_duhamel_zero_sources(gs3, box):
     assert all(l2_norm(u) == 0.0 for u in traj.snapshots)
 
 
+def _constant_a0(src, f):
+    """Make the lattice array f the a0 of src at every time."""
+    vec = f[src.grid.mask]
+    idx = np.flatnonzero(vec)
+    src.a0_active = lambda ts: [(idx, vec[idx])] * len(ts)
+
+
 def test_duhamel_single_mode_closed_form(gs3):
     # constant-in-time discrete-eigenvector source: the component obeys
     # i c' + lam c = F, c(Tmax) = 0, giving c(t) = F (1 - e^{i lam (t-Tmax)})/lam
@@ -169,7 +210,7 @@ def test_duhamel_single_mode_closed_form(gs3):
     fhat = 0.37 - 0.21j
     params = SolitonParams(omega=1.0, v=(1.0,), p=3.0)
     src = make_sources(params, gs3, None, grid, 3.0)
-    src.a0 = lambda t: Field(grid, fhat * mode)
+    _constant_a0(src, fhat * mode)
     traj = duhamel_apply(src, None, 0.0, 2.0, EvolveConfig(dt=0.005), which=("a0",))
     k = 100
     t = traj.times[k]
@@ -187,7 +228,7 @@ def test_duhamel_linearity(gs3):
 
     def solve(f):
         src = make_sources(params, gs3, None, grid, 3.0)
-        src.a0 = lambda t: Field(grid, f)
+        _constant_a0(src, f)
         return duhamel_apply(src, None, 0.0, 1.0, cfg, which=("a0",))
 
     a, b, ab = solve(f1), solve(f2), solve(f1 + f2)
@@ -391,6 +432,7 @@ def test_nonfinite_source_in_sweep_raises(gs3, box):
     src._ansatz = lambda t: ansatz(t) * (np.nan if abs(t - 1.0) < 1e-9 else 1.0)
     with pytest.raises(LinearSolveError):
         picard(src, 0.5, 2.0, cfg, 3, EvolveConfig(dt=0.004), j_diagnostics=False)
+    _no_child_left()
 
 
 def test_enorm_raises_instead_of_dropping_nan(box):
@@ -475,7 +517,7 @@ def _one_core(monkeypatch):
 
 def _two_cores():
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("picard forks its norm worker only with two usable cores")
+        pytest.skip("picard forks its worker only with two usable cores")
 
 
 def _no_child_left():
@@ -492,18 +534,45 @@ def _picard_bytes(rep, traj):
     return repr(numbers), traj.times.tobytes(), [u.values.tobytes() for u in traj.snapshots]
 
 
-@pytest.mark.parametrize("v, horizon, j_diag", [(8.0, 4.0, True), (2.0, 3.0, False)],
-                         ids=["contracting", "non-contracting"])
+def _feedback_rows(monkeypatch):
+    """Record the mesh rows at which this process evaluates a forcing with
+    feedback (the first sweep's is a0 alone)."""
+    rows, source = [], fp_mod._MeshSources.source
+
+    def recorded(mesh, which, iterate):
+        at = source(mesh, which, iterate)
+
+        def at_k(k):
+            if iterate is not None:
+                rows.append(k)
+            return at(k)
+
+        return at_k
+
+    monkeypatch.setattr(fp_mod._MeshSources, "source", recorded)
+    return rows
+
+
+@pytest.mark.parametrize("v, horizon, j_diag", [(8.0, 4.0, True), (8.0, 4.0, False),
+                                               (2.0, 3.0, False)],
+                         ids=["contracting-J", "contracting", "non-contracting"])
 def test_picard_on_two_cores_is_the_one_core_picard_bit_for_bit(gs3, box, monkeypatch,
                                                                v, horizon, j_diag):
+    # on two cores the caller evaluates the forcing at its own rows only:
+    # the worker's band is computed there and read from the pipe
     _two_cores()
     pids = _forks(monkeypatch)
+    here = _feedback_rows(monkeypatch)
     rep, traj, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
     assert len(pids) == 1
     _no_child_left()
+    lo = fp_mod._lower_rows(len(traj))
+    assert here and max(here) == lo - 1
+    here.clear()
     _one_core(monkeypatch)
     rep1, traj1, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
     assert len(pids) == 1
+    assert max(here) == len(traj) - 1
     assert rep.non_contracting == (v == 2.0)
     assert _picard_bytes(rep, traj) == _picard_bytes(rep1, traj1)
 
@@ -529,12 +598,15 @@ def _error_of(run):
     return type(exc.value), str(exc.value)
 
 
-def _nan_forcing_at(monkeypatch, row):
-    """Every sweep's forcing NaN at one mesh row: its CN solve fails there."""
+def _nan_forcing_at(monkeypatch, row, feedback_only=False):
+    """Every sweep's forcing NaN at one mesh row (only those of the sweeps
+    after the first, with feedback_only): its CN solve fails there."""
     source = fp_mod._MeshSources.source
 
     def poisoned(mesh, which, rows):
         at = source(mesh, which, rows)
+        if feedback_only and rows is None:
+            return at
         return lambda k: at(k) * (np.nan if k == row else 1.0)
 
     monkeypatch.setattr(fp_mod._MeshSources, "source", poisoned)
@@ -560,6 +632,78 @@ def test_norm_error_in_the_worker_is_the_serial_error(gs3, box, monkeypatch,
     assert forked == _error_of(run)
     assert forked[0] is FixedPointError
     assert forked[1] == "non-finite weighted norm [nan] (weight nan)"
+
+
+def _cn_steps(monkeypatch):
+    """Count the CN steps this process takes."""
+    steps, linear_step = [], fp_mod.CrankNicolsonStepper.linear_step
+
+    def counted(stepper, vec, forcing=None):
+        steps.append(1)
+        return linear_step(stepper, vec, forcing)
+
+    monkeypatch.setattr(fp_mod.CrankNicolsonStepper, "linear_step", counted)
+    return steps
+
+
+@pytest.mark.parametrize("band", ["lower", "upper"])
+def test_nan_forcing_in_either_band_is_the_serial_error_at_its_row(gs3, box, monkeypatch,
+                                                                  band):
+    # the caller marches every row, so its CN steps up to the error are the
+    # serial loop's; a row in the upper band is the worker's forcing
+    _two_cores()
+    run, _, ts = _short_picard(gs3, box)
+    nt = len(ts)
+    lo = fp_mod._lower_rows(nt)
+    row = lo // 2 if band == "lower" else (lo + nt) // 2
+    _nan_forcing_at(monkeypatch, row, feedback_only=True)
+    steps = _cn_steps(monkeypatch)
+    forked = _error_of(run), len(steps)
+    _no_child_left()
+    steps.clear()
+    _one_core(monkeypatch)
+    assert forked == (_error_of(run), len(steps))
+    assert forked[0] == (LinearSolveError, "non-finite CN right-hand side (norm nan)")
+    # the second sweep fails at the step into the row
+    assert forked[1] == (nt - 1) + (nt - 1 - row)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["clean", "nan-in-the-upper-band"])
+def test_bands_far_longer_than_the_pipes_do_not_hang(gs3, box, monkeypatch, fail):
+    # 376 mesh times of 15.5 kB rows through pipes of one 4 kB page: every
+    # row streams in pieces, and each band holds hundreds of pipes' worth.
+    # With a NaN forcing in the worker's band the caller stops reading
+    # forcing rows with seven rows of its own still to send, which a worker
+    # blocked on a write would never read
+    _two_cores()
+    monkeypatch.setattr(ev_mod, "PIPE_BYTES", 1 << 12)
+    src, _ = sources_at(gs3, box, 8.0)
+    cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(8.0,), T0=0.5)
+    nt = len(_time_mesh(0.5, 2.0, 0.004)[0])
+    if fail:
+        _nan_forcing_at(monkeypatch, nt - 1 - (8 * 20 + 7), feedback_only=True)
+
+    def run():
+        try:
+            return _picard_bytes(*picard(src, 0.5, 2.0, cfg, 3, EvolveConfig(dt=0.004),
+                                         j_diagnostics=True))
+        except LinearSolveError as exc:
+            return str(exc)
+
+    def hung(signum, frame):
+        raise TimeoutError("picard hung on two cores")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(120)
+    try:
+        forked = run()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    _no_child_left()
+    _one_core(monkeypatch)
+    assert forked == run()
+    assert isinstance(forked, str) == fail
 
 
 @pytest.mark.parametrize("kind", [fp_mod._FIRST, fp_mod._NEXT, fp_mod._PROBE],
@@ -600,8 +744,8 @@ def test_solve_error_with_no_norm_error_is_the_serial_error(gs3, box, monkeypatc
 
 @pytest.mark.parametrize("rows", [(300,), (100, 300)], ids=["upper", "lower-first"])
 def test_ansatz_error_in_the_worker_keeps_the_serial_order(gs3, box, monkeypatch, rows):
-    # the worker builds rows 125..375 of the ansatz; an error in the lower
-    # rows, which the caller builds, comes first, as in the serial loop
+    # the worker builds the upper band of the ansatz; an error in the lower
+    # band, which the caller builds, comes first, as in the serial loop
     _two_cores()
     run, src, ts = _short_picard(gs3, box)
     ansatz = src._ansatz
@@ -632,20 +776,22 @@ def test_a_worker_killed_mid_sweep_is_a_fixed_point_error(gs3, box, monkeypatch)
         block(norms, k, vecs, kind)
 
     monkeypatch.setattr(fp_mod._SweepNorms, "block", die)
-    with pytest.raises(FixedPointError, match="Picard norm worker ended"):
+    with pytest.raises(FixedPointError, match="the Picard worker ended"):
         run()
     _no_child_left()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_an_error_in_the_forcing_leaves_no_child(gs3, box, monkeypatch, error):
+    # the worker's 40th a2 call (the forcing takes 8 rows a call, so 29
+    # calls a sweep on its band) raises in its second sweep with feedback
     _two_cores()
     run, _, _ = _short_picard(gs3, box)
-    calls, a2 = [], fp_mod._FEEDBACK["a2"]
+    caller, calls, a2 = os.getpid(), [], fp_mod._FEEDBACK["a2"]
 
     def failing(R, r, p):
         calls.append(1)
-        if len(calls) == 500:
+        if os.getpid() != caller and len(calls) == 40:
             raise error("in the forcing")
         return a2(R, r, p)
 

@@ -418,6 +418,25 @@ def test_search_matches_recorded_shots(winning_search):
         assert log.alpha_plus[row] == pytest.approx(alpha_plus, rel=0, abs=1e-9)
 
 
+def test_a_search_factorizes_one_stepper(shoot_ctx, evolve_cfg, monkeypatch):
+    # a context of its own: the session's keeps the steppers of other tests
+    ctx = ModulationContext(params=shoot_ctx.params, gs=shoot_ctx.gs,
+                            modes=shoot_ctx.modes, psi=shoot_ctx.psi, grid=shoot_ctx.grid)
+    made = []
+
+    class Counted(modulation.CrankNicolsonStepper):
+        def __init__(self, grid, dt):
+            made.append(dt)
+            super().__init__(grid, dt)
+
+    monkeypatch.setattr(modulation, "CrankNicolsonStepper", Counted)
+    cfg = ShootConfig(T0=7.0, Tn=8.0, delta=0.4, log_every=10)
+    result = shoot_search(ctx, cfg, evolve_cfg)
+    assert len(result.history) > 2
+    assert len(made) == 1 and made[0] < 0
+    assert ctx.stepper(made[0]) is ctx.stepper(made[0])
+
+
 def _search_bytes(result):
     return (repr(result.history), repr(result.alpha_star), result.log.rows().tobytes(),
             [(t, u.values.tobytes()) for t, u in result.log.snapshots])
