@@ -22,19 +22,19 @@ the Picard sweeps, each step is the plain Strang step.
 `march_ahead` runs `march` in a forked worker process on the second core;
 the backward shoot uses it, so the march of one shot hides behind its
 decompositions and log rows.  The worker writes each state down a pipe (a
-header, then its bytes; the pipe, like the Picard worker's, comes from
-`worker_pipe`), and the consumer reads it into a new array.  The
+header, then its bytes), and the consumer reads it into a new array.  The
 pipe is the flow control: a full pipe blocks the worker, an empty one the
-consumer, and neither spins.  The generator's `finally` kills and reaps the
-worker on every path out of the consumer's loop; if the consumer's process
-dies first, the worker's next write fails and it exits.  An exception in
-the worker is re-raised after its last good state with its type and
-message, as with `march`.  With one usable core it is `march` itself.  Each
-process runs the serial arithmetic, so every state keeps its bits.
+consumer, and neither spins.  `forked_worker`, which the Picard worker
+uses too, kills and reaps the worker on every path out of the consumer's
+loop; if the consumer's process dies first, the worker's next write fails
+and it exits.  An exception in the worker is re-raised after its last good
+state with its type and message, as with `march`.  With one usable core it
+is `march` itself, with the same bits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import os
 import pickle
@@ -195,7 +195,7 @@ def march(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
             yield k, vec
 
 
-# asked of every worker pipe: 32 rows of the Picard mesh, 22 shoot states
+# asked of every worker pipe: 22 shoot states (`picard` sends 24-byte frames)
 PIPE_BYTES = 1 << 20
 
 
@@ -213,31 +213,52 @@ def worker_pipe() -> tuple[int, int]:
     return r, w
 
 
-_HEADER = struct.Struct("qq")  # (k, 0): state k's 16 n bytes follow;
-                               # (-1, n): an n-byte pickled exception follows
+@contextlib.contextmanager
+def forked_worker(serve, theirs, mine):
+    """Run serve() in a forked worker for the length of the block, which
+    kills and reaps it on any way out.  The worker closes the descriptors
+    ``mine``, ignores SIGINT (an interrupt reaches this process) and leaves
+    by os._exit(0); this process closes ``theirs``."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            for fd in mine:
+                os.close(fd)
+            serve()
+        finally:
+            os._exit(0)
+    for fd in theirs:
+        os.close(fd)
+    try:
+        yield
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+# what a worker writes: (k, n) and n bytes; (-1, n) is a pickled exception
+HEADER = struct.Struct("qq")
+
+
+def send(stream, obj, tag: int = 0) -> None:
+    """Write obj pickled behind the HEADER (tag, size); flush the stream."""
+    payload = pickle.dumps(obj)
+    stream.write(HEADER.pack(tag, len(payload)) + payload)
+    stream.flush()
 
 
 def _march_worker(out: int, args) -> None:
-    """The forked side of `march_ahead`: march into the pipe, end the process.
-
-    A write blocks while the pipe is full and fails once the consumer has
-    gone.  SIGINT is ignored: an interrupt reaches the consumer, whose
-    `finally` ends the worker.
-    """
+    """The forked side of `march_ahead`: state k is (k, 0) and its 16 n
+    bytes.  A write fails once the consumer has gone."""
+    stream = os.fdopen(out, "wb")
     try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        stream = os.fdopen(out, "wb")
-        try:
-            for k, vec in march(*args):
-                stream.write(_HEADER.pack(k, 0))
-                stream.write(np.ascontiguousarray(vec, complex))
-                stream.flush()
-        except Exception as exc:
-            payload = pickle.dumps(exc)
-            stream.write(_HEADER.pack(-1, len(payload)) + payload)
+        for k, vec in march(*args):
+            stream.write(HEADER.pack(k, 0))
+            stream.write(np.ascontiguousarray(vec, complex))
             stream.flush()
-    finally:
-        os._exit(0)     # the consumer reads no exit status
+    except Exception as exc:
+        send(stream, exc, -1)
 
 
 def march_ahead(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
@@ -256,19 +277,14 @@ def march_ahead(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
         yield from march(stepper, vec, n_steps, p, every=every)
         return
     r, w = worker_pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(r)
-        _march_worker(w, (stepper, vec, n_steps, p, None, every))
-    os.close(w)
-    stream = os.fdopen(r, "rb")
+    serve = lambda: _march_worker(w, (stepper, vec, n_steps, p, None, every))
     ended = f"the march worker ended before step {n_steps}"
-    try:
+    with forked_worker(serve, (w,), (r,)), os.fdopen(r, "rb") as stream:
         while True:
-            head = stream.read(_HEADER.size)
-            if len(head) < _HEADER.size:
+            head = stream.read(HEADER.size)
+            if len(head) < HEADER.size:
                 raise EvolveError(ended)
-            k, size = _HEADER.unpack(head)
+            k, size = HEADER.unpack(head)
             if k < 0:
                 raise pickle.loads(stream.read(size))
             state = np.empty(vec.size, complex)
@@ -277,10 +293,6 @@ def march_ahead(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
             yield k, state
             if k == n_steps:
                 return
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        stream.close()
 
 
 def step(u: Field, dt: float, p: float,

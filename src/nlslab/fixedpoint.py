@@ -14,14 +14,13 @@ For p other than 3 the nonlinearity is Taylor-split into the same A0, the
 exact linear part, and a single exact remainder (slot A2, with A3 empty).
 
 The Picard loop splits its time mesh into two bands of rows.  With two
-usable cores `picard` forks one worker per call, as `evolve.march_ahead`
-does: a pipe each way, and a `finally` that kills and reaps it.  Each
-process owns the band whose ansatz it builds: it evaluates a0, every
-sweep's forcing and its part of the final residual there.  The caller
-marches every row, reads the worker's forcing rows from a pipe and writes
-every new row down the other, behind which the worker takes the weighted
-norms.  Each row is computed by the same function from the same bytes as in
-the serial loop, so every number keeps its bits.
+usable cores `picard` forks a worker per call (`evolve.forked_worker`)
+that shares the iterate's pages.  The caller marches every row, stores it
+there and sends a 24-byte frame per block of rows; behind it the worker
+takes the weighted norms and puts its band's forcing for the next sweep
+into the rows passed.  It writes back only what the caller waits for.
+Each row is computed by the same function from the same bytes as in the
+serial loop, so every number keeps its bits.
 """
 
 from __future__ import annotations
@@ -30,10 +29,7 @@ import contextlib
 import mmap
 import os
 import pickle
-import select
-import signal
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,11 +49,14 @@ from .grid import (
 )
 from .ground_state import GroundState
 from .evolve import (
+    HEADER,
     CrankNicolsonStepper,
     EvolveConfig,
     Trajectory,
+    forked_worker,
     march,
     residual_norms,
+    send,
     step_count,
     worker_pipe,
 )
@@ -99,8 +98,11 @@ def _a3(R, r, p):
 # feedback terms of the ansatz R and the remainder r, any array shape
 _FEEDBACK = {"a1": _a1, "a2": _a2, "a3": _a3}
 _ALL_SOURCES = ("a0", "a1", "a2", "a3")
-# mesh rows of feedback forcing per pass of `_MeshSources.source`
-_FORCING_ROWS = 8
+# mesh rows per pass of `_MeshSources.source`, and per frame to the Picard
+# worker, which stacks their norms (0.10 s a picard_v8 sweep on a 2-core
+# desk, 0.20 s row by row).  Both run down from the top row, so a frame
+# brings every row of the forcing blocks above its last.
+_BLOCK_ROWS = 8
 # window values per pass of `SourceSet._a0_window`: 64 kB temporaries.  On
 # picard_v8's mesh all of a0 took 0.07 s this way and 0.13 s at 1 MB.
 _A0_POINTS = 1 << 12
@@ -222,7 +224,8 @@ def _lower_rows(nt: int) -> int:
 
 
 def _own_pages(*shape) -> np.ndarray:
-    """An uninitialised complex array in anonymous pages of its own.
+    """A complex array of zeros in anonymous pages of its own, which a
+    process forked after it shares.
 
     glibc raises its mmap threshold to the size of a freed mapped block
     below 32 MB, and arrays under the threshold then come from the heap,
@@ -242,7 +245,7 @@ class _MeshSources:
     which the feedback terms and the residual need, is one array on rows
     [lo, hi + 2), clipped to the mesh: the residual's centred difference at
     hi reaches row hi + 1.  It is built after a0 when ``ansatz`` is set, or
-    by stepping `build_ansatz`.  `source` and `residual` take the whole
+    by a later `build_ansatz`.  `source` and `residual` take the whole
     iterate and mesh row numbers.
     """
 
@@ -253,37 +256,37 @@ class _MeshSources:
         self.a0 = sources.a0_active(ts[lo:self.hi]) if with_a0 else []
         self.R = None
         if ansatz:
-            for _ in self.build_ansatz(sources):
-                pass
+            self.build_ansatz(sources)
 
-    def build_ansatz(self, sources: SourceSet):
-        """Build R, one row per step of this generator."""
+    def build_ansatz(self, sources: SourceSet) -> None:
         ts, mask = self.ts[self.lo:self.hi + 2], self.grid.mask
         self.R = _own_pages(len(ts), self.grid.n_active)
         for k, t in enumerate(ts):
             self.R[k] = sources._ansatz(t)[mask]
-            yield
 
     def source(self, which, rows):
         """k -> the selected sources at t_k on rows[k] (rows may be None).
 
-        With feedback, asking for row k computes rows k - _FORCING_ROWS + 1
-        to k at once (not below lo) and keeps them for the next asks: the
-        arithmetic is elementwise, so each row has the bits of its own
-        pass.  The march asks in decreasing k, and rows[j] is read before
-        row j of the next iterate replaces it.
+        Asking for row k computes rows k - _BLOCK_ROWS + 1 to k at once
+        (not below lo) and keeps them for the next asks: the arithmetic is
+        elementwise, so each row has the bits of its own pass.  The march
+        asks in decreasing k, and rows[j] is read before row j of the next
+        iterate replaces it.
         """
         terms = [_FEEDBACK[name] for name in ("a1", "a2", "a3") if name in which]
         if rows is None:
             terms = []     # the feedback of r = 0 vanishes
         with_a0 = "a0" in which
-        lo, n_active = self.lo, self.grid.n_active
+        lo = self.lo
         kept = [None, None]     # the first row of the rows computed, and them
 
         def rows_to(k):
-            j = max(lo, k - _FORCING_ROWS + 1)
-            R, r = self.R[j - lo:k + 1 - lo], rows[j:k + 1]
-            f = terms[0](R, r, self.p)
+            j = max(lo, k - _BLOCK_ROWS + 1)
+            if terms:
+                R, r = self.R[j - lo:k + 1 - lo], rows[j:k + 1]
+                f = terms[0](R, r, self.p)
+            else:
+                f = np.zeros((k + 1 - j, self.grid.n_active), dtype=complex)
             if with_a0:
                 for fk, (idx, vals) in zip(f, self.a0[j - lo:k + 1 - lo]):
                     fk[idx] += vals
@@ -292,12 +295,6 @@ class _MeshSources:
             kept[:] = j, f
 
         def at(k):
-            if not terms:
-                f = np.zeros(n_active, dtype=complex)
-                if with_a0:
-                    idx, vals = self.a0[k - lo]
-                    f[idx] += vals
-                return f
             j, f = kept
             if j is None or not j <= k < j + len(f):
                 rows_to(k)
@@ -314,20 +311,16 @@ class _MeshSources:
                               self.p, self.grid)
 
 
-def _sweep(stepper: CrankNicolsonStepper, nt: int, source, out=None, on_row=None):
+def _sweep(stepper: CrankNicolsonStepper, nt: int, source, on_row):
     """Solve i w_t + lap w = F backward from w(t_{nt-1}) = 0 on active vectors.
 
     source(k) gives F(t_k); it is called once per k, in decreasing k, before
-    row k of ``out`` is written, so it may read the previous iterate from
-    ``out`` itself.  on_row(k, w_k) sees each new row before it is stored.
+    on_row(k, w_k) gets row k, so on_row may store the row where source
+    reads the previous iterate.
     """
     start = np.zeros(stepper.grid.n_active, dtype=complex)
     for j, vec in march(stepper, start, nt - 1, forcing=lambda i: source(nt - 1 - i)):
-        k = nt - 1 - j
-        if on_row is not None:
-            on_row(k, vec)
-        if out is not None:
-            out[k] = vec
+        on_row(nt - 1 - j, vec)
 
 
 def _trajectory(sources: SourceSet, ts, rows) -> Trajectory:
@@ -355,8 +348,7 @@ def duhamel_apply(sources: SourceSet, r_traj: Trajectory | None, T0: float,
     mesh = _MeshSources(sources, ts, "a0" in which,
                         ansatz=rows is not None and any(a in which for a in _FEEDBACK))
     out = rows if rows is not None else np.zeros((nt, grid.n_active), dtype=complex)
-    _sweep(CrankNicolsonStepper(grid, -dt), nt,
-           mesh.source(which, rows), out)
+    _sweep(CrankNicolsonStepper(grid, -dt), nt, mesh.source(which, rows), out.__setitem__)
     return _trajectory(sources, ts, out)
 
 
@@ -396,8 +388,8 @@ _FIRST, _NEXT, _PROBE = 0, 1, 2
 class _SweepNorms:
     """Sups of the weighted norms of one sweep's rows, taken as they come.
 
-    ``old`` is the iterate that a _NEXT sweep's rows replace; whoever holds
-    it stores each kept row after the norms have seen it.  `end` returns the
+    ``old`` is the iterate that a _NEXT sweep's rows replace; `keep`
+    stores each kept row after the norms have seen it.  `end` returns the
     two sups (iterate, change) and starts the next sweep.
     """
 
@@ -412,6 +404,12 @@ class _SweepNorms:
         else:
             it = self._norm(self._weights[k], vec[None])[0]
         self._sup[0] = max(self._sup[0], it)
+
+    def keep(self, k: int, vec: np.ndarray, kind: int) -> None:
+        """`row`, then vec into the iterate unless it is a probe's."""
+        self.row(k, vec, kind)
+        if kind != _PROBE:
+            self.old[k] = vec
 
     def block(self, k: int, vecs: np.ndarray, kind: int) -> None:
         """`row` of vecs[i] at k - i for each i, in one norm call: each row's
@@ -436,307 +434,178 @@ class _SweepNorms:
         return sup
 
 
-# to the worker: (k, kind, m) and the bytes of rows k, k - 1, ..., k - m + 1;
-# or a message with no bytes: _END of a sweep, _START of one with (feedback,
-# bits of the selected sources), or the _RESIDUAL
-_BLOCK = struct.Struct("qqq")
-_END, _START, _RESIDUAL = -1, -2, -3
-# back: (tag, n) and n bytes.  _ANSWER: a pickle (the build, a sweep's end,
-# the residual); _ROW: a forcing row; _ERROR, _ROW_ERROR: a pickled exception
-_REPLY = struct.Struct("qq")
-_ANSWER, _ERROR, _ROW, _ROW_ERROR = 0, -1, 1, 2
-_BLOCK_ROWS = 8     # a row is sent with the next 7: the stacked norms take
-                    # 0.10 s a picard_v8 sweep (2-core desk), 0.20 s row by row
+# to the worker, 24 bytes a frame: (j, kind, m), rows j + m - 1, ..., j + 1, j
+# of a sweep of this kind are in the shared iterate; (_START, feedback, i)
+# of a sweep of the sources _SWEEPS[i]; its _END; (_FINISH, residual, 0)
+_FRAME = struct.Struct("qqq")
+_START, _END, _FINISH = -1, -2, -3
+_SWEEPS = (_ALL_SOURCES, ("a1",), ("a2",), ("a3",))     # Picard, then J1, J2, J3
 _ENDED = "the Picard worker ended"
-# messages the worker reads ahead of its norms.  At picard_v8 (2-core desk)
-# its peak RSS read 117, 119 and 123 MB with 8, 16 and 32, and 132-140 MB
-# unbounded.  With 8 the caller waited 0.08-0.32 s a call on its writes;
-# unbounded, it waited about as long at the sweeps' ends instead.
-_INBOX = 8
 
 
-def _selection(which) -> int:
-    return sum(1 << i for i, name in enumerate(_ALL_SOURCES) if name in which)
+def _serve(rx, tx, sources: SourceSet, ts, norm: _ENorm, weights, rows) -> None:
+    """The forked side of `_BandWorker`, frame by frame.
 
-
-def _selected(bits: int) -> tuple:
-    return tuple(name for i, name in enumerate(_ALL_SOURCES) if bits >> i & 1)
-
-
-class _Outbox:
-    """The worker's replies, written to a non-blocking pipe as far as it
-    takes them, so that the worker never blocks on a write."""
-
-    def __init__(self, fd: int):
-        os.set_blocking(fd, False)
-        self.fd, self._chunks = fd, deque()
-
-    def __bool__(self) -> bool:
-        return bool(self._chunks)
-
-    def put(self, tag: int, payload) -> None:
-        view = memoryview(payload).cast("B")
-        self._chunks += (memoryview(_REPLY.pack(tag, view.nbytes)), view)
-
-    def write(self) -> None:
-        while self._chunks:
-            try:
-                n = os.writev(self.fd, self._chunks)
-            except BlockingIOError:
-                return
-            while self._chunks and n >= len(self._chunks[0]):
-                n -= len(self._chunks.popleft())
-            if n:
-                self._chunks[0] = self._chunks[0][n:]
-
-
-def _fill(rx, buf) -> bool:
-    """Read exactly len(buf) bytes into buf; False at the end of the pipe."""
-    view, got = memoryview(buf).cast("B"), 0
-    while got < len(view):
-        n = rx.readinto(view[got:])
-        if not n:
-            return False
-        got += n
-    return True
-
-
-def _forcing_rows(at, ks):
-    """The replies for the forcing rows at(k), k in ks.  An exception of any
-    kind, an interrupt too, is sent in place of its row and ends them: the
-    caller raises it there, as its own forcing would."""
-    for k in ks:
-        try:
-            f = at(k)
-        except BaseException as exc:
-            yield _ROW_ERROR, pickle.dumps(exc)
-            return
-        yield _ROW, f
-
-
-def _serve(rx_fd: int, tx_fd: int, sources: SourceSet, ts, norms: _SweepNorms) -> None:
-    """The forked side of `_BandWorker`: a0 and the ansatz on the upper band,
-    then, message by message, its forcing rows, every row's norms and its
-    part of the residual.
-
-    Work goes in this order: read what the caller has written (into the
-    inbox, up to _INBOX messages), write the next forcing row while the
-    pipe back has room, handle the inbox, build the next ansatz row.  Until
-    the ansatz is built only rows are handled; the messages that need it,
-    and the answer that would overtake the build's, wait.  A forcing row k
-    is computed before the caller's new row k arrives, so it reads the
-    previous iterate.  A norm error is held until the sweep's end and sent
-    then.  SIGINT is ignored: an interrupt reaches `picard`, which ends the
-    worker.
+    It builds a0 on the upper band [lo, nt), then the ansatz once the first
+    sweep's forcing is in ``rows``.  Behind the march it keeps each row in
+    its own copy of the iterate, ``old``, puts back the lower rows that a
+    probe's rows replaced, and puts into the rows passed the band's forcing
+    of the sweep it expects next: a Picard sweep after one, J_i+1 after J_i.
+    A _START of other sources has its forcing computed at once.  The
+    answers: to a _START, None or the (row, exception) of that forcing; to
+    an _END, the sups; to a _FINISH, None once ``old``'s band is back in
+    ``rows``, then the band's residual.  An error in a0 is the first
+    _START's answer, one in the ansatz or a norm the next _END's.
     """
+    nt = len(ts)
+    lo = _lower_rows(nt)
+    norms = _SweepNorms(norm, weights, np.zeros_like(rows))
+    old, failed = norms.old, None
     try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        rx, out = os.fdopen(rx_fd, "rb", buffering=0), _Outbox(tx_fd)
-        nt, n_active = len(ts), norms.old.shape[1]
-        lo = _lower_rows(nt)
-        try:
-            band = _MeshSources(sources, ts, True, False, lo, nt)
-            building = band.build_ansatz(sources)
-        except Exception as exc:
-            out.put(_ERROR, pickle.dumps(exc))
-            building = None
-        inbox, spare, rows_out, failed = deque(), [], None, None
-        while True:
-            read = [rx] if len(inbox) < _INBOX else []
-            wait = [out.fd] if out or rows_out is not None else []
-            busy = inbox or building is not None
-            ready, room, _ = select.select(read, wait, [], 0 if busy else None)
-            if ready:
-                head = bytearray(_BLOCK.size)
-                if not _fill(rx, head):
-                    return
-                k, a, b = _BLOCK.unpack(head)
-                vecs = None
-                if k >= 0:
-                    vecs = (spare.pop() if spare
-                            else np.empty((_BLOCK_ROWS, n_active), dtype=complex))[:b]
-                    if not _fill(rx, vecs):
-                        return
-                inbox.append((k, a, b, vecs))
-            elif room:
-                if not out:
-                    reply = next(rows_out, None)
-                    if reply is None:
-                        rows_out = None
-                        continue
-                    out.put(*reply)
-                out.write()
-            elif inbox and (building is None or inbox[0][0] >= 0):
-                k, a, b, vecs = inbox.popleft()
-                if k >= 0:      # a is the kind, b the number of rows
-                    if failed is None:
-                        try:
-                            norms.block(k, vecs, a)
-                        except Exception as exc:
-                            failed = exc
-                    if a != _PROBE:
-                        norms.old[k - b + 1:k + 1] = vecs[::-1]
-                    spare.append(vecs.base)
-                elif k == _END:
-                    rows_out = None
-                    if failed is None:
-                        out.put(_ANSWER, pickle.dumps(norms.end()))
-                    else:
-                        out.put(_ERROR, pickle.dumps(failed))
-                elif k == _START:
-                    at = band.source(_selected(b), norms.old if a else None)
-                    rows_out = _forcing_rows(at, range(nt - 1, lo - 1, -1))
-                else:
-                    try:
-                        out.put(_ANSWER, pickle.dumps(
-                            max(band.residual(norms.old), default=0.0)))
-                    except Exception as exc:
-                        out.put(_ERROR, pickle.dumps(exc))
-            elif building is not None:
+        band = _MeshSources(sources, ts, True, False, lo, nt)
+    except Exception as exc:
+        rx.read(_FRAME.size)    # the first _START
+        send(tx, exc, -1)
+        return
+    sel = at = err = None   # the forcing put into rows: its sweep, `source`, exception
+
+    def forcing(top, bottom):
+        """Put rows top down to bottom; the first exception, of any kind, is
+        held with its row and ends them."""
+        nonlocal err
+        for k in range(top, bottom - 1, -1):
+            try:
+                rows[k] = at(k)
+            except BaseException as exc:
+                err = (k, exc)
+                return
+
+    while len(frame := rx.read(_FRAME.size)) == _FRAME.size:
+        j, a, b = _FRAME.unpack(frame)
+        if j >= 0:      # a is the kind, b the number of rows
+            k = j + b - 1
+            if failed is None:
                 try:
-                    next(building)
-                except StopIteration:
-                    building = None
-                    out.put(_ANSWER, pickle.dumps(None))
+                    norms.block(k, rows[j:k + 1][::-1], a)
                 except Exception as exc:
-                    building = None
-                    out.put(_ERROR, pickle.dumps(exc))
-    finally:
-        os._exit(0)     # `picard` reads no exit status
+                    failed = exc
+            if a != _PROBE:
+                old[j:k + 1] = rows[j:k + 1]
+            elif j < lo:
+                rows[j:min(k + 1, lo)] = old[j:min(k + 1, lo)]
+            if failed is None and err is None and at is not None:
+                forcing(k, max(lo, j))
+        elif j == _START:
+            if not (a and b == sel):      # not what went in behind the last sweep
+                at, err = band.source(_SWEEPS[b], old if a else None), None
+                forcing(nt - 1, lo)
+            send(tx, err)
+            if band.R is None:
+                try:
+                    band.build_ansatz(sources)
+                except Exception as exc:
+                    failed = exc
+            sel, at, err = b if b == 0 else b + 1, None, None   # a Picard sweep, or J_i+1
+            if sel < len(_SWEEPS):
+                at = band.source(_SWEEPS[sel], old)
+        elif j == _END:
+            if failed is None:
+                send(tx, norms.end())
+            else:
+                send(tx, failed, -1)
+        else:
+            rows[lo:] = old[lo:]
+            send(tx, None)
+            if a:
+                try:
+                    send(tx, max(band.residual(old), default=0.0))
+                except Exception as exc:
+                    send(tx, exc, -1)
 
 
 class _BandWorker:
-    """`picard`'s second process: the upper band of mesh rows and the norms.
+    """`picard`'s second process, forked until ``stack`` closes: the upper
+    band of mesh rows and the norms, with the methods of `_MeshSources`
+    and `_SweepNorms` that `picard` uses.
 
-    It has the methods of `_MeshSources` that `picard` uses on a band and
-    those of `_SweepNorms`.  The worker is forked with the caller's
-    `_SweepNorms`; its copy of the iterate is its own from then on.  It
-    builds a0 and the ansatz on rows [_lower_rows(nt), nt) while the first
-    sweep runs, which needs a0 alone; the first answer asked of it (the
-    first sweep's `end`) raises a build error first, as the serial loop
-    raises it before any sweep.  `source` starts a sweep: the worker
-    computes the band's forcing rows from its copy, in the order the march
-    asks for them, and the function it returns reads them.  `row` gathers
-    every new row and writes it down a pipe, _BLOCK_ROWS at a time; the
-    worker takes their norms behind the march and keeps them in its copy
-    (_PROBE rows it does not keep).  `end` sends the last rows and returns
-    the sweep's sups, or raises the worker's error: the serial loop would
-    have raised it at its row; after an exception that stopped a message
-    halfway it returns at once.  `residual` asks for the band's residual
-    norms and yields their maximum.  The caller blocks on a full pipe or an
-    empty one, and the worker waits in `select`, so neither spins and they
-    cannot both wait on a write.  `close` kills and reaps the worker.
+    `source` waits until the band's forcing is in the shared iterate
+    ``rows``; its function reads it there or raises the worker's exception
+    at its row.  `keep` stores each row in ``rows``, a frame per
+    _BLOCK_ROWS.  `end` returns the sweep's sups or raises the worker's
+    error, which the serial loop would have raised at its row.  The worker
+    writes only answers the caller waits for, so they cannot both wait on a
+    write.  Only a broken pipe or an end of file is a worker gone
+    (FixedPointError); any other exception keeps its type.
     """
 
-    def __init__(self, sources: SourceSet, ts, norms: _SweepNorms):
-        rows_r, rows_w = worker_pipe()
-        back_r, back_w = worker_pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            os.close(rows_w)
-            os.close(back_r)
-            _serve(rows_r, back_w, sources, ts, norms)
-        os.close(rows_r)
-        os.close(back_w)
-        self._tx = os.fdopen(rows_w, "wb")
-        self._rx = os.fdopen(back_r, "rb")
-        self._vecs = np.empty((_BLOCK_ROWS, norms.old.shape[1]), dtype=complex)
-        self._m = 0         # rows gathered in _vecs
-        self._head = None   # (k, kind) of the first of them
-        self._built = False     # the build's answer has been read
-        self._cut = False       # a message was stopped halfway
+    def __init__(self, stack: contextlib.ExitStack, sources: SourceSet, ts,
+                 norm: _ENorm, weights, rows: np.ndarray):
+        down_r, down_w = worker_pipe()
+        up_r, up_w = worker_pipe()
+        serve = lambda: _serve(os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"),
+                               sources, ts, norm, weights, rows)
+        stack.enter_context(forked_worker(serve, (down_r, up_w), (down_w, up_r)))
+        self._tx = stack.enter_context(os.fdopen(down_w, "wb", buffering=0))
+        self._rx = stack.enter_context(os.fdopen(up_r, "rb"))
+        self._rows = rows
+        self._m = 0         # rows kept since the last frame
+        self._last = None   # (k, kind) of the last of them
 
-    @contextlib.contextmanager
-    def _whole(self):
-        """Mark the pipes cut when an exception (a signal handler's, say)
-        stops a message halfway: nothing can pass after it."""
+    def _write(self, *frame) -> None:
         try:
-            yield
-        except BaseException:
-            self._cut = True
-            raise
+            self._tx.write(_FRAME.pack(*frame))     # one write: a frame is whole or not sent
+        except BrokenPipeError as exc:
+            raise FixedPointError(_ENDED) from exc
 
     def _read(self, size: int) -> bytes:
-        with self._whole():
-            data = self._rx.read(size)
+        data = self._rx.read(size)
         if len(data) < size:
             raise FixedPointError(_ENDED)
         return data
 
     def _answer(self):
-        """The worker's next answer, or its error raised; the forcing rows
-        of an abandoned sweep before it are dropped.  The first call takes
-        the build's answer first."""
-        if not self._built:
-            self._built = True
-            self._answer()
-        while True:
-            tag, size = _REPLY.unpack(self._read(_REPLY.size))
-            payload = self._read(size)
-            if tag == _ERROR:
-                raise pickle.loads(payload)
-            if tag == _ANSWER:
-                return pickle.loads(payload)
-
-    def _write(self, *chunks) -> None:
-        try:
-            with self._whole():
-                for chunk in chunks:
-                    self._tx.write(chunk)
-                self._tx.flush()
-        except OSError as exc:     # the worker has gone
-            raise FixedPointError(_ENDED) from exc
+        tag, size = HEADER.unpack(self._read(HEADER.size))
+        answer = pickle.loads(self._read(size))
+        if tag < 0:
+            raise answer
+        return answer
 
     def source(self, which, rows):
-        self._write(_BLOCK.pack(_START, rows is not None, _selection(which)))
-        return self._forcing
+        self._write(_START, rows is not None, _SWEEPS.index(which))
+        failed = self._answer()
 
-    def _forcing(self, k: int) -> np.ndarray:
-        tag, size = _REPLY.unpack(self._read(_REPLY.size))
-        if tag == _ROW_ERROR:
-            raise pickle.loads(self._read(size))
-        f = np.empty(self._vecs.shape[1], dtype=complex)
-        with self._whole():
-            got = self._rx.readinto(f)
-        if got < f.nbytes:
-            raise FixedPointError(_ENDED)
-        return f
+        def at(k):
+            if failed is not None and k == failed[0]:
+                raise failed[1]
+            return self._rows[k].copy()     # the march keeps it past the row's store
 
-    def residual(self, rows):
-        self._write(_BLOCK.pack(_RESIDUAL, 0, 0))
-        return self._later()
+        return at
 
-    def _later(self):
-        yield self._answer()
-
-    def _send(self) -> None:
-        m, self._m = self._m, 0
-        if m:
-            self._write(_BLOCK.pack(*self._head, m), self._vecs[:m])
-
-    def row(self, k: int, vec: np.ndarray, kind: int) -> None:
-        if not self._m:
-            self._head = (k, kind)
-        self._vecs[self._m] = vec
+    def keep(self, k: int, vec: np.ndarray, kind: int) -> None:
+        self._rows[k] = vec
+        self._last = (k, kind)
         self._m += 1
         if self._m == _BLOCK_ROWS:
             self._send()
 
-    def end(self) -> tuple | None:
-        """The sweep's sups; None if the pipes were cut, which happens only
-        while the exception that cut them is on its way out of the sweep."""
-        if self._cut:
-            return None
+    def _send(self) -> None:
+        if self._m:
+            self._write(*self._last, self._m)
+            self._m = 0
+
+    def end(self) -> tuple:
         self._send()
-        self._write(_BLOCK.pack(_END, 0, 0))
+        self._write(_END, 0, 0)
         return self._answer()
 
-    def close(self) -> None:
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-        for stream in (self._tx, self._rx):
-            with contextlib.suppress(OSError):   # rows the worker never read
-                stream.close()
+    def finish(self, residual: bool) -> None:
+        """Its band of the iterate back into ``rows``; then, with
+        ``residual``, the worker starts on the band's part of it."""
+        self._write(_FINISH, residual, 0)
+        self._answer()
+
+    def residual(self, rows):
+        yield self._answer()
 
 
 def e_norm(traj: Trajectory, cfg: NormConfig) -> float:
@@ -780,16 +649,16 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     evaluated.
 
     With at least two usable cores (`os.sched_getaffinity`) the upper band
-    lives in a forked `_BandWorker`.  It builds its ansatz while this
-    process marches the first sweep, for which it evaluates the upper a0
-    too.  Then it computes every sweep's forcing rows on its band ahead of
-    the march, takes all the norms behind it, in its own copy of the
-    iterate, and takes its part of the residual.  With one core both bands
-    are here.  The report and the trajectory are the same bytes either way,
-    and an error is the one the serial loop raises first: a build error
-    before any sweep's, and a norm error at a row before a later row's
-    forcing or CN solve error.  A worker that dies is a FixedPointError.  No
-    process outlives the call.
+    lives in a forked `_BandWorker`, which shares the iterate's pages.  It
+    builds its ansatz while this process marches the first sweep; behind
+    each sweep it takes all the norms and computes its band's forcing of
+    the next, before this process knows whether that sweep runs (the first
+    J-diagnostic sweep waits for its own).  With one
+    core both bands are here.  The report and the trajectory are the same
+    bytes either way, and an error is the one the serial loop raises first:
+    a build error before any sweep's, and a norm error at a row before a
+    later row's forcing or CN solve error.  A worker that dies is a
+    FixedPointError.  No process outlives the call.
 
     Returns the report and the last trajectory; a growing tail of iterate
     norms is reported as non-contraction, not raised.
@@ -815,39 +684,38 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
                                    f"{need / 1e9:.3g} GB, above physical memory")
     norm = _ENorm(grid, enorm_cfg)
     weights = np.array([norm.weight(t) for t in ts])
-    rows = np.zeros((nt, grid.n_active), dtype=complex)
-    norms_of = _SweepNorms(norm, weights, rows)
+    rows = _own_pages(nt, grid.n_active)
     lo = _lower_rows(nt)
-    worker = None
-    if len(os.sched_getaffinity(0)) >= 2:
-        norms_of = worker = _BandWorker(sources, ts, norms_of)
-    try:
+    with contextlib.ExitStack() as stack:
+        worker = None
+        if len(os.sched_getaffinity(0)) >= 2:
+            worker = _BandWorker(stack, sources, ts, norm, weights, rows)
         lower = _MeshSources(sources, ts, True, True, 0, lo)
-        # the first sweep needs a0 only: here, beside the worker's ansatz
-        first = _MeshSources(sources, ts, True, worker is None, lo, nt)
-        upper = first if worker is None else worker
+        upper = norms_of = worker
+        if worker is None:
+            upper = _MeshSources(sources, ts, True, True, lo, nt)
+            norms_of = _SweepNorms(norm, weights, rows)
         stepper = CrankNicolsonStepper(grid, -dt)
 
-        def sweep(which, kind, out=None, top=upper):
+        def sweep(which, kind):
             feedback = None if kind == _FIRST else rows
-            below, above = (band.source(which, feedback) for band in (lower, top))
+            below, above = (band.source(which, feedback) for band in (lower, upper))
             try:
-                _sweep(stepper, nt, lambda k: below(k) if k < lo else above(k), out,
-                       lambda k, vec: norms_of.row(k, vec, kind))
+                _sweep(stepper, nt, lambda k: below(k) if k < lo else above(k),
+                       lambda k, vec: norms_of.keep(k, vec, kind))
             except Exception:
                 norms_of.end()    # a norm error at an earlier row comes first
                 raise
             return norms_of.end()
 
-        norms = [sweep(_ALL_SOURCES, _FIRST, rows, first)[0]]
-        first = None
+        norms = [sweep(_ALL_SOURCES, _FIRST)[0]]
         j0_norm = norms[0]
         diffs = []
         ratios = []
         grow = 0
         non_contracting = False
         for it in range(1, n_iters):
-            sup, d = sweep(_ALL_SOURCES, _NEXT, rows)
+            sup, d = sweep(_ALL_SOURCES, _NEXT)
             norms.append(sup)
             diffs.append(d)
             if len(diffs) >= 2 and diffs[-2] > 0:
@@ -862,22 +730,20 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
         rnorm = max(norms[-1], 1e-300)
         j = {"J0": j0_norm}
         if j_diagnostics:
-            for name, sel in (("J1", "a1"), ("J2", "a2"), ("J3", "a3")):
-                j[name] = sweep((sel,), _PROBE)[0]
+            for name, which in zip(("J1", "J2", "J3"), _SWEEPS[1:]):
+                j[name] = sweep(which, _PROBE)[0]
             j["J1_over_r"] = _over_power(j["J1"], rnorm, 1)
             j["J2_over_r2"] = _over_power(j["J2"], rnorm, 2)
             j["J3_over_r3"] = _over_power(j["J3"], rnorm, 3)
 
         final_residual = None
+        if worker is not None:      # it starts on its part before this process
+            worker.finish(not non_contracting)
         if not non_contracting:
-            # the worker starts on its part before this process takes its own
             parts = [band.residual(rows) for band in (lower, upper)]
             final_residual = max(max(part, default=0.0) for part in parts)
-    finally:
-        if worker is not None:
-            worker.close()
 
-    lower = upper = None    # free the ansatz before the Fields are built
+    lower = upper = worker = norms_of = None    # free the ansatz before the Fields are built
     traj = _trajectory(sources, ts, rows)
 
     report = PicardReport(

@@ -2,8 +2,11 @@
 
 The p=7 spectral pair and the winning backward shoot are reused across the
 module tests and the acceptance suite; rebuilding them per test would
-multiply the runtime several-fold.
+multiply the runtime several-fold.  Every test must also end with no child
+process left, however it forks.
 """
+
+import os
 
 import pytest
 
@@ -20,6 +23,13 @@ from nlslab.modulation import ModulationContext, ShootConfig, shoot_search
 # discretization-induced alpha+ floor.
 SHOOT = dict(T0=4.0, Tn=8.0, delta=0.4, v=2.0, omega=1.0, p=7.0,
              L=30.0, n=3071, a=1.0, R1=1.5, R2=3.0, dt=0.002, log_every=10)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -432,7 +433,6 @@ def test_nonfinite_source_in_sweep_raises(gs3, box):
     src._ansatz = lambda t: ansatz(t) * (np.nan if abs(t - 1.0) < 1e-9 else 1.0)
     with pytest.raises(LinearSolveError):
         picard(src, 0.5, 2.0, cfg, 3, EvolveConfig(dt=0.004), j_diagnostics=False)
-    _no_child_left()
 
 
 def test_enorm_raises_instead_of_dropping_nan(box):
@@ -520,11 +520,6 @@ def _two_cores():
         pytest.skip("picard forks its worker only with two usable cores")
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _picard_bytes(rep, traj):
     """Every number of the report (repr keeps the float types) and every
     snapshot, as bytes."""
@@ -565,7 +560,6 @@ def test_picard_on_two_cores_is_the_one_core_picard_bit_for_bit(gs3, box, monkey
     here = _feedback_rows(monkeypatch)
     rep, traj, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
     assert len(pids) == 1
-    _no_child_left()
     lo = fp_mod._lower_rows(len(traj))
     assert here and max(here) == lo - 1
     here.clear()
@@ -627,7 +621,6 @@ def test_norm_error_in_the_worker_is_the_serial_error(gs3, box, monkeypatch,
     if later_solve_error:
         _nan_forcing_at(monkeypatch, 100)
     forked = _error_of(run)
-    _no_child_left()
     _one_core(monkeypatch)
     assert forked == _error_of(run)
     assert forked[0] is FixedPointError
@@ -659,7 +652,6 @@ def test_nan_forcing_in_either_band_is_the_serial_error_at_its_row(gs3, box, mon
     _nan_forcing_at(monkeypatch, row, feedback_only=True)
     steps = _cn_steps(monkeypatch)
     forked = _error_of(run), len(steps)
-    _no_child_left()
     steps.clear()
     _one_core(monkeypatch)
     assert forked == (_error_of(run), len(steps))
@@ -668,13 +660,24 @@ def test_nan_forcing_in_either_band_is_the_serial_error_at_its_row(gs3, box, mon
     assert forked[1] == (nt - 1) + (nt - 1 - row)
 
 
-@pytest.mark.parametrize("fail", [False, True], ids=["clean", "nan-in-the-upper-band"])
-def test_bands_far_longer_than_the_pipes_do_not_hang(gs3, box, monkeypatch, fail):
-    # 376 mesh times of 15.5 kB rows through pipes of one 4 kB page: every
-    # row streams in pieces, and each band holds hundreds of pipes' worth.
-    # With a NaN forcing in the worker's band the caller stops reading
-    # forcing rows with seven rows of its own still to send, which a worker
-    # blocked on a write would never read
+def _long_picard(gs3):
+    """picard at v = 8 on 124 active points and 1,501 mesh times, 0.5 <= t
+    <= 2: 188 frames of 8 rows a sweep, 4.5 kB, more than a 4 kB page."""
+    grid = build_grid(1, 40.0, 127, Obstacle("ball", 1.0))
+    params = SolitonParams(omega=1.0, v=(8.0,), p=3.0)
+    src = make_sources(params, gs3, build_cutoff(grid, 1.5, 3.0), grid, 3.0)
+    cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(8.0,), T0=0.5)
+    return lambda: picard(src, 0.5, 2.0, cfg, 3, EvolveConfig(dt=0.001),
+                          j_diagnostics=True)
+
+
+@pytest.mark.parametrize("fail, frames", [(False, False), (True, False), (False, True)],
+                         ids=["clean", "nan-in-the-upper-band", "frames-alone-overfill-a-page"])
+def test_bands_far_longer_than_the_pipes_do_not_hang(gs3, box, monkeypatch, fail, frames):
+    # pipes of one 4 kB page.  With a NaN forcing in the worker's band the
+    # caller stops its sweep with seven rows kept but not yet in a frame.
+    # On the long mesh one sweep's frames alone fill the pipe, and the
+    # caller blocks on a write until the worker reads
     _two_cores()
     monkeypatch.setattr(ev_mod, "PIPE_BYTES", 1 << 12)
     src, _ = sources_at(gs3, box, 8.0)
@@ -682,11 +685,12 @@ def test_bands_far_longer_than_the_pipes_do_not_hang(gs3, box, monkeypatch, fail
     nt = len(_time_mesh(0.5, 2.0, 0.004)[0])
     if fail:
         _nan_forcing_at(monkeypatch, nt - 1 - (8 * 20 + 7), feedback_only=True)
+    picard_run = _long_picard(gs3) if frames else (
+        lambda: picard(src, 0.5, 2.0, cfg, 3, EvolveConfig(dt=0.004), j_diagnostics=True))
 
     def run():
         try:
-            return _picard_bytes(*picard(src, 0.5, 2.0, cfg, 3, EvolveConfig(dt=0.004),
-                                         j_diagnostics=True))
+            return _picard_bytes(*picard_run())
         except LinearSolveError as exc:
             return str(exc)
 
@@ -694,16 +698,94 @@ def test_bands_far_longer_than_the_pipes_do_not_hang(gs3, box, monkeypatch, fail
         raise TimeoutError("picard hung on two cores")
 
     old = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(120)
+    # again every 5 s: a hung caller waits on the worker once more, in `end`
+    # on its way out, and only the next alarm ends that wait too
+    signal.setitimer(signal.ITIMER_REAL, 120, 5)
     try:
         forked = run()
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-    _no_child_left()
     _one_core(monkeypatch)
     assert forked == run()
     assert isinstance(forked, str) == fail
+
+
+def test_a_signal_while_the_caller_waits_on_the_worker_keeps_its_type(gs3, monkeypatch):
+    # the worker sleeps before it builds its ansatz, so the caller fills the
+    # one-page pipe with the first sweep's frames and waits on a write: an
+    # alarm's TimeoutError there is not a worker that ended
+    _two_cores()
+    monkeypatch.setattr(ev_mod, "PIPE_BYTES", 1 << 12)
+    run = _long_picard(gs3)
+    caller, build = os.getpid(), fp_mod._MeshSources.build_ansatz
+
+    def slow(mesh, sources):
+        if os.getpid() != caller:
+            time.sleep(2.0)
+        build(mesh, sources)
+
+    def alarm(signum, frame):
+        raise TimeoutError("the caller waited on the worker")
+
+    monkeypatch.setattr(fp_mod._MeshSources, "build_ansatz", slow)
+    old = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 0.7)
+    try:
+        with pytest.raises(TimeoutError, match="the caller waited on the worker"):
+            run()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _nan_forcing_after(monkeypatch, sweeps):
+    """NaN forcing on the upper band, and an exception at its lowest row, in
+    every sweep of all the sources with feedback after the first sweeps[0]
+    of them; the calls so far."""
+    source, calls = fp_mod._MeshSources.source, []
+
+    def poisoned(mesh, which, rows):
+        at = source(mesh, which, rows)
+        if mesh.lo == 0 or rows is None or which != fp_mod._ALL_SOURCES:
+            return at
+        calls.append(1)
+        if len(calls) <= sweeps[0]:
+            return at
+
+        def nan_at(k):
+            if k == mesh.lo:
+                raise FloatingPointError("a forcing that no sweep reads")
+            return at(k) * np.nan
+
+        return nan_at
+
+    monkeypatch.setattr(fp_mod._MeshSources, "source", poisoned)
+    return calls
+
+
+@pytest.mark.parametrize("v, horizon", [(8.0, 4.0), (2.0, 3.0)],
+                         ids=["n_iters", "non-contracting"])
+@pytest.mark.parametrize("j_diag", [True, False], ids=["J", "no-J"])
+def test_the_forcing_of_a_sweep_that_does_not_run_is_never_read(gs3, box, monkeypatch,
+                                                                v, horizon, j_diag):
+    # the worker computes a sweep's forcing behind the sweep before it,
+    # before the caller decides whether it runs: the NaN and the exception
+    # in the one after the last Picard sweep must reach neither the J
+    # sweeps, nor the iterate, nor the caller
+    _two_cores()
+    sweeps = [np.inf]
+    calls = _nan_forcing_after(monkeypatch, sweeps)
+    with monkeypatch.context() as one_core:
+        _one_core(one_core)
+        rep1, traj1, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
+    assert len(calls) == len(rep1.diff_norms)
+    sweeps[0] = len(calls)
+    calls.clear()       # the worker counts from its fork
+    rep, traj, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
+    assert rep.non_contracting == (v == 2.0)
+    assert len(rep.iterate_norms) < 5 if v == 2.0 else len(rep.iterate_norms) == 5
+    assert _picard_bytes(rep, traj) == _picard_bytes(rep1, traj1)
 
 
 @pytest.mark.parametrize("kind", [fp_mod._FIRST, fp_mod._NEXT, fp_mod._PROBE],
@@ -739,7 +821,6 @@ def test_solve_error_with_no_norm_error_is_the_serial_error(gs3, box, monkeypatc
     _one_core(monkeypatch)
     assert forked == _error_of(run)
     assert forked[0] is LinearSolveError
-    _no_child_left()
 
 
 @pytest.mark.parametrize("rows", [(300,), (100, 300)], ids=["upper", "lower-first"])
@@ -758,7 +839,6 @@ def test_ansatz_error_in_the_worker_keeps_the_serial_order(gs3, box, monkeypatch
 
     src._ansatz = failing
     forked = _error_of(run)
-    _no_child_left()
     _one_core(monkeypatch)
     assert forked == _error_of(run) == (FixedPointError, f"ansatz refused at row {rows[0]}")
 
@@ -778,7 +858,6 @@ def test_a_worker_killed_mid_sweep_is_a_fixed_point_error(gs3, box, monkeypatch)
     monkeypatch.setattr(fp_mod._SweepNorms, "block", die)
     with pytest.raises(FixedPointError, match="the Picard worker ended"):
         run()
-    _no_child_left()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -800,7 +879,6 @@ def test_an_error_in_the_forcing_leaves_no_child(gs3, box, monkeypatch, error):
     with pytest.raises(error, match="in the forcing"):
         run()
     assert len(pids) == 1
-    _no_child_left()
 
 
 # -------------------------------------------------------- interpolation_check
