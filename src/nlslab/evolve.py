@@ -22,20 +22,20 @@ the Picard sweeps, each step is the plain Strang step.
 `march_ahead` runs `march` in a forked worker process on the second core;
 the backward shoot uses it, so the march of one shot hides behind its
 decompositions and log rows.  The worker writes each state down a pipe (a
-header, then its bytes), and the consumer reads it into a new array.  The
-pipe is the flow control: a full pipe blocks the worker, an empty one the
-consumer, and neither spins.  `forked_worker`, which the Picard worker
-uses too, kills and reaps the worker on every path out of the consumer's
-loop; if the consumer's process dies first, the worker's next write fails
-and it exits.  An exception in the worker is re-raised after its last good
-state with its type and message, as with `march`.  With one usable core it
-is `march` itself, with the same bits.
+`send` header, then its bytes), and the consumer reads it into a new array.
+The pipe is the flow control: a full pipe blocks the worker, an empty one
+the consumer, and neither spins.  `forked_worker`, which the Picard worker
+uses too, makes the pipes and kills and reaps the worker on every path out
+of the consumer's block; if the consumer's process dies first, the
+worker's next write fails and it exits.  `send` and `receive` are the one
+message format of both workers.  An exception in the worker is re-raised
+after its last good state with its type and message, as with `march`.
+With one usable core it is `march` itself, with the same bits.
 """
 
 from __future__ import annotations
 
 import contextlib
-import fcntl
 import os
 import pickle
 import signal
@@ -195,70 +195,73 @@ def march(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
             yield k, vec
 
 
-# asked of every worker pipe: 22 shoot states (`picard` sends 24-byte frames)
-PIPE_BYTES = 1 << 20
-
-
-def worker_pipe() -> tuple[int, int]:
-    """An os.pipe() raised to PIPE_BYTES where the system allows it.
-
-    A refusal (above the system's pipe-max-size, or over the user's quota
-    of pipe pages) keeps the default size, which only holds less.
-    """
-    r, w = os.pipe()
-    try:
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-    except OSError:
-        pass
-    return r, w
-
-
 @contextlib.contextmanager
-def forked_worker(serve, theirs, mine):
-    """Run serve() in a forked worker for the length of the block, which
-    kills and reaps it on any way out.  The worker closes the descriptors
-    ``mine``, ignores SIGINT (an interrupt reaches this process) and leaves
-    by os._exit(0); this process closes ``theirs``."""
+def forked_worker(serve):
+    """Run serve(rx, tx) in a forked worker for the length of the block,
+    which yields this process's ends of the two pipes between them: it reads
+    rx, which the worker's tx writes, and writes tx (unbuffered), which the
+    worker's rx reads.  On any way out of the block both streams are closed,
+    then the worker is killed and reaped.  The worker ignores SIGINT (an
+    interrupt reaches this process) and leaves by os._exit(0)."""
+    down_r, down_w = os.pipe()
+    up_r, up_w = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            for fd in mine:
-                os.close(fd)
-            serve()
+            os.close(down_w)
+            os.close(up_r)
+            serve(os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"))
         finally:
             os._exit(0)
-    for fd in theirs:
-        os.close(fd)
+    os.close(down_r)
+    os.close(up_w)
     try:
-        yield
+        with os.fdopen(down_w, "wb", buffering=0) as tx, os.fdopen(up_r, "rb") as rx:
+            yield rx, tx
     finally:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
 
-# what a worker writes: (k, n) and n bytes; (-1, n) is a pickled exception
+# a message: (tag, n), then n bytes of a pickle; tag -1 is an exception
 HEADER = struct.Struct("qq")
 
 
 def send(stream, obj, tag: int = 0) -> None:
-    """Write obj pickled behind the HEADER (tag, size); flush the stream."""
+    """Write obj pickled behind the HEADER (tag, size) in one write; flush
+    the stream."""
     payload = pickle.dumps(obj)
     stream.write(HEADER.pack(tag, len(payload)) + payload)
     stream.flush()
 
 
-def _march_worker(out: int, args) -> None:
-    """The forked side of `march_ahead`: state k is (k, 0) and its 16 n
-    bytes.  A write fails once the consumer has gone."""
-    stream = os.fdopen(out, "wb")
+def receive(stream):
+    """The (tag, obj) of the next `send` on stream, or None if the stream
+    ends before a whole message; an exception sent (tag -1) is raised."""
+    head = stream.read(HEADER.size)
+    if len(head) < HEADER.size:
+        return None
+    tag, size = HEADER.unpack(head)
+    payload = stream.read(size)
+    if len(payload) < size:
+        return None
+    obj = pickle.loads(payload)
+    if tag < 0:
+        raise obj
+    return tag, obj
+
+
+def _march_worker(tx, args) -> None:
+    """The forked side of `march_ahead`: state k is a `send` of None with
+    tag k, then its 16 n bytes.  A write fails once the consumer has gone."""
     try:
         for k, vec in march(*args):
-            stream.write(HEADER.pack(k, 0))
-            stream.write(np.ascontiguousarray(vec, complex))
-            stream.flush()
+            send(tx, None, k)
+            tx.write(np.ascontiguousarray(vec, complex))
+            tx.flush()
     except Exception as exc:
-        send(stream, exc, -1)
+        send(tx, exc, -1)
 
 
 def march_ahead(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
@@ -276,19 +279,16 @@ def march_ahead(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
     if len(os.sched_getaffinity(0)) < 2:
         yield from march(stepper, vec, n_steps, p, every=every)
         return
-    r, w = worker_pipe()
-    serve = lambda: _march_worker(w, (stepper, vec, n_steps, p, None, every))
+    serve = lambda rx, tx: _march_worker(tx, (stepper, vec, n_steps, p, None, every))
     ended = f"the march worker ended before step {n_steps}"
-    with forked_worker(serve, (w,), (r,)), os.fdopen(r, "rb") as stream:
+    with forked_worker(serve) as (rx, _):
         while True:
-            head = stream.read(HEADER.size)
-            if len(head) < HEADER.size:
+            message = receive(rx)
+            if message is None:
                 raise EvolveError(ended)
-            k, size = HEADER.unpack(head)
-            if k < 0:
-                raise pickle.loads(stream.read(size))
+            k = message[0]
             state = np.empty(vec.size, complex)
-            if stream.readinto(state) < state.nbytes:
+            if rx.readinto(state) < state.nbytes:
                 raise EvolveError(ended)
             yield k, state
             if k == n_steps:
@@ -310,7 +310,6 @@ class Trajectory:
     snapshots: list
     conservation: list
     p: float
-    params: SolitonParams | None = None
 
     def conservation_array(self) -> np.ndarray:
         return np.asarray(self.conservation)
@@ -361,7 +360,7 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
         snapshots.append(u)
         rows.append(row)
     return Trajectory(times=np.asarray(times), snapshots=snapshots,
-                      conservation=rows, p=p, params=params)
+                      conservation=rows, p=p)
 
 
 def residual_norms(vec_at, ts, p: float, grid: Grid):

@@ -16,9 +16,9 @@ exact linear part, and a single exact remainder (slot A2, with A3 empty).
 The Picard loop splits its time mesh into two bands of rows.  With two
 usable cores `picard` forks a worker per call (`evolve.forked_worker`)
 that shares the iterate's pages.  The caller marches every row, stores it
-there and sends a 24-byte frame per block of rows; behind it the worker
-takes the weighted norms and puts its band's forcing for the next sweep
-into the rows passed.  It writes back only what the caller waits for.
+there and sends a frame per block of rows; behind it the worker takes the
+weighted norms and puts its band's forcing for the next sweep into the
+rows passed.  It writes back only what the caller waits for.
 Each row is computed by the same function from the same bytes as in the
 serial loop, so every number keeps its bits.
 """
@@ -28,8 +28,6 @@ from __future__ import annotations
 import contextlib
 import mmap
 import os
-import pickle
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,16 +47,15 @@ from .grid import (
 )
 from .ground_state import GroundState
 from .evolve import (
-    HEADER,
     CrankNicolsonStepper,
     EvolveConfig,
     Trajectory,
     forked_worker,
     march,
+    receive,
     residual_norms,
     send,
     step_count,
-    worker_pipe,
 )
 from .soliton import SolitonError, SolitonParams, _check_center, ansatz
 from .soliton import soliton_field  # noqa: F401  (bench/tests reads this binding)
@@ -325,8 +322,7 @@ def _sweep(stepper: CrankNicolsonStepper, nt: int, source, on_row):
 
 def _trajectory(sources: SourceSet, ts, rows) -> Trajectory:
     snaps = [from_active(sources.grid, row) for row in rows]
-    return Trajectory(times=ts, snapshots=snaps, conservation=[], p=sources.p,
-                      params=sources.params)
+    return Trajectory(times=ts, snapshots=snaps, conservation=[], p=sources.p)
 
 
 def duhamel_apply(sources: SourceSet, r_traj: Trajectory | None, T0: float,
@@ -434,10 +430,9 @@ class _SweepNorms:
         return sup
 
 
-# to the worker, 24 bytes a frame: (j, kind, m), rows j + m - 1, ..., j + 1, j
+# a frame to the worker, one `send`: (j, kind, m), rows j + m - 1, ..., j + 1, j
 # of a sweep of this kind are in the shared iterate; (_START, feedback, i)
 # of a sweep of the sources _SWEEPS[i]; its _END; (_FINISH, residual, 0)
-_FRAME = struct.Struct("qqq")
 _START, _END, _FINISH = -1, -2, -3
 _SWEEPS = (_ALL_SOURCES, ("a1",), ("a2",), ("a3",))     # Picard, then J1, J2, J3
 _ENDED = "the Picard worker ended"
@@ -464,7 +459,7 @@ def _serve(rx, tx, sources: SourceSet, ts, norm: _ENorm, weights, rows) -> None:
     try:
         band = _MeshSources(sources, ts, True, False, lo, nt)
     except Exception as exc:
-        rx.read(_FRAME.size)    # the first _START
+        receive(rx)     # the first _START
         send(tx, exc, -1)
         return
     sel = at = err = None   # the forcing put into rows: its sweep, `source`, exception
@@ -480,8 +475,8 @@ def _serve(rx, tx, sources: SourceSet, ts, norm: _ENorm, weights, rows) -> None:
                 err = (k, exc)
                 return
 
-    while len(frame := rx.read(_FRAME.size)) == _FRAME.size:
-        j, a, b = _FRAME.unpack(frame)
+    while (frame := receive(rx)) is not None:
+        j, a, b = frame[1]
         if j >= 0:      # a is the kind, b the number of rows
             k = j + b - 1
             if failed is None:
@@ -540,35 +535,23 @@ class _BandWorker:
 
     def __init__(self, stack: contextlib.ExitStack, sources: SourceSet, ts,
                  norm: _ENorm, weights, rows: np.ndarray):
-        down_r, down_w = worker_pipe()
-        up_r, up_w = worker_pipe()
-        serve = lambda: _serve(os.fdopen(down_r, "rb"), os.fdopen(up_w, "wb"),
-                               sources, ts, norm, weights, rows)
-        stack.enter_context(forked_worker(serve, (down_r, up_w), (down_w, up_r)))
-        self._tx = stack.enter_context(os.fdopen(down_w, "wb", buffering=0))
-        self._rx = stack.enter_context(os.fdopen(up_r, "rb"))
+        serve = lambda rx, tx: _serve(rx, tx, sources, ts, norm, weights, rows)
+        self._rx, self._tx = stack.enter_context(forked_worker(serve))
         self._rows = rows
         self._m = 0         # rows kept since the last frame
         self._last = None   # (k, kind) of the last of them
 
     def _write(self, *frame) -> None:
         try:
-            self._tx.write(_FRAME.pack(*frame))     # one write: a frame is whole or not sent
+            send(self._tx, frame)   # one write of < 40 bytes: whole or not sent
         except BrokenPipeError as exc:
             raise FixedPointError(_ENDED) from exc
 
-    def _read(self, size: int) -> bytes:
-        data = self._rx.read(size)
-        if len(data) < size:
-            raise FixedPointError(_ENDED)
-        return data
-
     def _answer(self):
-        tag, size = HEADER.unpack(self._read(HEADER.size))
-        answer = pickle.loads(self._read(size))
-        if tag < 0:
-            raise answer
-        return answer
+        answer = receive(self._rx)
+        if answer is None:
+            raise FixedPointError(_ENDED)
+        return answer[1]
 
     def source(self, which, rows):
         self._write(_START, rows is not None, _SWEEPS.index(which))

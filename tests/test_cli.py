@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nlslab
+import nlslab.cli as cli_mod
 from nlslab.cli import (
     ConfigError,
     config_hash,
@@ -619,6 +620,28 @@ def test_sweep_single_point_equals_run(tmp_path, monkeypatch):
     swept = json.loads((tmp_path / "sweep/p_3/summary.json").read_text())
     single = json.loads((tmp_path / "single/summary.json").read_text())
     assert swept == single
+
+
+def test_sweep_on_two_cores_is_the_one_core_sweep(tmp_path, monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the sweep takes its process pool only with two usable cores")
+    pools = []
+
+    class Recorded(cli_mod.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", Recorded)
+    cfg = default_config()
+    assert run_sweep("ground-state", cfg, "p", ["3", "7"], tmp_path / "pool") == 0
+    assert pools == [2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run_sweep("ground-state", cfg, "p", ["3", "7"], tmp_path / "serial") == 0
+    assert pools == [2]
+    for name in ("aggregate.csv", "p_3/summary.json", "p_7/summary.json"):
+        assert ((tmp_path / "pool" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes())
 
 
 _STATUS_RUNS = {0: ["ground-state", "--p=3"], 2: ["ground-state", "--p=0"],

@@ -1,5 +1,6 @@
 import fcntl
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -27,7 +28,6 @@ from nlslab.evolve import (
     march,
     march_ahead,
     step_count,
-    worker_pipe,
     _phase_half_step,
     _rotate,
     nls_residual,
@@ -282,23 +282,57 @@ def test_march_ahead_on_one_core_forks_nothing(monkeypatch, march_start):
     assert ahead == _states(march(stepper, vec, 25, 7.0, every=10))
 
 
-def test_march_ahead_reports_a_worker_that_ends_inside_a_state(monkeypatch, march_start):
+def _received_before_the_end(monkeypatch, march_start, stand_in):
+    """The steps a 10-step march_ahead yields when its worker is
+    stand_in(tx, vec), and what `evolve.receive` returned to it, up to the
+    EvolveError that the worker's early end must raise."""
     _two_cores()
     stepper, vec = march_start[7.0]
+    steps, got, receive = [], [], evolve_mod.receive
 
-    def half_a_state(out, args):
-        os.write(out, evolve_mod.HEADER.pack(0, 0) + bytes(8 * vec.size))
+    def recorded(stream):
+        got.append(receive(stream))
+        return got[-1]
+
+    def worker(tx, args):
+        stand_in(tx, vec)
+        tx.flush()
         os._exit(0)
 
-    monkeypatch.setattr(evolve_mod, "_march_worker", half_a_state)
+    monkeypatch.setattr(evolve_mod, "_march_worker", worker)
+    monkeypatch.setattr(evolve_mod, "receive", recorded)
     with pytest.raises(EvolveError, match="march worker ended before step 10"):
-        next(march_ahead(stepper, vec, 10, 7.0))
+        for k, _ in march_ahead(stepper, vec, 10, 7.0):
+            steps.append(k)
+    return steps, got
+
+
+def test_march_ahead_reports_a_worker_that_ends_inside_a_state(monkeypatch, march_start):
+    def half_a_state(tx, vec):
+        evolve_mod.send(tx, None, 0)
+        tx.write(bytes(8 * vec.size))
+
+    steps, got = _received_before_the_end(monkeypatch, march_start, half_a_state)
+    assert (steps, got) == ([], [(0, None)])
+
+
+def test_march_ahead_reports_a_worker_that_ends_inside_an_exception(monkeypatch,
+                                                                    march_start):
+    # a whole state first, so a worker that ends before it writes fails here too
+    def state_then_half_an_exception(tx, vec):
+        evolve_mod.send(tx, None, 0)
+        tx.write(bytes(16 * vec.size))
+        payload = pickle.dumps(EvolveError("never whole"))
+        tx.write(evolve_mod.HEADER.pack(-1, len(payload)) + payload[:len(payload) // 2])
+
+    steps, got = _received_before_the_end(monkeypatch, march_start,
+                                          state_then_half_an_exception)
+    assert (steps, got) == ([0], [(0, None), None])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_march_ahead_streams_a_state_larger_than_the_pipe(gs, monkeypatch, dim):
+def test_march_ahead_streams_a_state_larger_than_the_pipe(gs, dim):
     _two_cores()
-    monkeypatch.setattr(evolve_mod, "PIPE_BYTES", 1 << 16)   # the size a refusal keeps
     if dim == 1:
         g = build_grid(1, 20.0, 8191, Obstacle("ball", 1.0))
         pa = SolitonParams(omega=1.0, v=(1.0,), p=3.0, x0=(5.0,))
@@ -308,34 +342,13 @@ def test_march_ahead_streams_a_state_larger_than_the_pipe(gs, monkeypatch, dim):
         pa = SolitonParams(omega=1.0, v=(0.5, 0.0), p=3.0, x0=(4.0, 0.0))
         u0 = soliton_field(pa, solve_ground_state(3, 1.0, 2), 0.0, g)
     stepper, vec = CrankNicolsonStepper(g, -0.002), to_active(u0)
-    r, w = worker_pipe()
+    r, w = os.pipe()
     pipe_size = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ)
     os.close(r)
     os.close(w)
     assert vec.nbytes > pipe_size
     assert (_states(march_ahead(stepper, vec, 5, 3.0, 2))
             == _states(march(stepper, vec, 5, 3.0, every=2)))
-
-
-def test_worker_pipe_is_raised_where_allowed(monkeypatch):
-    r, w = worker_pipe()
-    size = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ)
-    os.close(r)
-    os.close(w)
-    assert size in (1 << 16, evolve_mod.PIPE_BYTES)
-    calls = []
-
-    def refuse(fd, cmd, arg=0):
-        calls.append(cmd)
-        raise PermissionError("pipe-max-size")
-
-    monkeypatch.setattr(fcntl, "fcntl", refuse)
-    r, w = worker_pipe()
-    assert calls == [fcntl.F_SETPIPE_SZ]
-    os.write(w, b"row")
-    assert os.read(r, 3) == b"row"
-    os.close(r)
-    os.close(w)
 
 
 # A consumer that takes two states of a long march and exits without closing

@@ -1,3 +1,4 @@
+import fcntl
 import os
 import signal
 import time
@@ -5,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-import nlslab.evolve as ev_mod
 import nlslab.fixedpoint as fp_mod
 from nlslab.grid import (Field, NormConfig, Obstacle, build_cutoff, build_grid, h2_norm,
                          l2_norm, to_active)
@@ -520,6 +520,18 @@ def _two_cores():
         pytest.skip("picard forks its worker only with two usable cores")
 
 
+def _one_page_pipes(monkeypatch):
+    """Every os.pipe made from here on holds one 4 kB page."""
+    pipe = os.pipe
+
+    def small():
+        r, w = pipe()
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 12)
+        return r, w
+
+    monkeypatch.setattr(os, "pipe", small)
+
+
 def _picard_bytes(rep, traj):
     """Every number of the report (repr keeps the float types) and every
     snapshot, as bytes."""
@@ -679,7 +691,7 @@ def test_bands_far_longer_than_the_pipes_do_not_hang(gs3, box, monkeypatch, fail
     # On the long mesh one sweep's frames alone fill the pipe, and the
     # caller blocks on a write until the worker reads
     _two_cores()
-    monkeypatch.setattr(ev_mod, "PIPE_BYTES", 1 << 12)
+    _one_page_pipes(monkeypatch)
     src, _ = sources_at(gs3, box, 8.0)
     cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(8.0,), T0=0.5)
     nt = len(_time_mesh(0.5, 2.0, 0.004)[0])
@@ -716,7 +728,7 @@ def test_a_signal_while_the_caller_waits_on_the_worker_keeps_its_type(gs3, monke
     # one-page pipe with the first sweep's frames and waits on a write: an
     # alarm's TimeoutError there is not a worker that ended
     _two_cores()
-    monkeypatch.setattr(ev_mod, "PIPE_BYTES", 1 << 12)
+    _one_page_pipes(monkeypatch)
     run = _long_picard(gs3)
     caller, build = os.getpid(), fp_mod._MeshSources.build_ansatz
 

@@ -1,5 +1,6 @@
 import inspect
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -435,6 +436,30 @@ def test_a_search_factorizes_one_stepper(shoot_ctx, evolve_cfg, monkeypatch):
     assert len(result.history) > 2
     assert len(made) == 1 and made[0] < 0
     assert ctx.stepper(made[0]) is ctx.stepper(made[0])
+
+
+def test_a_search_that_never_reaches_T0_returns_its_furthest_shot(shoot_ctx, shoot_cfg,
+                                                                  evolve_cfg, monkeypatch):
+    # every shot exits on the alpha bound, its sign alternating shot by shot,
+    # so the bisection runs until the bracket is below 1e-14 amp
+    shots = []
+
+    def stub(ctx, a, cfg, ecfg):
+        n = len(shots)
+        shots.append(a)
+        return SimpleNamespace(exit_reason="alpha_bound", exit_time=5.0 + abs(np.sin(n)),
+                               alpha_plus=np.array([(-1.0) ** (n + 1)]))
+
+    monkeypatch.setattr(modulation, "backward_shoot", stub)
+    result = shoot_search(shoot_ctx, shoot_cfg, evolve_cfg)
+    amp = np.exp(-shoot_ctx.rate(shoot_cfg.delta) * shoot_cfg.Tn)
+    assert result.found is False
+    assert result.bracket_width < 1e-14 * amp
+    assert [a for a, *_ in result.history] == shots
+    assert len(shots) < 2 + modulation.MAX_SHOOTS
+    furthest = min(result.history, key=lambda shot: shot[1])
+    assert result.alpha_star == furthest[0]
+    assert result.log.exit_time == furthest[1]
 
 
 def _search_bytes(result):

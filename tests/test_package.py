@@ -1,7 +1,9 @@
 """The package exposes its modules and nothing else: `nlslab.<module>`."""
 
+import ast
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +31,33 @@ def test_package_reexports_no_names():
         assert isinstance(value, types.ModuleType)
         assert value.__name__ == f"nlslab.{name}"
     assert isinstance(nlslab.__version__, str)
+
+
+# how a worker process is forked and spoken to is known to `evolve` alone
+_WORKER_CALLS = {("os", "fork"), ("os", "pipe"), ("os", "fdopen")}
+_WORKER_MODULES = {"pickle", "struct", "fcntl"}
+
+
+def _worker_plumbing(path):
+    """The os.fork/os.pipe/os.fdopen calls and the pickle, struct and fcntl
+    imports in the source file at path, as (line, name)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if isinstance(owner, ast.Name) and (owner.id, node.func.attr) in _WORKER_CALLS:
+                found.append((node.lineno, f"{owner.id}.{node.func.attr}"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""])
+            found += [(node.lineno, n) for n in names if n.split(".")[0] in _WORKER_MODULES]
+    return found
+
+
+def test_only_evolve_forks_and_pipes():
+    src = Path(nlslab.__file__).parent
+    assert {"os.fork", "os.pipe", "os.fdopen", "pickle", "struct"} <= {
+        name for _, name in _worker_plumbing(src / "evolve.py")}
+    for path in sorted(src.glob("*.py")):
+        if path.name != "evolve.py":
+            assert _worker_plumbing(path) == [], path.name
