@@ -260,8 +260,8 @@ def run_evolve(cfg, out: Path, u0) -> dict:
                           snapshot_every=cfg["snapshot_every"])
     traj = evolve_run(u0, config, cfg["p"], params)
     snap_dir.mkdir(exist_ok=True)
-    for k, (t, u) in enumerate(zip(traj.times, traj.snapshots)):
-        save_field(snap_dir / f"snap{k:05d}.bin", u)
+    for k in range(len(traj)):
+        save_field(snap_dir / f"snap{k:05d}.bin", traj.snapshot(k))
     write_csv(out / "conservation.csv", ("t", "M", "E", "lyapunov", "H1norm"),
               traj.conservation, config_hash(cfg))
     res = nls_residual(traj) if len(traj) >= 3 else []
@@ -304,7 +304,7 @@ def run_fixed_point(cfg, out: Path) -> dict:
     report, traj = fp.picard(src, t0, tmax, norm_cfg, cfg["iters"], ecfg)
     rows = []
     for k in range(0, len(traj), ecfg.snapshot_every):
-        u = traj.snapshots[k]
+        u = traj.snapshot(k)
         rows.append((traj.times[k], l2_norm(u), h2_norm(u)))
         save_field(out / f"r{k:05d}.bin", u, psi)
     write_csv(out / "remainder_norms.csv", ("t", "L2", "H2"), rows,

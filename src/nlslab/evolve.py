@@ -1,14 +1,16 @@
 """Strang-split Crank-Nicolson stepping for the focusing equation.
 
 Every time march in the package is `march` over the active lattice points;
-its caller logs, checks and stops it.  A step is a half phase rotation by the
-nonlinearity, a Crank-Nicolson solve for the free flow (forced, with the
-trapezoid rule, in the Duhamel sweeps), and another half rotation.  The CN
-matrix is fixed for a given (grid, dt), so it is LU-factorized once and the
-factorization reused for every step; the solve is then exact to roundoff,
-and every step verifies its relative residual against `LIN_TOL` instead of
-iterating to it.  Negative dt steps backward; the scheme is exactly time
-reversible.
+its caller logs, checks and stops it, and keeps the states it logs as those
+active vectors in a `Trajectory`, whose `snapshot` makes a `Field` of one
+only where output or a public oracle needs it.  A step is a half phase
+rotation by the nonlinearity, a Crank-Nicolson solve for the free flow
+(forced, with the trapezoid rule, in the Duhamel sweeps), and another half
+rotation.  The CN matrix is fixed for a given (grid, dt), so it is
+LU-factorized once and the factorization reused for every step; the solve
+is then exact to roundoff, and every step verifies its relative residual
+against `LIN_TOL` instead of iterating to it.  Negative dt steps backward;
+the scheme is exactly time reversible.
 
 A rotation is u (cos theta + i sin theta), bit for bit u exp(i theta) and
 cheaper, the more so as cos and sin are taken only where theta is not below
@@ -306,16 +308,23 @@ def step(u: Field, dt: float, p: float,
 
 @dataclass(eq=False)
 class Trajectory:
+    """rows[k] is the active vector at times[k]: the vectors `march` yielded
+    or the Picard iterate array itself, never a copy.  `snapshot(k)` makes
+    the `Field` of one row, for output and the public oracles."""
+    grid: Grid
     times: np.ndarray
-    snapshots: list
+    rows: list | np.ndarray
     conservation: list
     p: float
+
+    def snapshot(self, k: int) -> Field:
+        return from_active(self.grid, self.rows[k])
 
     def conservation_array(self) -> np.ndarray:
         return np.asarray(self.conservation)
 
     def __len__(self):
-        return len(self.snapshots)
+        return len(self.rows)
 
 
 def evolve(u0: Field, config: EvolveConfig, p: float,
@@ -341,7 +350,7 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
     fparams = params or SolitonParams(omega=1e-30, v=(0.0,) * grid.dim, p=p)
 
     guard = BLOWUP_FACTOR * max(h1_norm(u0), 1e-300)
-    times, snapshots, rows = [], [], []
+    times, vecs, log = [], [], []
     for k, vec in march(stepper, to_active(u0), n_steps, p):
         if k % config.snapshot_every and k != n_steps:
             continue
@@ -357,10 +366,9 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
             raise EvolveError(f"non-finite conserved quantities at t={t}: "
                               f"(M, E, lyapunov, H1) = {row[1:]}")
         times.append(t)
-        snapshots.append(u)
-        rows.append(row)
-    return Trajectory(times=np.asarray(times), snapshots=snapshots,
-                      conservation=rows, p=p)
+        vecs.append(vec)
+        log.append(row)
+    return Trajectory(grid, np.asarray(times), vecs, log, p)
 
 
 def residual_norms(vec_at, ts, p: float, grid: Grid):
@@ -386,9 +394,8 @@ def residual_norms(vec_at, ts, p: float, grid: Grid):
 
 
 def nls_residual(traj: Trajectory) -> np.ndarray:
-    """Centered-difference residual of the equation on interior snapshots."""
+    """Centered-difference residual of the equation on interior rows."""
     if len(traj) < 3:
         raise EvolveError("need at least 3 snapshots for a time derivative")
-    snaps = traj.snapshots
-    return np.asarray(list(residual_norms(lambda k: to_active(snaps[k]), traj.times,
-                                          traj.p, snaps[0].grid)))
+    return np.asarray(list(residual_norms(lambda k: traj.rows[k], traj.times, traj.p,
+                                          traj.grid)))

@@ -21,6 +21,10 @@ weighted norms and puts its band's forcing for the next sweep into the
 rows passed.  It writes back only what the caller waits for.
 Each row is computed by the same function from the same bytes as in the
 serial loop, so every number keeps its bits.
+
+`picard` and `duhamel_apply` return the remainder as an `evolve.Trajectory`
+whose rows are the (nt, n_active) array the sweeps wrote; no `Field` is
+built on the way, and `e_norm` reads the rows as they are.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from .grid import (
     NormConfig,
     PreconditionError,
     cis,
-    from_active,
     l2_norm,
     laplacian_dirichlet,
     physical_memory,
+    real_inner,
     to_active,
 )
 from .ground_state import GroundState
@@ -320,18 +324,14 @@ def _sweep(stepper: CrankNicolsonStepper, nt: int, source, on_row):
         on_row(nt - 1 - j, vec)
 
 
-def _trajectory(sources: SourceSet, ts, rows) -> Trajectory:
-    snaps = [from_active(sources.grid, row) for row in rows]
-    return Trajectory(times=ts, snapshots=snaps, conservation=[], p=sources.p)
-
-
 def duhamel_apply(sources: SourceSet, r_traj: Trajectory | None, T0: float,
                   Tmax: float, evolve_config: EvolveConfig,
                   which=_ALL_SOURCES) -> Trajectory:
     """Solve i w_t + lap w = F(t), w(Tmax) = 0, backward on [T0, Tmax].
 
     F is the selected sources evaluated on r_traj (which must sit on the same
-    time mesh); the result is the truncated Duhamel integral of F.
+    time mesh); the result is the truncated Duhamel integral of F.  Its rows
+    are a copy of r_traj's that the sweep overwrites, so r_traj is unchanged.
     """
     grid = sources.grid
     ts, dt = _time_mesh(T0, Tmax, evolve_config.dt)
@@ -340,12 +340,12 @@ def duhamel_apply(sources: SourceSet, r_traj: Trajectory | None, T0: float,
     if r_traj is not None:
         if len(r_traj) != nt or abs(r_traj.times[0] - T0) > 1e-12:
             raise FixedPointInputError("input trajectory not on the duhamel time mesh")
-        rows = np.array([to_active(u) for u in r_traj.snapshots])
+        rows = np.array(r_traj.rows, dtype=complex)
     mesh = _MeshSources(sources, ts, "a0" in which,
                         ansatz=rows is not None and any(a in which for a in _FEEDBACK))
     out = rows if rows is not None else np.zeros((nt, grid.n_active), dtype=complex)
     _sweep(CrankNicolsonStepper(grid, -dt), nt, mesh.source(which, rows), out.__setitem__)
-    return _trajectory(sources, ts, out)
+    return Trajectory(grid, ts, out, [], sources.p)
 
 
 class _ENorm:
@@ -592,15 +592,10 @@ class _BandWorker:
 
 
 def e_norm(traj: Trajectory, cfg: NormConfig) -> float:
-    """sup over snapshots of exp(delta sqrt(omega) |v| t) (|v|^-3 H2 + L2)."""
-    if cfg.speed() <= 0:
-        raise FixedPointInputError("the weighted norm needs |v| > 0")
-    best = 0.0
-    if len(traj):
-        norm = _ENorm(traj.snapshots[0].grid, cfg)
-        for t, u in zip(traj.times, traj.snapshots):
-            best = max(best, norm(norm.weight(t), to_active(u)[None])[0])
-    return best
+    """sup over rows of exp(delta sqrt(omega) |v| t) (|v|^-3 H2 + L2)."""
+    norm = _ENorm(traj.grid, cfg)
+    return max((norm(norm.weight(t), row[None])[0]
+                for t, row in zip(traj.times, traj.rows)), default=0.0)
 
 
 @dataclass
@@ -643,8 +638,9 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     later row's forcing or CN solve error.  A worker that dies is a
     FixedPointError.  No process outlives the call.
 
-    Returns the report and the last trajectory; a growing tail of iterate
-    norms is reported as non-contraction, not raised.
+    Returns the report and the last iterate, a `Trajectory` whose rows are
+    the iterate array itself; a growing tail of iterate norms is reported as
+    non-contraction, not raised.
     """
     if n_iters < 3:
         raise FixedPointInputError("need at least 3 iterations")
@@ -726,9 +722,6 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
             parts = [band.residual(rows) for band in (lower, upper)]
             final_residual = max(max(part, default=0.0) for part in parts)
 
-    lower = upper = worker = norms_of = None    # free the ansatz before the Fields are built
-    traj = _trajectory(sources, ts, rows)
-
     report = PicardReport(
         iterate_norms=norms,
         contraction_ratios=ratios,
@@ -739,7 +732,7 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
         tail_criterion=float(np.exp(-norm.rate * (Tmax - T0))),
         diff_norms=diffs,
     )
-    return report, traj
+    return report, Trajectory(grid, ts, rows, [], sources.p)
 
 
 def _over_power(jk: float, r: float, k: int) -> float:
@@ -761,8 +754,8 @@ def _over_power(jk: float, r: float, k: int) -> float:
 def remainder_decay_rate(traj: Trajectory) -> float:
     """Fitted exponential rate of |r(t)|_L2 over the trajectory."""
     ts, vals = [], []
-    for t, u in zip(traj.times, traj.snapshots):
-        n = l2_norm(u)
+    for k, t in enumerate(traj.times):
+        n = l2_norm(traj.snapshot(k))
         if n > 0:
             ts.append(t)
             vals.append(n)
@@ -782,8 +775,6 @@ def interpolation_check(f: Field) -> tuple[bool, float, float]:
     measure of the symmetric Laplacian, with equality on eigenvectors.
     """
     lap = laplacian_dirichlet(f)
-    from .grid import real_inner
-
     lhs = np.sqrt(max(real_inner(-1.0 * lap, f), 0.0))
     rhs = np.sqrt(l2_norm(lap) * l2_norm(f))
     return bool(lhs <= rhs * (1.0 + 1e-12) + 1e-15), float(lhs), float(rhs)

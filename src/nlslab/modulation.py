@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolve import (CrankNicolsonStepper, EvolveConfig, check_finite, march_ahead,
-                     step_count)
+from .evolve import (CrankNicolsonStepper, EvolveConfig, Trajectory, check_finite,
+                     march_ahead, step_count)
 from .grid import (Field, Grid, PreconditionError, from_active, h1_norm, l2_norm,
-                   real_inner, to_active)
+                   laplacian_dirichlet, real_inner, to_active)
 from .ground_state import GroundState
 from .linearized import EigenModes
 from .linearized import evaluate_mode_parts  # noqa: F401  (bench/tests reads this binding)
@@ -272,7 +272,7 @@ class ShootLog:
     Mprime: float
     delta: float
     rate: float
-    snapshots: list = field(default_factory=list)
+    trajectory: Trajectory     # the logged states, at the times t
 
     def rows(self):
         cols = (self.t, self.r_l2, self.r_h1, np.abs(self.y), np.abs(self.mu),
@@ -334,17 +334,17 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
     stepper = ctx.stepper(dt)
 
     rows = []
-    snaps = []
+    vecs = []
     guess = np.concatenate([state.y, [state.mu]])
     exit_reason, exit_time = "reached_T0", cfg.T0
 
-    def log_row(t, st, u_here, r_h1):
+    def log_row(t, st, u_here, vec, r_h1):
         f = functionals(u_here, ctx.params)
         nn = (np.exp(rate * t) * st.alpha_plus) ** 2
         rows.append((t, l2_norm(st.r), r_h1, st.y.copy(), st.mu,
                      st.alpha_plus, st.alpha_minus, f.lyapunov, nn,
                      _ansatz_lyapunov(ctx, st._ansatz)))
-        snaps.append((t, u_here))
+        vecs.append(vec)
 
     def violated(t, st, r_h1):
         bound = np.exp(-rate * t)
@@ -357,8 +357,8 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
             return "y_mu_bound"
         return None
 
-    log_row(cfg.Tn, state, u, r_h1)
-    with closing(march_ahead(stepper, to_active(u), n_steps, ctx.params.p,
+    log_row(cfg.Tn, state, u, to_active(u), r_h1)
+    with closing(march_ahead(stepper, vecs[0], n_steps, ctx.params.p,
                              every=cfg.log_every)) as states:
         for k, vec in states:
             if k == 0:
@@ -373,16 +373,17 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
                 break
             guess = np.concatenate([state.y, [state.mu]])
             r_h1 = h1_norm(state.r)
-            log_row(t, state, u_here, r_h1)
+            log_row(t, state, u_here, vec, r_h1)
             reason = violated(t, state, r_h1)
             if reason is not None:
                 exit_reason, exit_time = reason, t
                 break
 
     # a row holds ShootLog's first ten fields, in order
-    return ShootLog(*map(np.asarray, zip(*rows)), exit_time=exit_time,
-                    exit_reason=exit_reason, alpha_target=alpha_plus, lam=lam, M=M,
-                    Mprime=Mp, delta=delta, rate=rate, snapshots=snaps)
+    cols = list(map(np.asarray, zip(*rows)))
+    return ShootLog(*cols, exit_time=exit_time, exit_reason=exit_reason,
+                    alpha_target=alpha_plus, lam=lam, M=M, Mprime=Mp, delta=delta,
+                    rate=rate, trajectory=Trajectory(grid, cols[0], vecs, [], ctx.params.p))
 
 
 class ShootSearchError(ModulationError):
@@ -501,12 +502,13 @@ def lyapunov_drift_fit(log: ShootLog, rate2: float):
 
 def uniform_distance_fit(ctx: ModulationContext, log: ShootLog):
     """Fitted constant C in |u(t) - R(t)|_H1 <= C exp(-rate t) over the log."""
-    if not log.snapshots:
+    traj = log.trajectory
+    if not len(traj):
         raise ModulationError("need retained snapshots")
     vals = []
-    for t, u in log.snapshots:
+    for k, t in enumerate(traj.times):
         ref = soliton_field(ctx.params, ctx.gs, t, ctx.grid, ctx.psi)
-        vals.append(h1_norm(u - ref) * np.exp(log.rate * t))
+        vals.append(h1_norm(traj.snapshot(k) - ref) * np.exp(log.rate * t))
     return float(np.max(vals)), np.asarray(vals)
 
 
@@ -518,17 +520,16 @@ def coercivity_along_trajectory(ctx: ModulationContext, log: ShootLog,
     h = e^{-i phase~} r and returns per-row constants
     C_t = |h|_H1^2 / (form + (alpha+-)^2 + M^2 e^{-4 rate t}).
     """
-    if not log.snapshots:
+    traj = log.trajectory
+    if not len(traj):
         raise ModulationError("need retained snapshots")
-    from .grid import laplacian_dirichlet
-
     grid = ctx.grid
     w = grid.cell_volume()
     out = []
-    for (t, u), y, mu, ap, am in zip(log.snapshots, log.y, log.mu,
-                                     log.alpha_plus, log.alpha_minus):
+    for k, (t, y, mu, ap, am) in enumerate(zip(traj.times, log.y, log.mu,
+                                               log.alpha_plus, log.alpha_minus)):
         a = ansatz(ctx.params, ctx.gs, t, ctx.grid, ctx.psi, y, mu)
-        h_vals = (u.values - a.values()) * np.conj(a.ph)
+        h_vals = (traj.snapshot(k).values - a.values()) * np.conj(a.ph)
         pot = a.q ** (ctx.params.p - 1.0)
         form = 0.0
         for part, coef in ((h_vals.real, ctx.params.p), (h_vals.imag, 1.0)):
@@ -543,5 +544,4 @@ def coercivity_along_trajectory(ctx: ModulationContext, log: ShootLog,
         alpha_term = 0.0 if drop_alpha else ap**2 + am**2
         denom = form + alpha_term + log.M**2 * np.exp(-4.0 * log.rate * t)
         out.append((t, h1sq, form, h1sq / denom if denom > 0 else np.inf))
-    arr = np.asarray(out)
-    return arr
+    return np.asarray(out)

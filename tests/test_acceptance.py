@@ -122,15 +122,15 @@ def test_criterion_06_evolution_correctness(gs3):
         u0 = soliton_field(params, gs3, 0.0, g)
         traj = evolve(u0, EvolveConfig(dt=dt, t0=0.0, t1=2.0, snapshot_every=100),
                       3.0, params)
-        errs.append(l2_norm(traj.snapshots[-1] - soliton_field(params, gs3, 2.0, g)))
+        errs.append(l2_norm(traj.snapshot(-1) - soliton_field(params, gs3, 2.0, g)))
         cons = traj.conservation_array()
         drifts.append(np.max(np.abs(cons[:, 1] - cons[0, 1])) / cons[0, 1])
     ratio = errs[0] / errs[1]
     g = build_grid(1, 20.0, 511)
     u0 = soliton_field(params, gs3, 0.0, g)
     fw = evolve(u0, EvolveConfig(dt=0.01, t0=0.0, t1=1.0), 3.0, params)
-    bw = evolve(fw.snapshots[-1], EvolveConfig(dt=0.01, t0=1.0, t1=0.0), 3.0, params)
-    reversal = l2_norm(bw.snapshots[-1] - u0)
+    bw = evolve(fw.snapshot(-1), EvolveConfig(dt=0.01, t0=1.0, t1=0.0), 3.0, params)
+    reversal = l2_norm(bw.snapshot(-1) - u0)
     elapsed = time.perf_counter() - t0
     ok = (3.5 < ratio < 4.5 and max(drifts) < 1e-8 and reversal < 1e-6
           and elapsed < 120.0)

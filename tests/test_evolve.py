@@ -396,7 +396,7 @@ def test_traveling_soliton_order_two(gs):
         g = build_grid(1, 20.0, n)
         u0 = soliton_field(PARAMS, gs, 0.0, g)
         traj = evolve(u0, EvolveConfig(dt=dt, t0=0.0, t1=2.0, snapshot_every=100), 3.0, PARAMS)
-        errs.append(l2_norm(traj.snapshots[-1] - soliton_field(PARAMS, gs, 2.0, g)))
+        errs.append(l2_norm(traj.snapshot(-1) - soliton_field(PARAMS, gs, 2.0, g)))
     assert 3.5 < errs[0] / errs[1] < 4.5
 
 
@@ -425,8 +425,8 @@ def test_energy_and_lyapunov_drift_regression(gs):
 def test_forward_backward_reversal(gs, grid):
     u0 = soliton_field(PARAMS, gs, 0.0, grid)
     fw = evolve(u0, EvolveConfig(dt=0.01, t0=0.0, t1=1.0), 3.0, PARAMS)
-    bw = evolve(fw.snapshots[-1], EvolveConfig(dt=0.01, t0=1.0, t1=0.0), 3.0, PARAMS)
-    assert l2_norm(bw.snapshots[-1] - u0) < 1e-6
+    bw = evolve(fw.snapshot(-1), EvolveConfig(dt=0.01, t0=1.0, t1=0.0), 3.0, PARAMS)
+    assert l2_norm(bw.snapshot(-1) - u0) < 1e-6
 
 
 def test_gauge_covariance(gs, grid):
@@ -434,7 +434,7 @@ def test_gauge_covariance(gs, grid):
     cfg = EvolveConfig(dt=0.01, t0=0.0, t1=0.5)
     a = evolve(Field(grid, np.exp(0.7j) * u0.values), cfg, 3.0, PARAMS)
     b = evolve(u0, cfg, 3.0, PARAMS)
-    diff = a.snapshots[-1].values - np.exp(0.7j) * b.snapshots[-1].values
+    diff = a.snapshot(-1).values - np.exp(0.7j) * b.snapshot(-1).values
     assert np.max(np.abs(diff)) < 1e-12
 
 
@@ -445,7 +445,7 @@ def test_boost_then_evolve_matches_moving_soliton(gs):
     u0 = galilean_boost(soliton_field(rest, gs, 0.0, g), (1.0,), 0.0)
     traj = evolve(u0, EvolveConfig(dt=0.005, t0=0.0, t1=1.0), 3.0, PARAMS)
     exact = soliton_field(SolitonParams(omega=1.0, v=(1.0,), p=3.0), gs, 1.0, g)
-    assert l2_norm(traj.snapshots[-1] - exact) < 5e-3
+    assert l2_norm(traj.snapshot(-1) - exact) < 5e-3
 
 
 def test_dirichlet_invariant_with_obstacle(gs):
@@ -453,7 +453,7 @@ def test_dirichlet_invariant_with_obstacle(gs):
     pa = SolitonParams(omega=1.0, v=(1.0,), p=3.0, x0=(5.0,))
     u0 = soliton_field(pa, gs, 0.0, g)
     traj = evolve(u0, EvolveConfig(dt=0.005, t0=0.0, t1=0.5, snapshot_every=20), 3.0, pa)
-    for snap in traj.snapshots:
+    for snap in map(traj.snapshot, range(len(traj))):
         assert np.all(snap.values[~g.mask] == 0.0)
 
 
@@ -470,7 +470,7 @@ def test_disk_obstacle_2d_smoke(gs):
                   3.0, pa)
     cons = traj.conservation_array()
     assert abs(cons[-1, 1] - cons[0, 1]) / cons[0, 1] < 1e-10
-    assert np.all(traj.snapshots[-1].values[~g.mask] == 0.0)
+    assert np.all(traj.snapshot(-1).values[~g.mask] == 0.0)
 
 
 def test_blowup_guard_raises(monkeypatch, gs, grid):
@@ -516,7 +516,7 @@ def test_evolve_equals_a_loop_of_steps(gs, dim, t0, t1):
     traj = evolve(u0, cfg, 3.0, pa)
     by_step, full = _reference_snapshots(u0, cfg, 3.0)
     assert len(traj) == len(by_step) == len(full)
-    for snap, ref, ref_full in zip(traj.snapshots, by_step, full):
+    for snap, ref, ref_full in zip(map(traj.snapshot, range(len(traj))), by_step, full):
         assert np.array_equal(snap.values, ref.values)
         assert np.array_equal(snap.values, ref_full.values)
         assert np.all(snap.values[~g.mask] == 0.0)
@@ -558,20 +558,22 @@ def test_residual_of_exact_soliton_refines(gs):
         g = build_grid(1, 20.0, n)
         ts = np.arange(0.0, 0.5 + dts / 2, dts)
         snaps = [soliton_field(PARAMS, gs, t, g) for t in ts]
-        traj = Trajectory(times=ts, snapshots=snaps, conservation=[], p=3.0)
+        traj = Trajectory(grid=g, times=ts, rows=[to_active(u) for u in snaps], conservation=[],
+                          p=3.0)
         norms.append(np.max(nls_residual(traj)))
     assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.2)
 
 
 def test_residual_zero_field(grid):
     ts = np.array([0.0, 0.1, 0.2])
-    traj = Trajectory(times=ts, snapshots=[Field.zeros(grid)] * 3, conservation=[], p=3.0)
+    traj = Trajectory(grid=grid, times=ts, rows=[to_active(Field.zeros(grid))] * 3,
+                      conservation=[], p=3.0)
     assert np.all(nls_residual(traj) == 0.0)
 
 
 def test_residual_needs_three_snapshots(grid):
-    traj = Trajectory(times=np.array([0.0, 0.1]),
-                      snapshots=[Field.zeros(grid)] * 2, conservation=[], p=3.0)
+    traj = Trajectory(grid=grid, times=np.array([0.0, 0.1]),
+                      rows=[to_active(Field.zeros(grid))] * 2, conservation=[], p=3.0)
     with pytest.raises(EvolveError):
         nls_residual(traj)
 
@@ -581,8 +583,8 @@ def _three_array_residuals(traj):
     and the `laplacian_dirichlet` Field of the middle one."""
     out = []
     for k in range(1, len(traj) - 1):
-        u = traj.snapshots[k]
-        res = (1j * ((traj.snapshots[k + 1].values - traj.snapshots[k - 1].values)
+        u = traj.snapshot(k)
+        res = (1j * ((traj.snapshot(k + 1).values - traj.snapshot(k - 1).values)
                      / (traj.times[k + 1] - traj.times[k - 1]))
                + laplacian_dirichlet(u).values + np.abs(u.values) ** (traj.p - 1.0) * u.values)
         res[~u.grid.mask] = 0.0

@@ -190,7 +190,7 @@ def test_duhamel_zero_sources(gs3, box):
     params = SolitonParams(omega=1.0, v=(2.0,), p=3.0)
     src = make_sources(params, gs3, None, grid, 3.0)
     traj = duhamel_apply(src, None, 0.0, 1.0, EvolveConfig(dt=0.01), which=("a0",))
-    assert all(l2_norm(u) == 0.0 for u in traj.snapshots)
+    assert all(l2_norm(u) == 0.0 for u in map(traj.snapshot, range(len(traj))))
 
 
 def _constant_a0(src, f):
@@ -216,7 +216,7 @@ def test_duhamel_single_mode_closed_form(gs3):
     k = 100
     t = traj.times[k]
     exact = fhat * (1.0 - np.exp(1j * lam * (t - 2.0))) / lam * mode
-    assert np.max(np.abs(traj.snapshots[k].values - exact)) < 1e-8
+    assert np.max(np.abs(traj.snapshot(k).values - exact)) < 1e-8
 
 
 def test_duhamel_linearity(gs3):
@@ -233,7 +233,7 @@ def test_duhamel_linearity(gs3):
         return duhamel_apply(src, None, 0.0, 1.0, cfg, which=("a0",))
 
     a, b, ab = solve(f1), solve(f2), solve(f1 + f2)
-    diff = ab.snapshots[0].values - a.snapshots[0].values - b.snapshots[0].values
+    diff = ab.snapshot(0).values - a.snapshot(0).values - b.snapshot(0).values
     assert np.max(np.abs(diff)) < 1e-11
 
 
@@ -242,13 +242,36 @@ def test_picard_iterates_the_duhamel_map(gs3, box):
     horizon = 2.0
     _, traj3, _ = run_picard(gs3, box, 8.0, n_iters=3, horizon=horizon)
     _, traj4, _ = run_picard(gs3, box, 8.0, n_iters=4, horizon=horizon)
-    assert not np.array_equal(traj3.snapshots[0].values, traj4.snapshots[0].values)
+    assert not np.array_equal(traj3.snapshot(0).values, traj4.snapshot(0).values)
     src, _ = sources_at(gs3, box, 8.0)
+    before = traj3.rows.tobytes()
     step = duhamel_apply(src, traj3, 0.5, 0.5 + horizon / (DELTA * 8.0),
                          EvolveConfig(dt=0.004))
+    assert traj3.rows.tobytes() == before   # the sweep wrote into a copy
     assert np.array_equal(step.times, traj4.times)
-    for got, want in zip(step.snapshots, traj4.snapshots):
+    for got, want in zip(map(step.snapshot, range(len(step))),
+                         map(traj4.snapshot, range(len(traj4)))):
         assert np.array_equal(got.values, want.values)
+
+
+def test_sweeps_norms_and_residual_build_no_field(gs3, box, monkeypatch):
+    # a trajectory keeps active vectors; only its snapshot(k) makes a Field
+    made, init = [], Field.__init__
+
+    def counted(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Field, "__init__", counted)
+    _one_core(monkeypatch)     # both bands in this process, where the count is
+    _, traj, cfg = run_picard(gs3, box, 8.0, n_iters=3, horizon=1.0)
+    src, _ = sources_at(gs3, box, 8.0)
+    step = duhamel_apply(src, traj, 0.5, 0.5 + 1.0 / (DELTA * 8.0), EvolveConfig(dt=0.004))
+    e_norm(step, cfg)
+    nls_residual(step)
+    assert made == []
+    traj.snapshot(0)
+    assert made == [1]
 
 
 # -------------------------------------------------------------------- e_norm
@@ -257,7 +280,7 @@ def test_enorm_zero(box):
     grid, _ = box
     cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(2.0,), T0=0.0)
     ts = np.array([0.0, 0.5, 1.0])
-    traj = Trajectory(times=ts, snapshots=[Field.zeros(grid)] * 3,
+    traj = Trajectory(grid=grid, times=ts, rows=[to_active(Field.zeros(grid))] * 3,
                       conservation=[], p=3.0)
     assert e_norm(traj, cfg) == 0.0
 
@@ -270,7 +293,8 @@ def test_enorm_single_snapshot_formula(box):
     speed = h2_norm(u) ** (1.0 / 3.0)  # makes |u|_H2 = |v|^3
     t0 = 0.7
     cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(speed,), T0=t0)
-    traj = Trajectory(times=np.array([t0]), snapshots=[u], conservation=[], p=3.0)
+    traj = Trajectory(grid=grid, times=np.array([t0]), rows=[to_active(u)], conservation=[],
+                      p=3.0)
     expect = np.exp(DELTA * speed * t0) * 2.0
     assert e_norm(traj, cfg) == pytest.approx(expect, rel=1e-12)
 
@@ -407,8 +431,9 @@ def test_final_residual_is_the_nls_residual_of_ansatz_plus_remainder(gs3, box, p
     grid, psi = box
     params = SolitonParams(omega=1.0, v=(8.0,), p=3.0)
     snaps = [soliton_field(params, gs3, t, grid, psi) + r
-             for t, r in zip(traj.times, traj.snapshots)]
-    full = Trajectory(times=traj.times, snapshots=snaps, conservation=[], p=3.0)
+             for t, r in zip(traj.times, map(traj.snapshot, range(len(traj))))]
+    full = Trajectory(grid=grid, times=traj.times, rows=[to_active(u) for u in snaps],
+                      conservation=[], p=3.0)
     assert rep.final_residual == max(nls_residual(full))
 
 
@@ -440,8 +465,8 @@ def test_enorm_raises_instead_of_dropping_nan(box):
     grid, _ = box
     cfg = NormConfig("Eweighted", delta=DELTA, omega=1.0, v=(2.0,), T0=0.0)
     huge = Field(grid, np.full(grid.n, 1e300, dtype=complex))
-    traj = Trajectory(times=np.array([-1e4]), snapshots=[huge], conservation=[],
-                      p=3.0)
+    traj = Trajectory(grid=grid, times=np.array([-1e4]), rows=[to_active(huge)],
+                      conservation=[], p=3.0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FixedPointError):
         e_norm(traj, cfg)
 
@@ -538,7 +563,7 @@ def _picard_bytes(rep, traj):
     numbers = (rep.iterate_norms, rep.diff_norms, rep.contraction_ratios,
                sorted(rep.j_norms.items()), rep.final_residual, rep.tail_criterion,
                rep.converged, rep.non_contracting)
-    return repr(numbers), traj.times.tobytes(), [u.values.tobytes() for u in traj.snapshots]
+    return repr(numbers), traj.times.tobytes(), [traj.snapshot(k).values.tobytes() for k in range(len(traj))]
 
 
 def _feedback_rows(monkeypatch):

@@ -301,7 +301,7 @@ def test_shoot_builds_final_data_and_h1_once(shoot_ctx, evolve_cfg, monkeypatch)
     assert calls == {"_final_data_map": 1, "h1_norm": len(log.t)}
     # the shot starts from the final-data Newton's own u(Tn)
     u_final = final_data(shoot_ctx, cfg.Tn, log.lam)
-    assert np.array_equal(log.snapshots[0][1].values, u_final.values)
+    assert np.array_equal(log.trajectory.snapshot(0).values, u_final.values)
 
 
 def test_winning_run_respects_all_bounds(winning_search):
@@ -464,7 +464,8 @@ def test_a_search_that_never_reaches_T0_returns_its_furthest_shot(shoot_ctx, sho
 
 def _search_bytes(result):
     return (repr(result.history), repr(result.alpha_star), result.log.rows().tobytes(),
-            [(t, u.values.tobytes()) for t, u in result.log.snapshots])
+            [(t, result.log.trajectory.snapshot(k).values.tobytes())
+             for k, t in enumerate(result.log.trajectory.times)])
 
 
 def test_search_is_the_same_with_and_without_the_march_worker(shoot_ctx, evolve_cfg,
