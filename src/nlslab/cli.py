@@ -34,6 +34,7 @@ from .grid import (
     PreconditionError,
     build_cutoff,
     build_grid,
+    from_active,
     h2_norm,
     l2_norm,
     load_field,
@@ -227,8 +228,8 @@ def run_spectrum(cfg, out: Path) -> dict:
         summary["scaling_fit_residual"] = resid
         summary["scaling_rates"] = list(es)
         summary["scaling_exponent_claimed"] = 1.5
-    save_field(out / "y1.bin", modes.y1)
-    save_field(out / "y2.bin", modes.y2)
+    save_field(out / "y1.bin", from_active(grid, modes.y1))
+    save_field(out / "y2.bin", from_active(grid, modes.y2))
     return summary
 
 

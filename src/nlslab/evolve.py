@@ -23,8 +23,9 @@ the Picard sweeps, each step is the plain Strang step.
 
 `march_ahead` runs `march` in a forked worker process on the second core;
 the backward shoot uses it, so the march of one shot hides behind its
-decompositions and log rows.  The worker writes each state down a pipe (a
-`send` header, then its bytes), and the consumer reads it into a new array.
+decompositions and log rows.  The worker writes each state down a pipe
+inside its own `send` message, tagged with its step, and the consumer's
+`receive` unpickles it into a new array.
 The pipe is the flow control: a full pipe blocks the worker, an empty one
 the consumer, and neither spins.  `forked_worker`, which the Picard worker
 uses too, makes the pipes and kills and reaps the worker on every path out
@@ -255,13 +256,11 @@ def receive(stream):
 
 
 def _march_worker(tx, args) -> None:
-    """The forked side of `march_ahead`: state k is a `send` of None with
-    tag k, then its 16 n bytes.  A write fails once the consumer has gone."""
+    """The forked side of `march_ahead`: state k is a `send` of it with tag
+    k.  A write fails once the consumer has gone."""
     try:
         for k, vec in march(*args):
-            send(tx, None, k)
-            tx.write(np.ascontiguousarray(vec, complex))
-            tx.flush()
+            send(tx, vec, k)
     except Exception as exc:
         send(tx, exc, -1)
 
@@ -270,10 +269,10 @@ def march_ahead(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
                 p: float | None = None, every: int = 1):
     """`march(stepper, vec, n_steps, p, every=every)` marched by a worker.
 
-    Yields the same (k, vec), bit for bit; every vec, the first included, is
-    a new complex array.  With at least two usable cores the march runs in
-    a forked process, as far ahead of the caller as the pipe between them
-    holds; the caller must close the generator (or exhaust it) to stop the
+    Yields the same (k, vec), bit for bit.  With at least two usable cores
+    the march runs in a forked process, as far ahead of the caller as the
+    pipe between them holds, and every vec, the first included, is a new
+    array; the caller must close the generator (or exhaust it) to stop the
     worker.  An exception in the march is raised after the last state it let
     through, with its type and message; one that does not pickle, or a
     worker that dies, is an EvolveError there.
@@ -282,18 +281,13 @@ def march_ahead(stepper: CrankNicolsonStepper, vec: np.ndarray, n_steps: int,
         yield from march(stepper, vec, n_steps, p, every=every)
         return
     serve = lambda rx, tx: _march_worker(tx, (stepper, vec, n_steps, p, None, every))
-    ended = f"the march worker ended before step {n_steps}"
     with forked_worker(serve) as (rx, _):
         while True:
             message = receive(rx)
             if message is None:
-                raise EvolveError(ended)
-            k = message[0]
-            state = np.empty(vec.size, complex)
-            if rx.readinto(state) < state.nbytes:
-                raise EvolveError(ended)
-            yield k, state
-            if k == n_steps:
+                raise EvolveError(f"the march worker ended before step {n_steps}")
+            yield message
+            if message[0] == n_steps:
                 return
 
 
@@ -356,11 +350,10 @@ def evolve(u0: Field, config: EvolveConfig, p: float,
             continue
         t = config.t0 + k * dt
         check_finite(vec, t)
-        u = from_active(grid, vec)
-        hn = h1_norm(u)
+        hn = float(grid.stencil.h1_l2(vec[None])[0][0])
         if k and hn > guard:
             raise BlowUpError(t, hn)
-        f = functionals(u, fparams)
+        f = functionals(from_active(grid, vec), fparams)
         row = (t, f.mass, f.energy, f.lyapunov, hn)
         if not np.all(np.isfinite(row)):
             raise EvolveError(f"non-finite conserved quantities at t={t}: "

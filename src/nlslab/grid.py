@@ -232,7 +232,7 @@ def l2_norm(u: Field) -> float:
 
 
 def h1_norm(u: Field) -> float:
-    return float(u.grid.stencil.h1(to_active(u)[None])[0])
+    return float(u.grid.stencil.h1_l2(to_active(u)[None])[0][0])
 
 
 def h2_norm(u: Field) -> float:
@@ -413,10 +413,11 @@ class ActiveStencil:
         u2 = _row_sums(pad[self._inner])
         return u2, u2 + sum(_row_sums(comp) for comp in self._gradient(pad))
 
-    def h1(self, vecs: np.ndarray) -> np.ndarray:
-        """`h1_norm` of each row, as an array of length k."""
-        _, h1sq = self._h1_sums(self._padded(vecs))
-        return np.sqrt(h1sq * self.grid.cell_volume())
+    def h1_l2(self, vecs: np.ndarray):
+        """(h1_norm, l2_norm) of each row, as two arrays of length k."""
+        u2, h1sq = self._h1_sums(self._padded(vecs))
+        vol = self.grid.cell_volume()
+        return np.sqrt(h1sq * vol), np.sqrt(u2) * np.sqrt(vol)
 
     def h2_l2(self, vecs: np.ndarray):
         """(h2_norm, l2_norm) of each row, as two arrays of length k."""

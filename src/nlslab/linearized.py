@@ -29,16 +29,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
-from .grid import (
-    Field,
-    Grid,
-    PreconditionError,
-    from_active,
-    h1_norm,
-    laplacian_matrix,
-    real_inner,
-    to_active,
-)
+from .grid import (Field, Grid, PreconditionError, from_active, laplacian_matrix,
+                   real_inner, to_active)
 from .ground_state import GroundState, rescale
 
 EIGEN_TOL = 1e-12   # target residual / max(1, e0^2); solves stall above it first
@@ -67,15 +59,16 @@ class LinearizedPair:
     grid: Grid
     l_plus: sp.csr_matrix
     l_minus: sp.csr_matrix
-    q_field: Field
-    dq_fields: tuple
+    q: np.ndarray       # Q and the components of grad Q, real on the active points
+    dq: tuple
 
 
 @dataclass(eq=False)
 class EigenModes:
     e0: float
-    y1: Field
-    y2: Field
+    grid: Grid
+    y1: np.ndarray      # real on the active points of grid
+    y2: np.ndarray
     omega: float
     pairing: float
     p: float
@@ -85,22 +78,21 @@ class EigenModes:
 
     def mode(self, sign: int) -> Field:
         """The complex eigenmode y1 + i sign y2 (sign=+1 decays forward)."""
-        return Field(self.y1.grid, self.y1.values + 1j * sign * self.y2.values)
+        return from_active(self.grid, self.y1 + 1j * sign * self.y2)
 
 
 def _build_pair(gs: GroundState, grid: Grid) -> LinearizedPair:
     """The pair, Q and grad Q on `grid` from one pass over the profile."""
     r = grid.radius()
     q, dq = gs.evaluate(r)
-    q_field = Field(grid, q.astype(np.complex128))
     safe = np.where(r > 0, r, 1.0)
-    dq_fields = tuple(Field(grid, (dq * grid.coordinate(k) / safe).astype(np.complex128))
-                      for k in range(grid.dim))
-    pot_active = to_active(q_field).real ** (gs.p - 1.0)
+    dqs = tuple((dq * grid.coordinate(k) / safe)[grid.mask] for k in range(grid.dim))
+    q = q[grid.mask]
+    pot = q ** (gs.p - 1.0)
     base = -laplacian_matrix(grid) + gs.omega * sp.identity(grid.n_active, format="csr")
-    l_plus = (base - gs.p * sp.diags(pot_active)).tocsr()
-    l_minus = (base - sp.diags(pot_active)).tocsr()
-    return LinearizedPair(gs, grid, l_plus, l_minus, q_field, dq_fields)
+    l_plus = (base - gs.p * sp.diags(pot)).tocsr()
+    l_minus = (base - sp.diags(pot)).tocsr()
+    return LinearizedPair(gs, grid, l_plus, l_minus, q, dqs)
 
 
 def potential_jump(q: np.ndarray, p: float) -> float:
@@ -116,7 +108,9 @@ def assemble(gs: GroundState, grid: Grid) -> LinearizedPair:
     one on which Q^(p-1) changes between neighbours by more than
     MAX_POTENTIAL_JUMP of its peak."""
     pair = _build_pair(gs, grid)
-    if potential_jump(pair.q_field.values.real, gs.p) > MAX_POTENTIAL_JUMP:
+    q = np.zeros(grid.mask.shape)
+    q[grid.mask] = pair.q
+    if potential_jump(q, gs.p) > MAX_POTENTIAL_JUMP:
         raise SpectralError(COARSE_FOR_THE_POTENTIAL)
     return pair
 
@@ -124,13 +118,11 @@ def assemble(gs: GroundState, grid: Grid) -> LinearizedPair:
 def kernel_residuals(pair: LinearizedPair) -> dict:
     """How well Q and its gradient sit in the kernels of l_minus / l_plus."""
     sw = np.sqrt(pair.grid.cell_volume())
-    q = to_active(pair.q_field).real
-    out = {"lminus_q": float(np.linalg.norm(pair.l_minus @ q)) * sw
-           / h1_norm(pair.q_field)}
+    h1 = pair.grid.stencil.h1_l2(np.array([pair.q, *pair.dq]))[0]
+    out = {"lminus_q": float(np.linalg.norm(pair.l_minus @ pair.q)) * sw / float(h1[0])}
     worst = 0.0
-    for dqf in pair.dq_fields:
-        dq = to_active(dqf).real
-        worst = max(worst, float(np.linalg.norm(pair.l_plus @ dq)) * sw / h1_norm(dqf))
+    for dq, norm in zip(pair.dq, h1[1:]):
+        worst = max(worst, float(np.linalg.norm(pair.l_plus @ dq)) * sw / float(norm))
     out["lplus_dq"] = worst
     return out
 
@@ -194,7 +186,7 @@ def solve_unstable_pair(pair: LinearizedPair) -> EigenModes:
 
     composed = (-(lm @ lp)).tocsc()
     n = pair.grid.n_active
-    y1 = to_active(pair.q_field).real ** 2
+    y1 = pair.q ** 2
     y1 /= np.linalg.norm(y1)
     lam = lam_est
     shift = first_shift = lam_est * 1.05 + 1e-3
@@ -253,8 +245,8 @@ def _eigen_modes(pair: LinearizedPair, e: float, y1: np.ndarray, y2: np.ndarray,
     scale = np.sqrt(float(y1 @ y1 + y2 @ y2) * w)
     res_plus = float(np.linalg.norm(pair.l_plus @ y1 - e * y2)) * np.sqrt(w) / scale
     res_minus = float(np.linalg.norm(pair.l_minus @ y2 + e * y1)) * np.sqrt(w) / scale
-    return EigenModes(e0=e, y1=from_active(pair.grid, y1), y2=from_active(pair.grid, y2),
-                      omega=omega, pairing=-2.0 * float(y1 @ y2) * w, p=pair.ground.p,
+    return EigenModes(e0=e, grid=pair.grid, y1=y1, y2=y2, omega=omega,
+                      pairing=-2.0 * float(y1 @ y2) * w, p=pair.ground.p,
                       residuals={"plus": res_plus, "minus": res_minus}, _pair=pair)
 
 
@@ -263,8 +255,9 @@ def _interpolator(modes: EigenModes):
     kept on the modes; zero outside the box."""
     if modes._interp is not None:
         return modes._interp
-    grid = modes.y1.grid
-    both = np.stack([modes.y1.values.real, modes.y2.values.real], axis=-1)
+    grid = modes.grid
+    both = np.zeros(grid.mask.shape + (2,))
+    both[grid.mask] = np.column_stack([modes.y1, modes.y2])
     if grid.dim == 1:
         x = grid.axes[0]
         spline = CubicSpline(x, both)
@@ -283,12 +276,14 @@ def _interpolator(modes: EigenModes):
     return modes._interp
 
 
-def evaluate_mode_parts(modes: EigenModes, grid: Grid, center) -> tuple[Field, Field]:
-    """y1(x - center), y2(x - center) sampled onto another grid."""
+def evaluate_mode_parts(modes: EigenModes, grid: Grid, center):
+    """y1(x - center), y2(x - center) sampled onto another grid, as two real
+    lattice arrays that are zero off its mask."""
     center = np.asarray(center, dtype=float)
     pts = np.stack([grid.coordinate(k) - center[k] for k in range(grid.dim)], axis=-1)
-    both = _interpolator(modes)(pts).astype(complex)
-    return Field(grid, both[..., 0]), Field(grid, both[..., 1])
+    both = _interpolator(modes)(pts)
+    both[~grid.mask] = 0.0
+    return both[..., 0], both[..., 1]
 
 
 def rescale_modes(modes: EigenModes, omega: float) -> EigenModes:
@@ -305,12 +300,12 @@ def rescale_modes(modes: EigenModes, omega: float) -> EigenModes:
         raise SpectralError("rescale_modes starts from the omega = 1 modes")
     if not omega > 0:
         raise SpectralError("need omega > 0")
-    amp = omega**0.25
-    src = modes.y1.grid
+    src = modes.grid
+    if src.obstacle.kind != "none":
+        raise SpectralError("rescale_modes dilates the modes of an obstacle-free grid")
     grid = Grid(src.dim, src.half_width / np.sqrt(omega), src.n, src.obstacle)
     pair_w = _build_pair(rescale(modes._pair.ground, omega), grid)
-    # real views of complex products: the dot products below read them strided
-    v1, v2 = ((amp * y.values[grid.mask]).real for y in (modes.y1, modes.y2))
+    v1, v2 = omega**0.25 * modes.y1, omega**0.25 * modes.y2
     e_plus = float(v2 @ (pair_w.l_plus @ v1)) / float(v2 @ v2)
     e_minus = -float(v1 @ (pair_w.l_minus @ v2)) / float(v1 @ v1)
     # rescale returns the omega = 1 profile for any omega close to 1
@@ -328,7 +323,7 @@ def measure_scaling_exponent(gs1: GroundState, grid: Grid, omegas=(1.0, 2.0, 4.0
     es = []
     for om in omegas:
         gs = rescale(gs1, om)
-        if solved is not None and (solved.y1.grid, solved.p, solved.omega) \
+        if solved is not None and (solved.grid, solved.p, solved.omega) \
                 == (grid, gs.p, gs.omega):
             es.append(solved.e0)
         else:
@@ -354,22 +349,19 @@ class CoercivityReport:
 
 def _constraint_columns(pair: LinearizedPair, modes: EigenModes) -> np.ndarray:
     n = pair.grid.n_active
-    q = to_active(pair.q_field).real
-    y1 = to_active(modes.y1).real
-    y2 = to_active(modes.y2).real
     cols = []
-    for dqf in pair.dq_fields:  # (h1, dQ_j) = 0
+    for dq in pair.dq:  # (h1, dQ_j) = 0
         c = np.zeros(2 * n)
-        c[:n] = to_active(dqf).real
+        c[:n] = dq
         cols.append(c)
     c = np.zeros(2 * n)  # (h2, Q) = 0
-    c[n:] = q
+    c[n:] = pair.q
     cols.append(c)
     c = np.zeros(2 * n)  # Im int conj(h) (y1 + i y2) = 0
-    c[:n], c[n:] = y2, -y1
+    c[:n], c[n:] = modes.y2, -modes.y1
     cols.append(c)
     c = np.zeros(2 * n)  # Im int conj(h) (y1 - i y2) = 0
-    c[:n], c[n:] = y2, y1
+    c[:n], c[n:] = modes.y2, modes.y1
     cols.append(c)
     return np.column_stack(cols)
 
@@ -430,7 +422,7 @@ def coercivity_certificate(pair: LinearizedPair, modes: EigenModes,
     lap = laplacian_matrix(pair.grid)
     a = sp.block_diag([pair.l_plus, pair.l_minus]).tocsr()
     b = sp.block_diag([sp.identity(n) - lap, sp.identity(n) - lap]).tocsr()
-    floor = gs.omega - gs.p * float(np.max(to_active(pair.q_field).real)) ** (gs.p - 1.0)
+    floor = gs.omega - gs.p * float(np.max(pair.q)) ** (gs.p - 1.0)
 
     cmat = _constraint_columns(pair, modes)
     lam, hmin = _constrained_minimum(a, b, cmat, min(1.0, floor) - 1.0)
@@ -498,12 +490,13 @@ def biorthogonal_family(pair: LinearizedPair, modes: EigenModes) -> Biorthogonal
     grid = pair.grid
     y_plus = modes.mode(+1)
     y_minus = modes.mode(-1)
-    iq = Field(grid, 1j * pair.q_field.values)
+    iq = from_active(grid, 1j * pair.q)
 
     phi = [y_plus, y_minus]
     mu = [Field(grid, 1j * y_minus.values), Field(grid, 1j * y_plus.values)]
     labels = ["mode+", "mode-"]
-    for k, dqf in enumerate(pair.dq_fields):
+    for k, dq in enumerate(pair.dq):
+        dqf = from_active(grid, dq)
         phi.append(dqf)
         mu.append(dqf)
         labels.append(f"translate{k}")

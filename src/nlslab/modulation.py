@@ -24,7 +24,7 @@ import numpy as np
 
 from .evolve import (CrankNicolsonStepper, EvolveConfig, Trajectory, check_finite,
                      march_ahead, step_count)
-from .grid import (Field, Grid, PreconditionError, from_active, h1_norm, l2_norm,
+from .grid import (Field, Grid, PreconditionError, from_active, h1_norm,
                    laplacian_dirichlet, real_inner, to_active)
 from .ground_state import GroundState
 from .linearized import EigenModes
@@ -86,7 +86,7 @@ class ModulationContext:
 class ModulationState:
     y: np.ndarray
     mu: float
-    r: Field
+    r: np.ndarray            # u - R~ on the lattice, zero off the mask
     alpha_plus: float
     alpha_minus: float
     t: float
@@ -176,7 +176,9 @@ def decompose(ctx: ModulationContext, u: Field, t: float,
     w = grid.cell_volume()
     alpha_plus = float(np.sum(y_minus * np.conj(r_vals)).imag) * w
     alpha_minus = float(np.sum(y_plus * np.conj(r_vals)).imag) * w
-    return ModulationState(y=z[:d], mu=float(z[d]), r=Field(grid, r_vals),
+    # u is zero on the obstacle; the psi=None ansatz is not
+    r = np.where(grid.mask, r_vals, 0.0)
+    return ModulationState(y=z[:d], mu=float(z[d]), r=r,
                            alpha_plus=alpha_plus, alpha_minus=alpha_minus, t=t,
                            newton_iters=iters, _ansatz=a)
 
@@ -200,7 +202,8 @@ def final_data(ctx: ModulationContext, Tn: float, lam) -> Field:
     return _final_data_map(ctx, Tn)(lam)
 
 
-def _tune_final_data(ctx: ModulationContext, Tn: float, alpha_plus_target: float):
+def solve_modulated_final_data(ctx: ModulationContext, Tn: float,
+                               alpha_plus_target: float):
     """Newton on lam so that alpha+(Tn) hits the target and alpha-(Tn) = 0.
 
     Returns lam with u(Tn) and its decomposition, from the last evaluation.
@@ -230,12 +233,6 @@ def _tune_final_data(ctx: ModulationContext, Tn: float, alpha_plus_target: float
     raise ModulationError(
         f"final-data Newton stalled: residual {res} for target {target}"
     )
-
-
-def solve_modulated_final_data(ctx: ModulationContext, Tn: float,
-                               alpha_plus_target: float) -> np.ndarray:
-    """Newton on lam so that alpha+(Tn) hits the target and alpha-(Tn) = 0."""
-    return _tune_final_data(ctx, Tn, alpha_plus_target)[0]
 
 
 @dataclass(frozen=True)
@@ -281,6 +278,12 @@ class ShootLog:
         return np.column_stack(cols)
 
 
+def _r_norms(grid: Grid, r: np.ndarray):
+    """(l2_norm, h1_norm) of the lattice array r, from one stencil pass."""
+    h1, l2 = grid.stencil.h1_l2(r[grid.mask][None])
+    return float(l2[0]), float(h1[0])
+
+
 def _shoot_delta(ctx: ModulationContext, cfg: ShootConfig) -> float:
     return cfg.delta if cfg.delta is not None else 0.7 * ctx.gs.delta_fit
 
@@ -322,10 +325,10 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
     grid = ctx.grid
     delta = _shoot_delta(ctx, cfg)
     rate = ctx.rate(delta)
-    lam, u, state = _tune_final_data(ctx, cfg.Tn, alpha_plus)
+    lam, u, state = solve_modulated_final_data(ctx, cfg.Tn, alpha_plus)
     if np.any(np.abs(lam) > 10.0 * np.exp(-rate * cfg.Tn)):
         raise ModulationError(f"final-data amplitude {lam} out of admissible range")
-    r_h1 = h1_norm(state.r)
+    r_l2, r_h1 = _r_norms(grid, state.r)
     M = 10.0 * max(r_h1 * np.exp(rate * cfg.Tn), 1.0)
     Mp = M**2
 
@@ -338,10 +341,10 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
     guess = np.concatenate([state.y, [state.mu]])
     exit_reason, exit_time = "reached_T0", cfg.T0
 
-    def log_row(t, st, u_here, vec, r_h1):
+    def log_row(t, st, u_here, vec, r_l2, r_h1):
         f = functionals(u_here, ctx.params)
         nn = (np.exp(rate * t) * st.alpha_plus) ** 2
-        rows.append((t, l2_norm(st.r), r_h1, st.y.copy(), st.mu,
+        rows.append((t, r_l2, r_h1, st.y.copy(), st.mu,
                      st.alpha_plus, st.alpha_minus, f.lyapunov, nn,
                      _ansatz_lyapunov(ctx, st._ansatz)))
         vecs.append(vec)
@@ -357,7 +360,7 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
             return "y_mu_bound"
         return None
 
-    log_row(cfg.Tn, state, u, to_active(u), r_h1)
+    log_row(cfg.Tn, state, u, to_active(u), r_l2, r_h1)
     with closing(march_ahead(stepper, vecs[0], n_steps, ctx.params.p,
                              every=cfg.log_every)) as states:
         for k, vec in states:
@@ -372,8 +375,8 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
                 exit_reason, exit_time = "modulation_failure", t
                 break
             guess = np.concatenate([state.y, [state.mu]])
-            r_h1 = h1_norm(state.r)
-            log_row(t, state, u_here, vec, r_h1)
+            r_l2, r_h1 = _r_norms(grid, state.r)
+            log_row(t, state, u_here, vec, r_l2, r_h1)
             reason = violated(t, state, r_h1)
             if reason is not None:
                 exit_reason, exit_time = reason, t

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import TWO_PI, Field, Grid, PreconditionError, cis, to_active
+from .grid import TWO_PI, Field, Grid, Obstacle, PreconditionError, cis, to_active
 from .ground_state import GroundState, sample_on_grid
 from .linearized import EigenModes, evaluate_mode_parts
 
@@ -107,8 +107,7 @@ def ansatz(params: SolitonParams, gs: GroundState, t: float, grid: Grid,
 
 def mode_pair(modes: EigenModes, grid: Grid, c, pvals, ph):
     """Y+- = (y1 +- i y2)(x - c) Psi e^{i phase} as lattice arrays."""
-    y1c, y2c = evaluate_mode_parts(modes, grid, c)
-    y1, y2 = y1c.values.real, y2c.values.real
+    y1, y2 = evaluate_mode_parts(modes, grid, c)
     return (y1 + 1j * y2) * pvals * ph, (y1 - 1j * y2) * pvals * ph
 
 
@@ -199,8 +198,9 @@ class ThresholdReport:
     in_range: bool = True
 
 
-def critical_exponent(p: float) -> float:
-    return 1.5 - 2.0 / (p - 1.0)
+def critical_exponent(p: float, dim: int = 3) -> float:
+    """s_c = d/2 - 2/(p - 1), the scale-invariant Sobolev exponent in R^d."""
+    return dim / 2.0 - 2.0 / (p - 1.0)
 
 
 def _signed_power(value: float, s: float) -> float:
@@ -211,7 +211,11 @@ def _signed_power(value: float, s: float) -> float:
 
 
 def threshold_report(u: Field, p: float, gs: GroundState | None = None) -> ThresholdReport:
-    s = critical_exponent(p)
+    """The threshold quantities of u at s_c of its own dimension d, against
+    Q's on the obstacle-free lattice of the same L and n; p is in range when
+    1 + 4/d < p < 1 + 4/(d - 2), with no upper end when d <= 2."""
+    d = u.grid.dim
+    s = critical_exponent(p, d)
     params = SolitonParams(omega=gs.omega if gs else 1.0,
                            v=(0.0,) * u.grid.dim, p=p)
     f = functionals(u, params)
@@ -221,7 +225,8 @@ def threshold_report(u: Field, p: float, gs: GroundState | None = None) -> Thres
     me = _signed_power(f.mass, 1.0 - s) * _signed_power(f.energy, s)
     gt = mt = None
     if gs is not None:
-        fq = functionals(sample_on_grid(gs, u.grid), params)
+        free = Grid(d, u.grid.half_width, u.grid.n, Obstacle())
+        fq = functionals(sample_on_grid(gs, free), params)
         gt = np.sqrt(fq.mass) ** (1.0 - s) * np.sqrt(fq.kinetic) ** s
         mt = _signed_power(fq.mass, 1.0 - s) * _signed_power(fq.energy, s)
     return ThresholdReport(
@@ -230,7 +235,7 @@ def threshold_report(u: Field, p: float, gs: GroundState | None = None) -> Thres
         mass_energy_quantity=float(me),
         grad_threshold=gt,
         mass_energy_threshold=mt,
-        in_range=bool(7.0 / 3.0 < p < 5.0),
+        in_range=bool((d + 4.0) / d < p and (d <= 2 or p < (d + 2.0) / (d - 2.0))),
     )
 
 

@@ -307,27 +307,30 @@ def _received_before_the_end(monkeypatch, march_start, stand_in):
     return steps, got
 
 
-def test_march_ahead_reports_a_worker_that_ends_inside_a_state(monkeypatch, march_start):
-    def half_a_state(tx, vec):
-        evolve_mod.send(tx, None, 0)
-        tx.write(bytes(8 * vec.size))
+def _half_a_message(tx, obj, tag):
+    """The first half of a `send` of obj with the tag."""
+    payload = pickle.dumps(obj)
+    tx.write(evolve_mod.HEADER.pack(tag, len(payload)) + payload[:len(payload) // 2])
 
-    steps, got = _received_before_the_end(monkeypatch, march_start, half_a_state)
-    assert (steps, got) == ([], [(0, None)])
+
+def test_march_ahead_reports_a_worker_that_ends_inside_a_state(monkeypatch, march_start):
+    steps, got = _received_before_the_end(monkeypatch, march_start,
+                                          lambda tx, vec: _half_a_message(tx, vec, 0))
+    assert (steps, got) == ([], [None])
 
 
 def test_march_ahead_reports_a_worker_that_ends_inside_an_exception(monkeypatch,
                                                                     march_start):
     # a whole state first, so a worker that ends before it writes fails here too
     def state_then_half_an_exception(tx, vec):
-        evolve_mod.send(tx, None, 0)
-        tx.write(bytes(16 * vec.size))
-        payload = pickle.dumps(EvolveError("never whole"))
-        tx.write(evolve_mod.HEADER.pack(-1, len(payload)) + payload[:len(payload) // 2])
+        evolve_mod.send(tx, vec, 0)
+        _half_a_message(tx, EvolveError("never whole"), -1)
 
     steps, got = _received_before_the_end(monkeypatch, march_start,
                                           state_then_half_an_exception)
-    assert (steps, got) == ([0], [(0, None), None])
+    (k, state), end = got
+    assert (steps, k, end) == ([0], 0, None)
+    assert state.tobytes() == march_start[7.0][1].tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -319,7 +319,8 @@ def test_active_stencil_matches_field_operators_exactly(dim, L, n, a):
     stack = np.array([to_active(u) for u in fields])
     st = ActiveStencil(g)
     h2, l2 = st.h2_l2(stack)
-    h1 = st.h1(stack)
+    h1, l2_of_h1 = st.h1_l2(stack)
+    assert np.array_equal(l2_of_h1, l2)
     lap = st.laplacian(stack)
     grad = st.gradient(stack)
     for k, u in enumerate(fields):

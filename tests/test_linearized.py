@@ -7,7 +7,8 @@ from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
 import nlslab.linearized as linearized
 
-from nlslab.grid import Field, build_grid, l2_norm, real_inner, to_active
+from nlslab.grid import (Field, Obstacle, build_grid, from_active, l2_norm, real_inner,
+                         to_active)
 from nlslab.ground_state import rescale, sample_on_grid, solve_ground_state
 from nlslab.linearized import (
     EigenModes,
@@ -79,7 +80,7 @@ def test_zero_potential_operator_floor():
     gs = solve_ground_state(3, 1.0, 1)
     grid = build_grid(1, 10.0, 255)
     pair = assemble(gs, grid)
-    base = pair.l_plus + 3.0 * sp.diags(to_active(pair.q_field).real ** 2)
+    base = pair.l_plus + 3.0 * sp.diags(pair.q ** 2)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(grid.n_active)
     quad = float(v @ (base @ v)) / float(v @ v)
@@ -103,13 +104,14 @@ def test_pair_samples_equal_the_separate_passes(p, dim, half_width, n):
     gs = solve_ground_state(p, 1.0, dim)
     grid = build_grid(dim, half_width, n)
     pair = linearized._build_pair(gs, grid)
-    assert pair.q_field.values.tobytes() == sample_on_grid(gs, grid).values.tobytes()
+    real_active = lambda u: np.ascontiguousarray(to_active(u).real).tobytes()
+    assert pair.q.tobytes() == real_active(sample_on_grid(gs, grid))
     r = grid.radius(np.zeros(dim))
     safe = np.where(r > 0, r, 1.0)
     dq = gs.derivative(r)
-    for k, dqf in enumerate(pair.dq_fields):
+    for k, dqk in enumerate(pair.dq):
         ref = Field(grid, (dq * (grid.coordinate(k) - 0.0) / safe).astype(np.complex128))
-        assert dqf.values.tobytes() == ref.values.tobytes()
+        assert dqk.tobytes() == real_active(ref)
 
 
 def test_coarse_grid_rejected(gs7):
@@ -141,8 +143,8 @@ def test_eigen_relation_residuals(work):
 def test_mode_decay_rate(work):
     # |mode| decays exponentially; fit the tail of log|y1 + i y2|
     _, modes = work
-    x = modes.y1.grid.axes[0]
-    amp = np.abs(modes.y1.values + 1j * modes.y2.values)
+    x = modes.grid.axes[0]
+    amp = np.abs(modes.y1 + 1j * modes.y2)
     sel = (x > 8.0) & (x < 20.0)
     slope = np.polyfit(x[sel], np.log(amp[sel]), 1)[0]
     assert -slope > 0.3
@@ -153,7 +155,7 @@ def test_mode_decay_rate(work):
 def test_rescale_identity(work):
     _, modes = work
     m = rescale_modes(modes, 1.0)
-    assert np.allclose(m.y1.values, modes.y1.values, atol=1e-14)
+    assert np.allclose(m.y1, modes.y1, atol=1e-14)
     assert m.e0 == pytest.approx(modes.e0, rel=1e-9)
 
 
@@ -177,14 +179,13 @@ def _finisher_formulas(pair, e, y1, y2):
 
 def test_solved_and_rescaled_modes_share_one_finisher(work):
     pair, modes = work
-    # the solve finishes on contiguous vectors
-    y1, y2 = (np.ascontiguousarray(to_active(y).real) for y in (modes.y1, modes.y2))
-    assert (modes.residuals, modes.pairing) == _finisher_formulas(pair, modes.e0, y1, y2)
-    # the rescaling on the real parts of the amplified complex vectors
+    assert (modes.residuals, modes.pairing) == _finisher_formulas(pair, modes.e0,
+                                                                  modes.y1, modes.y2)
+    # the rescaling on the amplified vectors
     m2 = rescale_modes(modes, 2.0)
-    v1, v2 = ((2.0**0.25 * to_active(y)).real for y in (modes.y1, modes.y2))
+    v1, v2 = 2.0**0.25 * modes.y1, 2.0**0.25 * modes.y2
     assert (m2.residuals, m2.pairing) == _finisher_formulas(m2._pair, m2.e0, v1, v2)
-    assert np.array_equal(to_active(m2.y1), v1) and np.array_equal(to_active(m2.y2), v2)
+    assert np.array_equal(m2.y1, v1) and np.array_equal(m2.y2, v2)
     # the profile of any omega close to 1 is the omega = 1 one; the modes keep omega
     assert rescale_modes(modes, 1.0 + 1e-10).omega == 1.0 + 1e-10
 
@@ -272,15 +273,15 @@ def test_mode_interpolants_built_once(work, monkeypatch):
                                     grid, [-1.7])
     assert len(built) == 2
     for got, ref in zip(second, reference):
-        assert np.array_equal(got.values, ref.values)
+        assert np.array_equal(got, ref)
 
 
 def separate_interpolants(modes, grid, center):
     """y1 and y2 at x - center, each through an interpolant of its own."""
-    src = modes.y1.grid
+    src = modes.grid
     pts = np.stack([grid.coordinate(k) - center[k] for k in range(grid.dim)], axis=-1)
     out = []
-    for y in (modes.y1.values.real, modes.y2.values.real):
+    for y in (from_active(src, modes.y1).values.real, from_active(src, modes.y2).values.real):
         if grid.dim == 1:
             x, at = src.axes[0], pts[..., 0]
             inside = (at >= x[0]) & (at <= x[-1])
@@ -298,7 +299,7 @@ def synthetic_modes(dim):
     r = grid.radius([0.2] * dim)
     y1 = np.exp(-r**2 / 4.0) * np.cos(grid.coordinate(0))
     y2 = np.exp(-r / 2.0) / np.cosh(grid.coordinate(dim - 1))
-    return EigenModes(e0=1.0, y1=Field(grid, y1), y2=Field(grid, y2), omega=1.0,
+    return EigenModes(e0=1.0, grid=grid, y1=y1.ravel(), y2=y2.ravel(), omega=1.0,
                       pairing=1.0, p=3.0)
 
 
@@ -311,13 +312,21 @@ def test_mode_parts_equal_separate_interpolants(work, dim):
     grid = build_grid(dim, 32.0 if dim == 1 else 12.0, {1: 3071, 2: 95, 3: 39}[dim])
     center = [0.31] * dim
     got = evaluate_mode_parts(modes, grid, center)
-    for field_, ref in zip(got, separate_interpolants(modes, grid, center)):
-        vals = field_.values.real
+    for vals, ref in zip(got, separate_interpolants(modes, grid, center)):
+        assert vals.dtype == np.float64
         if dim == 2:
             assert np.max(np.abs(vals - ref)) <= 1e-15 * np.max(np.abs(ref))
         else:
-            assert vals.tobytes() == ref.tobytes()
-        assert not field_.values.imag.any()
+            assert np.ascontiguousarray(vals).tobytes() == ref.tobytes()
+
+
+def test_mode_parts_are_zero_off_the_mask(work):
+    # centred beside the obstacle, the modes reach into it before the mask
+    _, modes = work
+    grid = build_grid(1, 30.0, 3071, Obstacle("ball", 1.0))
+    y1, y2 = evaluate_mode_parts(modes, grid, [0.5])
+    assert not y1[~grid.mask].any() and not y2[~grid.mask].any()
+    assert np.abs(y1[grid.mask]).max() > 0.1 and np.abs(y2[grid.mask]).max() > 0.1
 
 
 def test_rescale_rejects_bad_args(work):
@@ -327,6 +336,9 @@ def test_rescale_rejects_bad_args(work):
         rescale_modes(m2, 2.0)
     with pytest.raises(SpectralError):
         rescale_modes(modes, -1.0)
+    blocked = build_grid(1, 30.0, 4095, Obstacle("ball", 1.0))
+    with pytest.raises(SpectralError, match="obstacle-free"):
+        rescale_modes(dataclasses.replace(modes, grid=blocked), 2.0)
 
 
 # ------------------------------------------------------ coercivity_certificate
@@ -348,9 +360,10 @@ def test_kernel_direction_outside_constraints(cert):
     pair, _, _ = cert
     # h = (0, Q) makes the quadratic form vanish (at the O(h^2) rate of the
     # discrete kernel identity) but violates the (h2, Q) = 0 constraint
-    val = quadratic_form(pair, 0.0 * pair.q_field, pair.q_field)
-    assert abs(val) < 1e-3 * l2_norm(pair.q_field) ** 2
-    assert real_inner(pair.q_field, pair.q_field) > 0.1
+    q = from_active(pair.grid, pair.q)
+    val = quadratic_form(pair, 0.0 * q, q)
+    assert abs(val) < 1e-3 * l2_norm(q) ** 2
+    assert real_inner(q, q) > 0.1
 
 
 def test_random_probes_respect_certificate(cert):
@@ -444,7 +457,7 @@ def test_mode_pairing_two_routes(work):
     # 2 int y1 y2 computed from the real parts
     pair, modes = work
     fam = biorthogonal_family(pair, modes)
-    route2 = 2.0 * real_inner(modes.y1, modes.y2)
+    route2 = 2.0 * float(modes.y1 @ modes.y2) * pair.grid.cell_volume()
     assert abs(fam.zeta[0] - route2) < 1e-10
 
 
@@ -452,5 +465,6 @@ def test_translation_self_pairing(work):
     pair, modes = work
     fam = biorthogonal_family(pair, modes)
     j = fam.labels.index("translate0")
-    assert fam.zeta[j] == pytest.approx(l2_norm(pair.dq_fields[0]) ** 2, rel=1e-10)
+    assert fam.zeta[j] == pytest.approx(float(pair.dq[0] @ pair.dq[0]) * pair.grid.cell_volume(),
+                                        rel=1e-10)
     assert fam.zeta[j] > 0

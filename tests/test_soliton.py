@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlslab.grid import Obstacle, build_cutoff, build_grid, gradient, l2_dot, l2_norm
+from nlslab.grid import Field, Obstacle, build_cutoff, build_grid, gradient, l2_dot, l2_norm
 from nlslab.ground_state import sample_on_grid, solve_ground_state
 from nlslab.linearized import assemble, solve_unstable_pair
 from nlslab.soliton import (
@@ -70,15 +70,15 @@ def test_center_margin_enforced(gs, grid):
 # ----------------------------------------------------------- eigenmode_field
 
 def test_eigenmode_rest_matches_modes(modes7):
-    grid = modes7.y1.grid
+    grid = modes7.grid
     pa = SolitonParams(omega=1.0, v=(0.0,), p=7.0)
     y = eigenmode_field(pa, modes7, 0.0, grid, psi=None, sign=+1)
-    exact = modes7.y1.values + 1j * modes7.y2.values
+    exact = modes7.mode(+1).values
     assert np.max(np.abs(y.values - exact)) < 1e-9
 
 
 def test_eigenmode_conjugate_signs(modes7):
-    grid = modes7.y1.grid
+    grid = modes7.grid
     pa = SolitonParams(omega=1.0, v=(0.0,), p=7.0)
     yp = eigenmode_field(pa, modes7, 0.0, grid, psi=None, sign=+1)
     ym = eigenmode_field(pa, modes7, 0.0, grid, psi=None, sign=-1)
@@ -101,8 +101,6 @@ def test_eigenmode_pairing_with_cutoff(modes7):
 # --------------------------------------------------------------- functionals
 
 def test_zero_field_functionals(grid):
-    from nlslab.grid import Field
-
     pa = SolitonParams(1.0, (1.0,), 3.0)
     f = functionals(Field.zeros(grid), pa)
     assert f.mass == f.energy == f.lyapunov == 0.0
@@ -142,19 +140,42 @@ def test_lyapunov_combination_matches_definition(gs, grid):
 
 # ---------------------------------------------------------- threshold_report
 
-@pytest.mark.parametrize("p,s", [(7.0 / 3.0, 0.0), (3.0, 0.5), (5.0, 1.0)])
-def test_critical_exponent_values(p, s):
-    assert critical_exponent(p) == pytest.approx(s, abs=1e-15)
+@pytest.mark.parametrize("p,dim,s", [(7.0 / 3.0, 3, 0.0), (3.0, 3, 0.5), (5.0, 3, 1.0),
+                                     (3.0, 2, 0.0), (5.0, 1, 0.0), (7.0, 1, 1.0 / 6.0)])
+def test_critical_exponent_values(p, dim, s):
+    assert critical_exponent(p, dim) == pytest.approx(s, abs=1e-15)
 
 
 def test_threshold_report_fields(gs, grid):
+    # in 1d, p = 3 is mass-subcritical and p = 6 lies above 1 + 4/d = 5
     u = soliton_field(SolitonParams(1.0, (0.0,), 3.0), gs, 0.0, grid)
     rep = threshold_report(u, 3.0, gs)
-    assert rep.s == 0.5
-    assert rep.in_range
+    assert rep.s == -0.5
+    assert not rep.in_range
     assert rep.grad_quantity == pytest.approx(rep.grad_threshold, rel=1e-6)
     rep2 = threshold_report(u, 6.0)
-    assert not rep2.in_range
+    assert rep2.in_range
+
+
+@pytest.mark.parametrize("dim, p, in_range", [
+    (1, 5.0, False), (1, 7.0, True), (2, 3.0, False), (2, 9.0, True),
+    (3, 7.0 / 3.0, False), (3, 3.0, True), (3, 5.0, False),
+])
+def test_threshold_exponent_and_range_are_the_fields_own(dim, p, in_range):
+    # 1 + 4/d < p < 1 + 4/(d - 2), with no upper end when d <= 2
+    g = build_grid(dim, 6.0, 16)
+    rep = threshold_report(Field(g, np.exp(-g.radius() ** 2)), p)
+    assert rep.s == critical_exponent(p, dim)
+    assert rep.in_range is in_range
+
+
+def test_thresholds_sample_q_without_the_obstacle(gs):
+    blocked = build_grid(1, 30.0, 2047, Obstacle("ball", 1.0))
+    u = soliton_field(SolitonParams(1.0, (2.0,), 3.0, x0=(8.0,)), gs, 0.0, blocked)
+    rep = threshold_report(u, 3.0, gs)
+    q = threshold_report(sample_on_grid(gs, build_grid(1, 30.0, 2047)), 3.0)
+    assert (rep.grad_threshold, rep.mass_energy_threshold) == \
+        (q.grad_quantity, q.mass_energy_quantity)
 
 
 def test_one_gradient_gives_kinetic_and_threshold(gs):
@@ -166,7 +187,9 @@ def test_one_gradient_gives_kinetic_and_threshold(gs):
     kinetic = sum(l2_norm(c) ** 2 for c in gradient(u))
     assert f.kinetic == pytest.approx(kinetic, rel=1e-14)
     rep = threshold_report(u, 3.0)
-    assert rep.grad_quantity == pytest.approx(f.mass**0.25 * kinetic**0.25, rel=1e-14)
+    s = rep.s
+    assert rep.grad_quantity == pytest.approx(f.mass ** ((1 - s) / 2) * kinetic ** (s / 2),
+                                              rel=1e-14)
 
 
 def test_cutoff_mass_deficit(gs):
