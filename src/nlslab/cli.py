@@ -339,6 +339,10 @@ def run_shoot(cfg, out: Path) -> dict:
     params = _params_from(cfg)
     shoot_cfg = mod.ShootConfig(T0=cfg["T0"], Tn=cfg["Tn"], delta=cfg["delta"],
                                 log_every=cfg["log_every"])
+    if params.speed() <= 0:
+        raise ConfigError("shoot needs |v| > 0")
+    if shoot_cfg.delta is not None:     # a default delta is known after the ground state
+        mod.shoot_rate(params, shoot_cfg.delta, shoot_cfg.Tn)     # refuses, or is the rate
     ecfg = EvolveConfig(dt=cfg["dt"])
     step_count(shoot_cfg.T0 - shoot_cfg.Tn, ecfg.dt)
     if not cfg["a"] > 0:

@@ -15,10 +15,11 @@ exact linear part, and a single exact remainder (slot A2, with A3 empty).
 
 The Picard loop splits its time mesh into two bands of rows.  With two
 usable cores `picard` forks a worker per call (`evolve.forked_worker`)
-that shares the iterate's pages.  The caller marches every row, stores it
+that shares the iterate's pages and owns the lower band, which every
+backward sweep marches last.  The caller marches every row, stores it
 there and sends a frame per block of rows; behind it the worker takes the
-weighted norms and puts its band's forcing for the next sweep into the
-rows passed.  It writes back only what the caller waits for.
+weighted norms.  Asked at a sweep's start, the worker puts that sweep's
+forcing on its band into the shared rows while the caller marches its own.
 Each row is computed by the same function from the same bytes as in the
 serial loop, so every number keeps its bits.
 
@@ -30,7 +31,6 @@ built on the way, and `e_norm` reads the rows as they are.
 from __future__ import annotations
 
 import contextlib
-import mmap
 import os
 from dataclasses import dataclass, field
 
@@ -56,6 +56,7 @@ from .evolve import (
     Trajectory,
     forked_worker,
     march,
+    own_pages,
     receive,
     residual_norms,
     send,
@@ -101,8 +102,7 @@ _FEEDBACK = {"a1": _a1, "a2": _a2, "a3": _a3}
 _ALL_SOURCES = ("a0", "a1", "a2", "a3")
 # mesh rows per pass of `_MeshSources.source`, and per frame to the Picard
 # worker, which stacks their norms (0.10 s a picard_v8 sweep on a 2-core
-# desk, 0.20 s row by row).  Both run down from the top row, so a frame
-# brings every row of the forcing blocks above its last.
+# desk, 0.20 s row by row)
 _BLOCK_ROWS = 8
 # window values per pass of `SourceSet._a0_window`: 64 kB temporaries.  On
 # picard_v8's mesh all of a0 took 0.07 s this way and 0.13 s at 1 MB.
@@ -217,26 +217,12 @@ def _time_mesh(T0: float, Tmax: float, dt: float):
 
 
 def _lower_rows(nt: int) -> int:
-    """The mesh rows [0, 2 nt // 5) that `picard` owns; its worker owns the
-    rest.  The caller also marches every row and the worker takes every
-    row's norms.  On picard_v8's mesh (2-core desk, 12 calls each) a split
-    at 1/2, 1/3, 1/4 and 2/5 gave medians of 2.30, 2.22, 2.27 and 2.03 s."""
-    return 2 * nt // 5
-
-
-def _own_pages(*shape) -> np.ndarray:
-    """A complex array of zeros in anonymous pages of its own, which a
-    process forked after it shares.
-
-    glibc raises its mmap threshold to the size of a freed mapped block
-    below 32 MB, and arrays under the threshold then come from the heap,
-    where freed memory can stay resident.  A band's ansatz freed that way
-    (14 MB at picard_v8) raised the caller's peak RSS by 3% over repeated
-    `picard` calls; pages of its own are unmapped when the array goes.
-    """
-    count = int(np.prod(shape))
-    buf = mmap.mmap(-1, 16 * max(count, 1))
-    return np.frombuffer(buf, dtype=complex, count=count).reshape(shape)
+    """The mesh rows [0, 3 nt // 5) that `picard`'s worker owns, which
+    every backward sweep marches last; `picard` owns the rest.  The caller
+    also marches every row and the worker takes every row's norms.  On
+    picard_v8's mesh (2-core desk, 30 alternating calls each) a worker
+    share of 1/2, 3/5 and 2/3 gave medians of 1.77, 1.66 and 1.68 s."""
+    return 3 * nt // 5
 
 
 class _MeshSources:
@@ -261,7 +247,7 @@ class _MeshSources:
 
     def build_ansatz(self, sources: SourceSet) -> None:
         ts, mask = self.ts[self.lo:self.hi + 2], self.grid.mask
-        self.R = _own_pages(len(ts), self.grid.n_active)
+        self.R = own_pages(len(ts), self.grid.n_active)
         for k, t in enumerate(ts):
             self.R[k] = sources._ansatz(t)[mask]
 
@@ -431,8 +417,8 @@ class _SweepNorms:
 
 
 # a frame to the worker, one `send`: (j, kind, m), rows j + m - 1, ..., j + 1, j
-# of a sweep of this kind are in the shared iterate; (_START, feedback, i)
-# of a sweep of the sources _SWEEPS[i]; its _END; (_FINISH, residual, 0)
+# of a sweep of this kind are in the shared iterate; (_START, i, 0) of a
+# sweep of the sources _SWEEPS[i]; its _END; (_FINISH, residual, 0)
 _START, _END, _FINISH = -1, -2, -3
 _SWEEPS = (_ALL_SOURCES, ("a1",), ("a2",), ("a3",))     # Picard, then J1, J2, J3
 _ENDED = "the Picard worker ended"
@@ -441,40 +427,42 @@ _ENDED = "the Picard worker ended"
 def _serve(rx, tx, sources: SourceSet, ts, norm: _ENorm, weights, rows) -> None:
     """The forked side of `_BandWorker`, frame by frame.
 
-    It builds a0 on the upper band [lo, nt), then the ansatz once the first
-    sweep's forcing is in ``rows``.  Behind the march it keeps each row in
-    its own copy of the iterate, ``old``, puts back the lower rows that a
-    probe's rows replaced, and puts into the rows passed the band's forcing
-    of the sweep it expects next: a Picard sweep after one, J_i+1 after J_i.
-    A _START of other sources has its forcing computed at once.  The
-    answers: to a _START, None or the (row, exception) of that forcing; to
-    an _END, the sups; to a _FINISH, None once ``old``'s band is back in
-    ``rows``, then the band's residual.  An error in a0 is the first
-    _START's answer, one in the ansatz or a norm the next _END's.
+    It builds a0 on the lower band [0, lo), puts the first sweep's forcing
+    (a0 alone) into ``rows`` and answers, then builds the band's ansatz.
+    A _START has that sweep's forcing on the band computed from ``old``,
+    its own copy of the iterate, into ``rows``, and one answer: None, or
+    the (row, exception) that ended the forcing there.  Behind the march
+    it keeps each row in ``old`` and puts back the caller's rows that a
+    probe's rows replaced.  To an _END it answers the sups; to a _FINISH,
+    None once ``old``'s band is back in ``rows``, then the band's residual.
+    An error in a0, the ansatz or a norm is the next _END's answer.
     """
-    nt = len(ts)
-    lo = _lower_rows(nt)
+    lo = _lower_rows(len(ts))
     norms = _SweepNorms(norm, weights, np.zeros_like(rows))
-    old, failed = norms.old, None
-    try:
-        band = _MeshSources(sources, ts, True, False, lo, nt)
-    except Exception as exc:
-        receive(rx)     # the first _START
-        send(tx, exc, -1)
-        return
-    sel = at = err = None   # the forcing put into rows: its sweep, `source`, exception
+    old, failed, held = norms.old, None, None
 
-    def forcing(top, bottom):
-        """Put rows top down to bottom; the first exception, of any kind, is
-        held with its row and ends them."""
-        nonlocal err
-        for k in range(top, bottom - 1, -1):
+    def forcing(which, iterate):
+        """The forcing into rows lo - 1 down to 0; the first exception, of
+        any kind, ends them and is returned with its row."""
+        at = band.source(which, iterate)
+        for k in range(lo - 1, -1, -1):
             try:
                 rows[k] = at(k)
             except BaseException as exc:
-                err = (k, exc)
-                return
+                return k, exc
+        return None
 
+    try:
+        band = _MeshSources(sources, ts, True, False, 0, lo)
+        held = forcing(_ALL_SOURCES, None)
+    except Exception as exc:
+        failed = exc
+    send(tx, held)
+    if failed is None:
+        try:
+            band.build_ansatz(sources)
+        except Exception as exc:
+            failed = exc
     while (frame := receive(rx)) is not None:
         j, a, b = frame[1]
         if j >= 0:      # a is the kind, b the number of rows
@@ -486,30 +474,17 @@ def _serve(rx, tx, sources: SourceSet, ts, norm: _ENorm, weights, rows) -> None:
                     failed = exc
             if a != _PROBE:
                 old[j:k + 1] = rows[j:k + 1]
-            elif j < lo:
-                rows[j:min(k + 1, lo)] = old[j:min(k + 1, lo)]
-            if failed is None and err is None and at is not None:
-                forcing(k, max(lo, j))
+            else:
+                rows[max(j, lo):k + 1] = old[max(j, lo):k + 1]
         elif j == _START:
-            if not (a and b == sel):      # not what went in behind the last sweep
-                at, err = band.source(_SWEEPS[b], old if a else None), None
-                forcing(nt - 1, lo)
-            send(tx, err)
-            if band.R is None:
-                try:
-                    band.build_ansatz(sources)
-                except Exception as exc:
-                    failed = exc
-            sel, at, err = b if b == 0 else b + 1, None, None   # a Picard sweep, or J_i+1
-            if sel < len(_SWEEPS):
-                at = band.source(_SWEEPS[sel], old)
+            send(tx, forcing(_SWEEPS[a], old))
         elif j == _END:
             if failed is None:
                 send(tx, norms.end())
             else:
                 send(tx, failed, -1)
         else:
-            rows[lo:] = old[lo:]
+            rows[:lo] = old[:lo]
             send(tx, None)
             if a:
                 try:
@@ -519,17 +494,20 @@ def _serve(rx, tx, sources: SourceSet, ts, norm: _ENorm, weights, rows) -> None:
 
 
 class _BandWorker:
-    """`picard`'s second process, forked until ``stack`` closes: the upper
+    """`picard`'s second process, forked until ``stack`` closes: the lower
     band of mesh rows and the norms, with the methods of `_MeshSources`
     and `_SweepNorms` that `picard` uses.
 
-    `source` waits until the band's forcing is in the shared iterate
-    ``rows``; its function reads it there or raises the worker's exception
-    at its row.  `keep` stores each row in ``rows``, a frame per
-    _BLOCK_ROWS.  `end` returns the sweep's sups or raises the worker's
-    error, which the serial loop would have raised at its row.  The worker
-    writes only answers the caller waits for, so they cannot both wait on a
-    write.  Only a broken pipe or an end of file is a worker gone
+    `source` asks for a sweep's forcing on the band (the first sweep's is
+    put in at the fork).  Its function waits, at the band's first row,
+    until the forcing is in the shared iterate ``rows``; it reads each row
+    there or raises the worker's exception at its row.  `keep` stores each
+    row in ``rows``, a frame per _BLOCK_ROWS.  `end` reads the forcing's
+    answer if the sweep stopped above the band, then returns the sweep's
+    sups or raises the worker's error, which the serial loop would have
+    raised at its row.  The caller reads each answer before it asks for
+    the next, so the worker never waits on a write and they cannot both
+    wait on one.  Only a broken pipe or an end of file is a worker gone
     (FixedPointError); any other exception keeps its type.
     """
 
@@ -540,6 +518,8 @@ class _BandWorker:
         self._rows = rows
         self._m = 0         # rows kept since the last frame
         self._last = None   # (k, kind) of the last of them
+        self._due = False   # the answer to the band's forcing is unread
+        self._held = None   # that answer: None or (row, exception)
 
     def _write(self, *frame) -> None:
         try:
@@ -553,13 +533,21 @@ class _BandWorker:
             raise FixedPointError(_ENDED)
         return answer[1]
 
+    def _forcing_answer(self):
+        """The answer to the sweep's forcing, read once a sweep."""
+        if self._due:
+            self._due, self._held = False, self._answer()
+        return self._held
+
     def source(self, which, rows):
-        self._write(_START, rows is not None, _SWEEPS.index(which))
-        failed = self._answer()
+        if rows is not None:    # the first sweep's forcing went in at the fork
+            self._write(_START, _SWEEPS.index(which), 0)
+        self._due = True
 
         def at(k):
-            if failed is not None and k == failed[0]:
-                raise failed[1]
+            held = self._forcing_answer()
+            if held is not None and k == held[0]:
+                raise held[1]
             return self._rows[k].copy()     # the march keeps it past the row's store
 
         return at
@@ -578,6 +566,7 @@ class _BandWorker:
 
     def end(self) -> tuple:
         self._send()
+        self._forcing_answer()
         self._write(_END, 0, 0)
         return self._answer()
 
@@ -617,26 +606,26 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
 
     The sources that do not depend on the iterate (a0 and the ansatz) are
     evaluated once on the time mesh, in two bands of rows split at
-    `_lower_rows`: the lower band first, then the upper.  The iterate is one
-    (nt, n_active) array that each backward sweep overwrites in place; each
-    band gives the forcing on its rows, and the weighted norms of the
-    iterate and of its change are taken as each row is produced.  The final
-    residual is the maximum over the two bands' parts.  The ground state's
-    frequency, the soliton's margin from the box edge, the mesh length and
-    the memory of the two mesh arrays are checked before any source is
-    evaluated.
+    `_lower_rows`: the upper band first, which every backward sweep marches
+    first, then the lower.  The iterate is one (nt, n_active) array that
+    each backward sweep overwrites in place; each band gives the forcing on
+    its rows, and the weighted norms of the iterate and of its change are
+    taken as each row is produced.  The final residual is the maximum over
+    the two bands' parts.  The ground state's frequency, the soliton's
+    margin from the box edge, the mesh length and the memory of the two
+    mesh arrays are checked before any source is evaluated.
 
-    With at least two usable cores (`os.sched_getaffinity`) the upper band
+    With at least two usable cores (`os.sched_getaffinity`) the lower band
     lives in a forked `_BandWorker`, which shares the iterate's pages.  It
-    builds its ansatz while this process marches the first sweep; behind
-    each sweep it takes all the norms and computes its band's forcing of
-    the next, before this process knows whether that sweep runs (the first
-    J-diagnostic sweep waits for its own).  With one
-    core both bands are here.  The report and the trajectory are the same
-    bytes either way, and an error is the one the serial loop raises first:
-    a build error before any sweep's, and a norm error at a row before a
-    later row's forcing or CN solve error.  A worker that dies is a
-    FixedPointError.  No process outlives the call.
+    puts the first sweep's forcing (a0 alone) in place and builds its
+    ansatz while this process builds the upper band.  Each later sweep asks
+    it for that sweep's forcing on its band, which it computes while this
+    process marches the upper rows; behind each sweep it takes all the
+    norms.  With one core both bands are here.  The report and the
+    trajectory are the same bytes either way, and an error is the one the
+    serial loop raises first: a build error before any sweep's, and a norm
+    error at a row before a later row's forcing or CN solve error.  A
+    worker that dies is a FixedPointError.  No process outlives the call.
 
     Returns the report and the last iterate, a `Trajectory` whose rows are
     the iterate array itself; a growing tail of iterate norms is reported as
@@ -663,16 +652,16 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
                                    f"{need / 1e9:.3g} GB, above physical memory")
     norm = _ENorm(grid, enorm_cfg)
     weights = np.array([norm.weight(t) for t in ts])
-    rows = _own_pages(nt, grid.n_active)
+    rows = own_pages(nt, grid.n_active)
     lo = _lower_rows(nt)
     with contextlib.ExitStack() as stack:
         worker = None
         if len(os.sched_getaffinity(0)) >= 2:
             worker = _BandWorker(stack, sources, ts, norm, weights, rows)
-        lower = _MeshSources(sources, ts, True, True, 0, lo)
-        upper = norms_of = worker
+        upper = _MeshSources(sources, ts, True, True, lo, nt)
+        lower = norms_of = worker
         if worker is None:
-            upper = _MeshSources(sources, ts, True, True, lo, nt)
+            lower = _MeshSources(sources, ts, True, True, 0, lo)
             norms_of = _SweepNorms(norm, weights, rows)
         stepper = CrankNicolsonStepper(grid, -dt)
 
@@ -719,7 +708,7 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
         if worker is not None:      # it starts on its part before this process
             worker.finish(not non_contracting)
         if not non_contracting:
-            parts = [band.residual(rows) for band in (lower, upper)]
+            parts = [band.residual(rows) for band in (upper, lower)]
             final_residual = max(max(part, default=0.0) for part in parts)
 
     report = PicardReport(

@@ -70,9 +70,6 @@ class ModulationContext:
         mass = sphere * np.trapezoid(self.gs(r) ** 2 * r ** (d - 1), r)
         self.eps_mod = 0.1 * float(np.sqrt(mass))
 
-    def rate(self, delta: float) -> float:
-        return delta * np.sqrt(self.params.omega) * self.params.speed()
-
     def stepper(self, dt: float) -> CrankNicolsonStepper:
         """The CN stepper of signed dt on the grid, factorized once per dt
         and shared by every shot."""
@@ -245,6 +242,8 @@ class ShootConfig:
     def __post_init__(self):
         if not self.Tn > self.T0 > 0:
             raise ModulationInputError("need Tn > T0 > 0")
+        if self.delta is not None and not (np.isfinite(self.delta) and self.delta > 0):
+            raise ModulationInputError(f"need a finite delta > 0, got {self.delta}")
         if self.log_every < 1:
             raise ModulationInputError("log_every must be >= 1")
 
@@ -284,8 +283,24 @@ def _r_norms(grid: Grid, r: np.ndarray):
     return float(l2[0]), float(h1[0])
 
 
-def _shoot_delta(ctx: ModulationContext, cfg: ShootConfig) -> float:
-    return cfg.delta if cfg.delta is not None else 0.7 * ctx.gs.delta_fit
+def shoot_rate(params: SolitonParams, delta: float, Tn: float) -> float:
+    """The shoot's decay rate delta sqrt(omega) |v|, refused unless it is
+    positive and e^(rate Tn), by which its bounds and bracket scale, is
+    finite."""
+    rate = delta * np.sqrt(params.omega) * params.speed()
+    with np.errstate(over="ignore"):
+        growth = np.exp(rate * Tn)
+    if not (rate > 0 and np.isfinite(growth)):
+        raise ModulationInputError(f"need a decay rate delta sqrt(omega) |v| > 0 with "
+                                   f"e^(rate Tn) finite, got {rate} at Tn={Tn}")
+    return rate
+
+
+def _shoot_rate(ctx: ModulationContext, cfg: ShootConfig) -> tuple:
+    """(delta, rate) of a shoot; delta defaults to 0.7 of the ground
+    state's fitted rate."""
+    delta = cfg.delta if cfg.delta is not None else 0.7 * ctx.gs.delta_fit
+    return delta, shoot_rate(ctx.params, delta, cfg.Tn)
 
 
 def _ansatz_lyapunov(ctx: ModulationContext, a: Ansatz) -> float:
@@ -323,8 +338,7 @@ def backward_shoot(ctx: ModulationContext, alpha_plus: float, cfg: ShootConfig,
     if not np.isfinite(alpha_plus):
         raise ModulationInputError(f"need a finite alpha+, got {alpha_plus}")
     grid = ctx.grid
-    delta = _shoot_delta(ctx, cfg)
-    rate = ctx.rate(delta)
+    delta, rate = _shoot_rate(ctx, cfg)
     lam, u, state = solve_modulated_final_data(ctx, cfg.Tn, alpha_plus)
     if np.any(np.abs(lam) > 10.0 * np.exp(-rate * cfg.Tn)):
         raise ModulationError(f"final-data amplitude {lam} out of admissible range")
@@ -410,7 +424,7 @@ def shoot_search(ctx: ModulationContext, cfg: ShootConfig,
     alpha+(exit); the sign change brackets the stable shot, realizing the
     one-dimensional shadow of the degree argument.
     """
-    amp = np.exp(-ctx.rate(_shoot_delta(ctx, cfg)) * cfg.Tn)
+    amp = np.exp(-_shoot_rate(ctx, cfg)[1] * cfg.Tn)
     history = []
 
     def run(a):

@@ -314,6 +314,8 @@ EDGE_REFUSED = [
     *(f"shoot --a=1 --T0={val}" for val in ("0", "-1", "nan", "inf", "1e300")),
     *(f"shoot --a=1 --Tn={val}" for val in ("0", "-1", "nan", "1e-300")),
     *(f"shoot --a=1 --log-every={val}" for val in ("0", "-1")),
+    *(f"shoot --a=1 --delta={val}" for val in ("0", "-0.4", "nan", "inf", "1e300")),
+    "shoot --a=1 --v=0",
     *(f"evolve --in={{in}} --{key}={val}" for key in ("t0", "t1") for val in ("nan", "inf")),
     *(f"evolve --in={{in}} --snapshot-every={val}" for val in ("0", "-1")),
     *(f"evolve --in={{in}} {v}--p={val}" for v in ("", "--v=0,0 ")

@@ -590,20 +590,20 @@ def _feedback_rows(monkeypatch):
                          ids=["contracting-J", "contracting", "non-contracting"])
 def test_picard_on_two_cores_is_the_one_core_picard_bit_for_bit(gs3, box, monkeypatch,
                                                                v, horizon, j_diag):
-    # on two cores the caller evaluates the forcing at its own rows only:
-    # the worker's band is computed there and read from the pipe
+    # on two cores the caller evaluates the forcing at its own rows only,
+    # the upper band: the worker puts its band's into the shared iterate
     _two_cores()
     pids = _forks(monkeypatch)
     here = _feedback_rows(monkeypatch)
     rep, traj, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
     assert len(pids) == 1
     lo = fp_mod._lower_rows(len(traj))
-    assert here and max(here) == lo - 1
+    assert here and min(here) == lo
     here.clear()
     _one_core(monkeypatch)
     rep1, traj1, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
     assert len(pids) == 1
-    assert max(here) == len(traj) - 1
+    assert min(here) == 0
     assert rep.non_contracting == (v == 2.0)
     assert _picard_bytes(rep, traj) == _picard_bytes(rep1, traj1)
 
@@ -680,7 +680,7 @@ def _cn_steps(monkeypatch):
 def test_nan_forcing_in_either_band_is_the_serial_error_at_its_row(gs3, box, monkeypatch,
                                                                   band):
     # the caller marches every row, so its CN steps up to the error are the
-    # serial loop's; a row in the upper band is the worker's forcing
+    # serial loop's; a row in the lower band is the worker's forcing
     _two_cores()
     run, _, ts = _short_picard(gs3, box)
     nt = len(ts)
@@ -709,7 +709,7 @@ def _long_picard(gs3):
 
 
 @pytest.mark.parametrize("fail, frames", [(False, False), (True, False), (False, True)],
-                         ids=["clean", "nan-in-the-upper-band", "frames-alone-overfill-a-page"])
+                         ids=["clean", "nan-in-the-worker-band", "frames-alone-overfill-a-page"])
 def test_bands_far_longer_than_the_pipes_do_not_hang(gs3, box, monkeypatch, fail, frames):
     # pipes of one 4 kB page.  With a NaN forcing in the worker's band the
     # caller stops its sweep with seven rows kept but not yet in a frame.
@@ -776,15 +776,20 @@ def test_a_signal_while_the_caller_waits_on_the_worker_keeps_its_type(gs3, monke
         signal.signal(signal.SIGALRM, old)
 
 
-def _nan_forcing_after(monkeypatch, sweeps):
-    """NaN forcing on the upper band, and an exception at its lowest row, in
+def _nan_forcing_after(monkeypatch, sweeps, log):
+    """NaN forcing on the lower band, and an exception at its lowest row, in
     every sweep of all the sources with feedback after the first sweeps[0]
-    of them; the calls so far."""
+    of them; the calls so far.  Every forcing with feedback on the band
+    appends "pid i" to the file log, the sweep's sources being _SWEEPS[i]."""
     source, calls = fp_mod._MeshSources.source, []
 
     def poisoned(mesh, which, rows):
         at = source(mesh, which, rows)
-        if mesh.lo == 0 or rows is None or which != fp_mod._ALL_SOURCES:
+        if mesh.lo != 0 or rows is None:
+            return at
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {fp_mod._SWEEPS.index(which)}\n")
+        if which != fp_mod._ALL_SOURCES:
             return at
         calls.append(1)
         if len(calls) <= sweeps[0]:
@@ -805,24 +810,35 @@ def _nan_forcing_after(monkeypatch, sweeps):
                          ids=["n_iters", "non-contracting"])
 @pytest.mark.parametrize("j_diag", [True, False], ids=["J", "no-J"])
 def test_the_forcing_of_a_sweep_that_does_not_run_is_never_read(gs3, box, monkeypatch,
-                                                                v, horizon, j_diag):
-    # the worker computes a sweep's forcing behind the sweep before it,
-    # before the caller decides whether it runs: the NaN and the exception
-    # in the one after the last Picard sweep must reach neither the J
-    # sweeps, nor the iterate, nor the caller
+                                                                tmp_path, v, horizon,
+                                                                j_diag):
+    # the worker computes its band's forcing of a sweep with feedback once,
+    # when the caller starts the sweep: exactly one per Picard and J sweep
+    # that ran, and the NaN and the exception of any Picard sweep after the
+    # last reach neither the J sweeps, nor the iterate, nor the caller
     _two_cores()
-    sweeps = [np.inf]
-    calls = _nan_forcing_after(monkeypatch, sweeps)
+    sweeps, log = [np.inf], tmp_path / "forcing.log"
+    calls = _nan_forcing_after(monkeypatch, sweeps, log)
+
+    def forcings():
+        lines = [line.split() for line in log.read_text().splitlines()]
+        log.unlink()
+        return {int(pid) for pid, _ in lines}, [int(i) for _, i in lines]
+
     with monkeypatch.context() as one_core:
         _one_core(one_core)
         rep1, traj1, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
+    ran = [0] * len(rep1.diff_norms) + ([1, 2, 3] if j_diag else [])
     assert len(calls) == len(rep1.diff_norms)
+    assert forcings() == ({os.getpid()}, ran)
     sweeps[0] = len(calls)
     calls.clear()       # the worker counts from its fork
     rep, traj, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
     assert rep.non_contracting == (v == 2.0)
     assert len(rep.iterate_norms) < 5 if v == 2.0 else len(rep.iterate_norms) == 5
     assert _picard_bytes(rep, traj) == _picard_bytes(rep1, traj1)
+    pids, worker_ran = forcings()
+    assert worker_ran == ran and len(pids) == 1 and os.getpid() not in pids
 
 
 @pytest.mark.parametrize("kind", [fp_mod._FIRST, fp_mod._NEXT, fp_mod._PROBE],
@@ -860,9 +876,9 @@ def test_solve_error_with_no_norm_error_is_the_serial_error(gs3, box, monkeypatc
     assert forked[0] is LinearSolveError
 
 
-@pytest.mark.parametrize("rows", [(300,), (100, 300)], ids=["upper", "lower-first"])
+@pytest.mark.parametrize("rows", [(100,), (300, 100)], ids=["lower", "upper-first"])
 def test_ansatz_error_in_the_worker_keeps_the_serial_order(gs3, box, monkeypatch, rows):
-    # the worker builds the upper band of the ansatz; an error in the lower
+    # the worker builds the lower band of the ansatz; an error in the upper
     # band, which the caller builds, comes first, as in the serial loop
     _two_cores()
     run, src, ts = _short_picard(gs3, box)
@@ -878,6 +894,28 @@ def test_ansatz_error_in_the_worker_keeps_the_serial_order(gs3, box, monkeypatch
     forked = _error_of(run)
     _one_core(monkeypatch)
     assert forked == _error_of(run) == (FixedPointError, f"ansatz refused at row {rows[0]}")
+
+
+@pytest.mark.parametrize("rows", [(100,), (300, 100)], ids=["lower", "upper-first"])
+def test_a0_error_in_the_worker_keeps_the_serial_order(gs3, box, monkeypatch, rows):
+    # the worker's a0 fails before the first sweep's forcing is in place:
+    # the sweep runs on the band's zero rows and its end raises the error.
+    # An error in the upper band's a0, which the caller builds first as the
+    # serial loop does, comes before it
+    _two_cores()
+    run, src, ts = _short_picard(gs3, box)
+    a0_pass = src._a0_pass
+
+    def failing(t):
+        for k in rows:
+            if np.any(t == ts[k]):
+                raise FixedPointError(f"a0 refused at row {k}")
+        return a0_pass(t)
+
+    src._a0_pass = failing
+    forked = _error_of(run)
+    _one_core(monkeypatch)
+    assert forked == _error_of(run) == (FixedPointError, f"a0 refused at row {rows[0]}")
 
 
 def test_a_worker_killed_mid_sweep_is_a_fixed_point_error(gs3, box, monkeypatch):

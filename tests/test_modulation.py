@@ -1,5 +1,6 @@
 import inspect
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -269,11 +270,30 @@ def test_amplitude_ratio_bounded_under_halving(shoot_ctx, shoot_cfg):
 @pytest.mark.parametrize("kwargs, message", [
     (dict(T0=8.0, Tn=4.0), "need Tn > T0 > 0"),
     (dict(T0=4.0, Tn=8.0, log_every=0), "log_every must be >= 1"),
+    *((dict(T0=4.0, Tn=8.0, delta=d), "finite delta > 0")
+      for d in (0.0, -0.4, np.nan, np.inf)),
 ])
 def test_shoot_config_argument_errors_are_preconditions(kwargs, message):
     with pytest.raises(ModulationInputError, match=message) as exc:
         ShootConfig(**kwargs)
     assert isinstance(exc.value, PreconditionError)
+
+
+@pytest.mark.parametrize("v, delta", [(0.0, 0.4), (2.0, 100.0), (2.0, 1e300)],
+                         ids=["at-rest", "growth-overflows", "huge-delta"])
+def test_a_rate_that_vanishes_or_whose_growth_overflows_is_refused(shoot_ctx, evolve_cfg,
+                                                                  monkeypatch, v, delta):
+    # refused before the final data: a zero rate bounds nothing, and an
+    # e^(rate Tn) that overflows makes M infinite and the search bracket zero
+    ctx = ModulationContext(params=replace(shoot_ctx.params, v=(v,)), gs=shoot_ctx.gs,
+                            modes=shoot_ctx.modes, psi=shoot_ctx.psi, grid=shoot_ctx.grid)
+    cfg = ShootConfig(T0=7.0, Tn=8.0, delta=delta)
+    monkeypatch.setattr(modulation, "solve_modulated_final_data", None)
+    for run in (lambda: backward_shoot(ctx, 0.0, cfg, evolve_cfg),
+                lambda: shoot_search(ctx, cfg, evolve_cfg)):
+        with pytest.raises(ModulationInputError, match="need a decay rate") as exc:
+            run()
+        assert isinstance(exc.value, PreconditionError)
 
 
 def test_short_horizon_zero_alpha_reaches_T0(shoot_ctx, evolve_cfg):
@@ -481,7 +501,8 @@ def test_a_search_that_never_reaches_T0_returns_its_furthest_shot(shoot_ctx, sho
 
     monkeypatch.setattr(modulation, "backward_shoot", stub)
     result = shoot_search(shoot_ctx, shoot_cfg, evolve_cfg)
-    amp = np.exp(-shoot_ctx.rate(shoot_cfg.delta) * shoot_cfg.Tn)
+    amp = np.exp(-modulation.shoot_rate(shoot_ctx.params, shoot_cfg.delta, shoot_cfg.Tn)
+                 * shoot_cfg.Tn)
     assert result.found is False
     assert result.bracket_width < 1e-14 * amp
     assert [a for a, *_ in result.history] == shots

@@ -33,14 +33,15 @@ def test_package_reexports_no_names():
     assert isinstance(nlslab.__version__, str)
 
 
-# how a worker process is forked and spoken to is known to `evolve` alone
+# how a worker process is forked, spoken to and shares pages is known to
+# `evolve` alone
 _WORKER_CALLS = {("os", "fork"), ("os", "pipe"), ("os", "fdopen")}
-_WORKER_MODULES = {"pickle", "struct", "fcntl"}
+_WORKER_MODULES = {"pickle", "struct", "fcntl", "mmap"}
 
 
 def _worker_plumbing(path):
-    """The os.fork/os.pipe/os.fdopen calls and the pickle, struct and fcntl
-    imports in the source file at path, as (line, name)."""
+    """The os.fork/os.pipe/os.fdopen calls and the pickle, struct, fcntl and
+    mmap imports in the source file at path, as (line, name)."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -56,7 +57,7 @@ def _worker_plumbing(path):
 
 def test_only_evolve_forks_and_pipes():
     src = Path(nlslab.__file__).parent
-    assert {"os.fork", "os.pipe", "os.fdopen", "pickle", "struct"} <= {
+    assert {"os.fork", "os.pipe", "os.fdopen", "pickle", "struct", "mmap"} <= {
         name for _, name in _worker_plumbing(src / "evolve.py")}
     for path in sorted(src.glob("*.py")):
         if path.name != "evolve.py":
