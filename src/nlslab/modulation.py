@@ -35,6 +35,7 @@ from .soliton import (Ansatz, SolitonError, SolitonParams, _check_center, ansatz
 NEWTON_TOL = 1e-11       # modulation Newton residuals, relative to their scales
 MAX_NEWTON = 50
 FINAL_DATA_TOL = 1e-10   # final-data Newton residual, relative to the alpha+ target
+TARGET_FLOOR = 1e-12     # least alpha+ scale of that Newton; the bracket stays above it
 MAX_SHOOTS = 60          # bisection shots of the alpha+ search after its two ends
 GROWTH_FACTOR = 3.0      # growth_rate_fit's rows: |alpha+| past this x its final value
 
@@ -214,7 +215,7 @@ def solve_modulated_final_data(ctx: ModulationContext, Tn: float,
         st = decompose(ctx, u, Tn)
         return np.array([st.alpha_plus, st.alpha_minus]) - target, u, st
 
-    scale = max(abs(alpha_plus_target), 1e-12)
+    scale = max(abs(alpha_plus_target), TARGET_FLOOR)
     res, u, st = at(lam)
     for _ in range(30):
         if np.max(np.abs(res)) <= FINAL_DATA_TOL * scale:
@@ -285,14 +286,13 @@ def _r_norms(grid: Grid, r: np.ndarray):
 
 def shoot_rate(params: SolitonParams, delta: float, Tn: float) -> float:
     """The shoot's decay rate delta sqrt(omega) |v|, refused unless it is
-    positive and e^(rate Tn), by which its bounds and bracket scale, is
-    finite."""
+    positive and the search bracket's half-width e^(-rate Tn) is at least
+    TARGET_FLOOR, below which the final-data Newton cannot tell the targets
+    apart (so e^(rate Tn), by which the bounds scale, stays finite)."""
     rate = delta * np.sqrt(params.omega) * params.speed()
-    with np.errstate(over="ignore"):
-        growth = np.exp(rate * Tn)
-    if not (rate > 0 and np.isfinite(growth)):
+    if not (rate > 0 and np.exp(-rate * Tn) >= TARGET_FLOOR):
         raise ModulationInputError(f"need a decay rate delta sqrt(omega) |v| > 0 with "
-                                   f"e^(rate Tn) finite, got {rate} at Tn={Tn}")
+                                   f"e^(-rate Tn) >= {TARGET_FLOOR}, got {rate} at Tn={Tn}")
     return rate
 
 
@@ -409,6 +409,10 @@ class ShootSearchError(ModulationError):
 
 @dataclass(eq=False)
 class SearchResult:
+    """The bisection's outcome.  history holds one row (alpha, exit_time,
+    exit_reason, alpha+(exit)) per bisection shot.  log is the shot of
+    alpha_star: the first to reach T0 when found, else the furthest shot
+    (earliest exit), marched once more and not in history."""
     alpha_star: float
     log: ShootLog
     history: list
@@ -423,46 +427,56 @@ def shoot_search(ctx: ModulationContext, cfg: ShootConfig,
     Both endpoints must exit through the alpha bound with opposite signs of
     alpha+(exit); the sign change brackets the stable shot, realizing the
     one-dimensional shadow of the degree argument.
+
+    Only the running shot's states are alive: a shot that does not reach T0
+    leaves its history row and is dropped, and the furthest one is kept as
+    its (alpha, exit time).  A search that finds no shot reaching T0 marches
+    that alpha once more; backward_shoot is deterministic, so the log has
+    the bytes the furthest shot had.
     """
     amp = np.exp(-_shoot_rate(ctx, cfg)[1] * cfg.Tn)
     history = []
 
     def run(a):
+        """Shoot a and log its history row; the log only if it reached T0."""
         log = backward_shoot(ctx, a, cfg, evolve_cfg)
         history.append((a, log.exit_time, log.exit_reason,
                         float(log.alpha_plus[-1])))
-        return log
+        return log if log.exit_reason == "reached_T0" else None
 
     lo, hi = -amp, amp
-    log_lo, log_hi = run(lo), run(hi)
-    for a, log in ((lo, log_lo), (hi, log_hi)):
-        if log.exit_reason != "alpha_bound":
+    run(lo)
+    run(hi)
+    (_, t_lo, why_lo, ap_lo), (_, t_hi, why_hi, ap_hi) = history
+    for a, why in ((lo, why_lo), (hi, why_hi)):
+        if why != "alpha_bound":
             raise ShootSearchError(
                 f"no unstable crossing detected: endpoint {a} exited via "
-                f"{log.exit_reason}; check delta, p or the horizon"
+                f"{why}; check delta, p or the horizon"
             )
-    s_lo, s_hi = np.sign(log_lo.alpha_plus[-1]), np.sign(log_hi.alpha_plus[-1])
+    s_lo, s_hi = np.sign(ap_lo), np.sign(ap_hi)
     if s_lo == s_hi:
         raise ShootSearchError(
             "no unstable crossing detected: both endpoints exit with the "
             f"same sign {s_lo}"
         )
-    best = log_lo if log_lo.exit_time < log_hi.exit_time else log_hi
-    best_alpha = lo if best is log_lo else hi
+    best_alpha, best_time = (lo, t_lo) if t_lo < t_hi else (hi, t_hi)
     for _ in range(MAX_SHOOTS):
         if hi - lo < 1e-14 * amp:
             break
         mid = 0.5 * (lo + hi)
         log = run(mid)
-        if log.exit_reason == "reached_T0":
+        if log is not None:
             return SearchResult(mid, log, history, hi - lo, True)
-        if log.exit_time < best.exit_time:
-            best, best_alpha = log, mid
-        if np.sign(log.alpha_plus[-1]) == s_lo:
+        _, exit_time, _, ap = history[-1]
+        if exit_time < best_time:
+            best_alpha, best_time = mid, exit_time
+        if np.sign(ap) == s_lo:
             lo = mid
         else:
             hi = mid
-    return SearchResult(best_alpha, best, history, hi - lo, False)
+    return SearchResult(best_alpha, backward_shoot(ctx, best_alpha, cfg, evolve_cfg),
+                        history, hi - lo, False)
 
 
 def alpha_minus_monitor(log: ShootLog) -> float:

@@ -212,8 +212,9 @@ def _signed_power(value: float, s: float) -> float:
 
 def threshold_report(u: Field, p: float, gs: GroundState | None = None) -> ThresholdReport:
     """The threshold quantities of u at s_c of its own dimension d, against
-    Q's on the obstacle-free lattice of the same L and n; p is in range when
-    1 + 4/d < p < 1 + 4/(d - 2), with no upper end when d <= 2."""
+    Q's on the obstacle-free lattice of the same L and n (u's own when it has
+    no obstacle); p is in range when 1 + 4/d < p < 1 + 4/(d - 2), with no
+    upper end when d <= 2."""
     d = u.grid.dim
     s = critical_exponent(p, d)
     params = SolitonParams(omega=gs.omega if gs else 1.0,
@@ -225,7 +226,9 @@ def threshold_report(u: Field, p: float, gs: GroundState | None = None) -> Thres
     me = _signed_power(f.mass, 1.0 - s) * _signed_power(f.energy, s)
     gt = mt = None
     if gs is not None:
-        free = Grid(d, u.grid.half_width, u.grid.n, Obstacle())
+        free = u.grid
+        if free.obstacle.kind != "none":
+            free = Grid(d, free.half_width, free.n, Obstacle())
         fq = functionals(sample_on_grid(gs, free), params)
         gt = np.sqrt(fq.mass) ** (1.0 - s) * np.sqrt(fq.kinetic) ** s
         mt = _signed_power(fq.mass, 1.0 - s) * _signed_power(fq.energy, s)

@@ -1,5 +1,7 @@
+import gc
 import inspect
 import os
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -24,6 +26,7 @@ from nlslab.modulation import (
     final_data,
     growth_rate_fit,
     lyapunov_drift_fit,
+    shoot_rate,
     shoot_search,
     solve_modulated_final_data,
     tilde_lyapunov,
@@ -279,12 +282,15 @@ def test_shoot_config_argument_errors_are_preconditions(kwargs, message):
     assert isinstance(exc.value, PreconditionError)
 
 
-@pytest.mark.parametrize("v, delta", [(0.0, 0.4), (2.0, 100.0), (2.0, 1e300)],
-                         ids=["at-rest", "growth-overflows", "huge-delta"])
+@pytest.mark.parametrize("v, delta", [(0.0, 0.4), (2.0, 40.0), (2.0, 100.0), (2.0, 1e300)],
+                         ids=["at-rest", "bracket-below-floor", "growth-overflows",
+                              "huge-delta"])
 def test_a_rate_that_vanishes_or_whose_growth_overflows_is_refused(shoot_ctx, evolve_cfg,
                                                                   monkeypatch, v, delta):
-    # refused before the final data: a zero rate bounds nothing, and an
-    # e^(rate Tn) that overflows makes M infinite and the search bracket zero
+    # refused before the final data: a zero rate bounds nothing, a bracket
+    # e^(-rate Tn) below modulation.TARGET_FLOOR (e^-640 at delta 40) is finer
+    # than the final-data Newton resolves, and an e^(rate Tn) that overflows
+    # makes M infinite and the search bracket zero
     ctx = ModulationContext(params=replace(shoot_ctx.params, v=(v,)), gs=shoot_ctx.gs,
                             modes=shoot_ctx.modes, psi=shoot_ctx.psi, grid=shoot_ctx.grid)
     cfg = ShootConfig(T0=7.0, Tn=8.0, delta=delta)
@@ -294,6 +300,17 @@ def test_a_rate_that_vanishes_or_whose_growth_overflows_is_refused(shoot_ctx, ev
         with pytest.raises(ModulationInputError, match="need a decay rate") as exc:
             run()
         assert isinstance(exc.value, PreconditionError)
+
+
+def test_a_bracket_narrower_than_the_final_data_floor_is_refused(shoot_ctx):
+    # the conftest search: rate 0.8, rate Tn = 6.4
+    assert shoot_rate(shoot_ctx.params, 0.4, 8.0) == 0.4 * 2.0
+    # e^(-rate Tn) meets modulation.TARGET_FLOOR at Tn = ln(1e12) / 0.8
+    edge = -np.log(modulation.TARGET_FLOOR) / 0.8
+    assert shoot_rate(shoot_ctx.params, 0.4, 0.999 * edge) == 0.8
+    with pytest.raises(ModulationInputError, match="need a decay rate") as exc:
+        shoot_rate(shoot_ctx.params, 0.4, 1.001 * edge)
+    assert isinstance(exc.value, PreconditionError)
 
 
 def test_short_horizon_zero_alpha_reaches_T0(shoot_ctx, evolve_cfg):
@@ -491,13 +508,17 @@ def test_a_search_that_never_reaches_T0_returns_its_furthest_shot(shoot_ctx, sho
                                                                   evolve_cfg, monkeypatch):
     # every shot exits on the alpha bound, its sign alternating shot by shot,
     # so the bisection runs until the bracket is below 1e-14 amp
-    shots = []
+    shots, returned = [], {}
 
     def stub(ctx, a, cfg, ecfg):
-        n = len(shots)
+        # deterministic in a, as backward_shoot is: a repeated a gets its first return
         shots.append(a)
-        return SimpleNamespace(exit_reason="alpha_bound", exit_time=5.0 + abs(np.sin(n)),
-                               alpha_plus=np.array([(-1.0) ** (n + 1)]))
+        if a not in returned:
+            n = len(returned)
+            returned[a] = SimpleNamespace(exit_reason="alpha_bound",
+                                          exit_time=5.0 + abs(np.sin(n)),
+                                          alpha_plus=np.array([(-1.0) ** (n + 1)]))
+        return returned[a]
 
     monkeypatch.setattr(modulation, "backward_shoot", stub)
     result = shoot_search(shoot_ctx, shoot_cfg, evolve_cfg)
@@ -505,11 +526,62 @@ def test_a_search_that_never_reaches_T0_returns_its_furthest_shot(shoot_ctx, sho
                  * shoot_cfg.Tn)
     assert result.found is False
     assert result.bracket_width < 1e-14 * amp
-    assert [a for a, *_ in result.history] == shots
+    # the last call marches the furthest shot again and is not in history
+    assert [a for a, *_ in result.history] == shots[:-1]
     assert len(shots) < 2 + modulation.MAX_SHOOTS
     furthest = min(result.history, key=lambda shot: shot[1])
     assert result.alpha_star == furthest[0]
     assert result.log.exit_time == furthest[1]
+    assert shots[-1] == furthest[0]
+    assert result.log is returned[shots[-1]]
+
+
+def _log_bytes(log):
+    return (log.exit_reason, repr(log.exit_time), log.lam.tobytes(), log.rows().tobytes(),
+            [(t, log.trajectory.snapshot(k).values.tobytes())
+             for k, t in enumerate(log.trajectory.times)])
+
+
+def test_a_search_that_finds_nothing_returns_its_furthest_shot_as_it_first_ran(
+        shoot_ctx, evolve_cfg, monkeypatch):
+    # a short horizon whose fifth shot reaches T0; two bisection shots stop before it
+    cfg = ShootConfig(T0=7.0, Tn=8.0, delta=0.4, log_every=10)
+    shoot, shots = modulation.backward_shoot, []
+
+    def recorded(ctx, a, *args):
+        log = shoot(ctx, a, *args)
+        shots.append((a, _log_bytes(log)))
+        return log
+
+    monkeypatch.setattr(modulation, "MAX_SHOOTS", 2)
+    monkeypatch.setattr(modulation, "backward_shoot", recorded)
+    result = shoot_search(shoot_ctx, cfg, evolve_cfg)
+    assert not result.found
+    assert [a for a, _ in shots[:-1]] == [a for a, *_ in result.history]
+    assert len(result.history) == 4
+    assert result.alpha_star == shots[-1][0]
+    assert result.log.exit_time == min(exit_time for _, exit_time, *_ in result.history)
+    first = [b for a, b in shots[:-1] if a == result.alpha_star]
+    assert first == [_log_bytes(result.log)]
+
+
+def test_a_search_keeps_one_shot_alive_at_a_time(shoot_ctx, evolve_cfg, monkeypatch):
+    # a short horizon: five shots, the last one reaching T0
+    cfg = ShootConfig(T0=7.0, Tn=8.0, delta=0.4, log_every=10)
+    shoot, earlier, alive = modulation.backward_shoot, [], []
+
+    def watched(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in earlier))
+        log = shoot(*args)
+        earlier.append(weakref.ref(log))
+        return log
+
+    monkeypatch.setattr(modulation, "backward_shoot", watched)
+    result = shoot_search(shoot_ctx, cfg, evolve_cfg)
+    assert result.found and len(earlier) == len(result.history) > 2
+    assert alive == [0] * len(earlier)
+    assert result.log is earlier[-1]()
 
 
 def _search_bytes(result):

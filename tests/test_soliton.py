@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlslab.soliton as soliton
 from nlslab.grid import Field, Obstacle, build_cutoff, build_grid, gradient, l2_dot, l2_norm
 from nlslab.ground_state import sample_on_grid, solve_ground_state
 from nlslab.linearized import assemble, solve_unstable_pair
@@ -176,6 +177,24 @@ def test_thresholds_sample_q_without_the_obstacle(gs):
     q = threshold_report(sample_on_grid(gs, build_grid(1, 30.0, 2047)), 3.0)
     assert (rep.grad_threshold, rep.mass_energy_threshold) == \
         (q.grad_quantity, q.mass_energy_quantity)
+
+
+def test_thresholds_of_an_obstacle_free_field_sample_q_on_its_own_grid(gs, grid,
+                                                                       monkeypatch):
+    u = soliton_field(SolitonParams(1.0, (2.0,), 3.0, x0=(8.0,)), gs, 0.0, grid)
+    fresh = build_grid(1, 30.0, 2047)
+    q = threshold_report(sample_on_grid(gs, fresh), 3.0)
+    own = threshold_report(u, 3.0)
+
+    def no_grid(*args):
+        raise AssertionError("threshold_report built a Grid")
+
+    monkeypatch.setattr(soliton, "Grid", no_grid)
+    rep = threshold_report(u, 3.0, gs)
+    assert [float(x).hex() for x in (rep.grad_quantity, rep.mass_energy_quantity,
+                                     rep.grad_threshold, rep.mass_energy_threshold)] == \
+        [float(x).hex() for x in (own.grad_quantity, own.mass_energy_quantity,
+                                  q.grad_quantity, q.mass_energy_quantity)]
 
 
 def test_one_gradient_gives_kinetic_and_threshold(gs):
