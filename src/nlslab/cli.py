@@ -256,7 +256,7 @@ def run_functionals(cfg, out: Path, u) -> dict:
 def run_evolve(cfg, out: Path, u0) -> dict:
     snap_dir = out / "snapshots"
     _remove_numbered(snap_dir, "snap")
-    params = _params_from(cfg) if len(cfg["v"]) == u0.grid.dim else None
+    params = _params_from({**cfg, "dim": u0.grid.dim})
     config = EvolveConfig(dt=cfg["dt"], t0=cfg["t0"], t1=cfg["t1"],
                           snapshot_every=cfg["snapshot_every"])
     traj = evolve_run(u0, config, cfg["p"], params)

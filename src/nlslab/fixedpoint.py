@@ -31,6 +31,7 @@ built on the way, and `e_norm` reads the rows as they are.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -200,7 +201,7 @@ class SourceSet:
         rows = None if r is None else to_active(r)[None]
         mesh = _MeshSources(self, (t,), "a0" in which,
                             ansatz=rows is not None and any(a in which for a in _FEEDBACK))
-        return mesh.source(which, rows)(0)
+        return next(mesh.source(which, rows))
 
 
 def make_sources(params: SolitonParams, gs: GroundState, psi, grid: Grid,
@@ -252,22 +253,20 @@ class _MeshSources:
             self.R[k] = sources._ansatz(t)[mask]
 
     def source(self, which, rows):
-        """k -> the selected sources at t_k on rows[k] (rows may be None).
+        """The selected sources on rows (None: r = 0) at the band's rows
+        hi - 1 down to lo, one active vector each.
 
-        Asking for row k computes rows k - _BLOCK_ROWS + 1 to k at once
-        (not below lo) and keeps them for the next asks: the arithmetic is
-        elementwise, so each row has the bits of its own pass.  The march
-        asks in decreasing k, and rows[j] is read before row j of the next
-        iterate replaces it.
+        The rows come _BLOCK_ROWS at a time, counted from hi - 1, each
+        block in one pass: the arithmetic is elementwise, so each row has
+        the bits of its own pass.  A block reads rows[j] before the march
+        stores row j of the next iterate there.
         """
         terms = [_FEEDBACK[name] for name in ("a1", "a2", "a3") if name in which]
         if rows is None:
             terms = []     # the feedback of r = 0 vanishes
         with_a0 = "a0" in which
         lo = self.lo
-        kept = [None, None]     # the first row of the rows computed, and them
-
-        def rows_to(k):
+        for k in range(self.hi - 1, lo - 1, -_BLOCK_ROWS):
             j = max(lo, k - _BLOCK_ROWS + 1)
             if terms:
                 R, r = self.R[j - lo:k + 1 - lo], rows[j:k + 1]
@@ -279,16 +278,7 @@ class _MeshSources:
                     fk[idx] += vals
             for term in terms[1:]:
                 f += term(R, r, self.p)
-            kept[:] = j, f
-
-        def at(k):
-            j, f = kept
-            if j is None or not j <= k < j + len(f):
-                rows_to(k)
-                j, f = kept
-            return f[k - j]
-
-        return at
+            yield from f[::-1]
 
     def residual(self, rows):
         """The residual norms of R + rows at the interior mesh rows of
@@ -301,12 +291,12 @@ class _MeshSources:
 def _sweep(stepper: CrankNicolsonStepper, nt: int, source, on_row):
     """Solve i w_t + lap w = F backward from w(t_{nt-1}) = 0 on active vectors.
 
-    source(k) gives F(t_k); it is called once per k, in decreasing k, before
+    source yields F(t_k) for k = nt - 1 down to 0; F(t_k) is taken before
     on_row(k, w_k) gets row k, so on_row may store the row where source
     reads the previous iterate.
     """
     start = np.zeros(stepper.grid.n_active, dtype=complex)
-    for j, vec in march(stepper, start, nt - 1, forcing=lambda i: source(nt - 1 - i)):
+    for j, vec in march(stepper, start, nt - 1, forcing=lambda i: next(source)):
         on_row(nt - 1 - j, vec)
 
 
@@ -418,7 +408,7 @@ class _SweepNorms:
 
 # a frame to the worker, one `send`: (j, kind, m), rows j + m - 1, ..., j + 1, j
 # of a sweep of this kind are in the shared iterate; (_START, i, 0) of a
-# sweep of the sources _SWEEPS[i]; its _END; (_FINISH, residual, 0)
+# sweep of the sources _SWEEPS[i]; its _END; (_FINISH, 0, 0)
 _START, _END, _FINISH = -1, -2, -3
 _SWEEPS = (_ALL_SOURCES, ("a1",), ("a2",), ("a3",))     # Picard, then J1, J2, J3
 _ENDED = "the Picard worker ended"
@@ -432,10 +422,10 @@ def _serve(rx, tx, sources: SourceSet, ts, norm: _ENorm, weights, rows) -> None:
     A _START has that sweep's forcing on the band computed from ``old``,
     its own copy of the iterate, into ``rows``, and one answer: None, or
     the (row, exception) that ended the forcing there.  Behind the march
-    it keeps each row in ``old`` and puts back the caller's rows that a
-    probe's rows replaced.  To an _END it answers the sups; to a _FINISH,
-    None once ``old``'s band is back in ``rows``, then the band's residual.
-    An error in a0, the ansatz or a norm is the next _END's answer.
+    it keeps each row in ``old``, or puts ``old`` back over a probe's rows
+    on either band.  To an _END it answers the sups; to a _FINISH, the
+    band's residual part.  An error in a0, the ansatz or a norm is the
+    next _END's answer.
     """
     lo = _lower_rows(len(ts))
     norms = _SweepNorms(norm, weights, np.zeros_like(rows))
@@ -444,10 +434,10 @@ def _serve(rx, tx, sources: SourceSet, ts, norm: _ENorm, weights, rows) -> None:
     def forcing(which, iterate):
         """The forcing into rows lo - 1 down to 0; the first exception, of
         any kind, ends them and is returned with its row."""
-        at = band.source(which, iterate)
+        stream = band.source(which, iterate)
         for k in range(lo - 1, -1, -1):
             try:
-                rows[k] = at(k)
+                rows[k] = next(stream)
             except BaseException as exc:
                 return k, exc
         return None
@@ -475,7 +465,7 @@ def _serve(rx, tx, sources: SourceSet, ts, norm: _ENorm, weights, rows) -> None:
             if a != _PROBE:
                 old[j:k + 1] = rows[j:k + 1]
             else:
-                rows[max(j, lo):k + 1] = old[max(j, lo):k + 1]
+                rows[j:k + 1] = old[j:k + 1]
         elif j == _START:
             send(tx, forcing(_SWEEPS[a], old))
         elif j == _END:
@@ -484,13 +474,10 @@ def _serve(rx, tx, sources: SourceSet, ts, norm: _ENorm, weights, rows) -> None:
             else:
                 send(tx, failed, -1)
         else:
-            rows[:lo] = old[:lo]
-            send(tx, None)
-            if a:
-                try:
-                    send(tx, max(band.residual(old), default=0.0))
-                except Exception as exc:
-                    send(tx, exc, -1)
+            try:
+                send(tx, max(band.residual(old), default=0.0))
+            except Exception as exc:
+                send(tx, exc, -1)
 
 
 class _BandWorker:
@@ -499,16 +486,18 @@ class _BandWorker:
     and `_SweepNorms` that `picard` uses.
 
     `source` asks for a sweep's forcing on the band (the first sweep's is
-    put in at the fork).  Its function waits, at the band's first row,
-    until the forcing is in the shared iterate ``rows``; it reads each row
-    there or raises the worker's exception at its row.  `keep` stores each
-    row in ``rows``, a frame per _BLOCK_ROWS.  `end` reads the forcing's
-    answer if the sweep stopped above the band, then returns the sweep's
-    sups or raises the worker's error, which the serial loop would have
-    raised at its row.  The caller reads each answer before it asks for
-    the next, so the worker never waits on a write and they cannot both
-    wait on one.  Only a broken pipe or an end of file is a worker gone
-    (FixedPointError); any other exception keeps its type.
+    put in at the fork) and returns its stream of rows lo - 1 down to 0.
+    The stream waits, at its first row, until the forcing is in the shared
+    iterate ``rows``; it yields each row there or raises the worker's
+    exception at its row.  `keep` stores each row in ``rows``, a frame per
+    _BLOCK_ROWS, and the worker puts a probe's rows back behind it.  `end`
+    reads the forcing's answer if the sweep stopped above the band, then
+    returns the sweep's sups or raises the worker's error, which the serial
+    loop would have raised at its row.  `residual` starts the worker on
+    the band's residual part.  The caller reads each answer before it asks
+    for the next, so the worker never waits on a write and they cannot
+    both wait on one.  Only a broken pipe or an end of file is a worker
+    gone (FixedPointError); any other exception keeps its type.
     """
 
     def __init__(self, stack: contextlib.ExitStack, sources: SourceSet, ts,
@@ -516,10 +505,10 @@ class _BandWorker:
         serve = lambda rx, tx: _serve(rx, tx, sources, ts, norm, weights, rows)
         self._rx, self._tx = stack.enter_context(forked_worker(serve))
         self._rows = rows
+        self._lo = _lower_rows(len(ts))
         self._m = 0         # rows kept since the last frame
         self._last = None   # (k, kind) of the last of them
         self._due = False   # the answer to the band's forcing is unread
-        self._held = None   # that answer: None or (row, exception)
 
     def _write(self, *frame) -> None:
         try:
@@ -534,23 +523,25 @@ class _BandWorker:
         return answer[1]
 
     def _forcing_answer(self):
-        """The answer to the sweep's forcing, read once a sweep."""
-        if self._due:
-            self._due, self._held = False, self._answer()
-        return self._held
+        """The answer to the sweep's forcing if it is unread, else None."""
+        if not self._due:
+            return None
+        held = self._answer()
+        self._due = False
+        return held
 
     def source(self, which, rows):
         if rows is not None:    # the first sweep's forcing went in at the fork
             self._write(_START, _SWEEPS.index(which), 0)
         self._due = True
+        return self._stream()
 
-        def at(k):
-            held = self._forcing_answer()
+    def _stream(self):
+        held = self._forcing_answer()
+        for k in range(self._lo - 1, -1, -1):
             if held is not None and k == held[0]:
                 raise held[1]
-            return self._rows[k].copy()     # the march keeps it past the row's store
-
-        return at
+            yield self._rows[k].copy()      # the march keeps it past the row's store
 
     def keep(self, k: int, vec: np.ndarray, kind: int) -> None:
         self._rows[k] = vec
@@ -570,14 +561,11 @@ class _BandWorker:
         self._write(_END, 0, 0)
         return self._answer()
 
-    def finish(self, residual: bool) -> None:
-        """Its band of the iterate back into ``rows``; then, with
-        ``residual``, the worker starts on the band's part of it."""
-        self._write(_FINISH, residual, 0)
-        self._answer()
-
     def residual(self, rows):
-        yield self._answer()
+        """The band's residual part: the worker starts on it now, and the
+        iterator returned reads its answer."""
+        self._write(_FINISH, 0, 0)
+        return (self._answer() for _ in range(1))
 
 
 def e_norm(traj: Trajectory, cfg: NormConfig) -> float:
@@ -608,12 +596,13 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     evaluated once on the time mesh, in two bands of rows split at
     `_lower_rows`: the upper band first, which every backward sweep marches
     first, then the lower.  The iterate is one (nt, n_active) array that
-    each backward sweep overwrites in place; each band gives the forcing on
-    its rows, and the weighted norms of the iterate and of its change are
-    taken as each row is produced.  The final residual is the maximum over
-    the two bands' parts.  The ground state's frequency, the soliton's
-    margin from the box edge, the mesh length and the memory of the two
-    mesh arrays are checked before any source is evaluated.
+    each backward sweep overwrites in place; it reads the forcing as each
+    band's stream of its rows, the upper band's first, and the weighted
+    norms of the iterate and of its change are taken as each row is
+    produced.  The final residual is the maximum over the two bands' parts.
+    The ground state's frequency, the soliton's margin from the box edge,
+    the mesh length and the memory of the two mesh arrays are checked
+    before any source is evaluated.
 
     With at least two usable cores (`os.sched_getaffinity`) the lower band
     lives in a forked `_BandWorker`, which shares the iterate's pages.  It
@@ -621,11 +610,12 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
     ansatz while this process builds the upper band.  Each later sweep asks
     it for that sweep's forcing on its band, which it computes while this
     process marches the upper rows; behind each sweep it takes all the
-    norms.  With one core both bands are here.  The report and the
-    trajectory are the same bytes either way, and an error is the one the
-    serial loop raises first: a build error before any sweep's, and a norm
-    error at a row before a later row's forcing or CN solve error.  A
-    worker that dies is a FixedPointError.  No process outlives the call.
+    norms and puts the iterate back over a J probe's rows.  With one core
+    both bands are here.  The report and the trajectory are the same bytes
+    either way, and an error is the one the serial loop raises first: a
+    build error before any sweep's, and a norm error at a row before a
+    later row's forcing or CN solve error.  A worker that dies is a
+    FixedPointError.  No process outlives the call.
 
     Returns the report and the last iterate, a `Trajectory` whose rows are
     the iterate array itself; a growing tail of iterate norms is reported as
@@ -667,10 +657,10 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
 
         def sweep(which, kind):
             feedback = None if kind == _FIRST else rows
-            below, above = (band.source(which, feedback) for band in (lower, upper))
+            source = itertools.chain(upper.source(which, feedback),
+                                     lower.source(which, feedback))
             try:
-                _sweep(stepper, nt, lambda k: below(k) if k < lo else above(k),
-                       lambda k, vec: norms_of.keep(k, vec, kind))
+                _sweep(stepper, nt, source, lambda k, vec: norms_of.keep(k, vec, kind))
             except Exception:
                 norms_of.end()    # a norm error at an earlier row comes first
                 raise
@@ -705,9 +695,7 @@ def picard(sources: SourceSet, T0: float, Tmax: float, enorm_cfg: NormConfig,
             j["J3_over_r3"] = _over_power(j["J3"], rnorm, 3)
 
         final_residual = None
-        if worker is not None:      # it starts on its part before this process
-            worker.finish(not non_contracting)
-        if not non_contracting:
+        if not non_contracting:     # the worker starts on its part before this process
             parts = [band.residual(rows) for band in (upper, lower)]
             final_residual = max(max(part, default=0.0) for part in parts)
 

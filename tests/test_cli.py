@@ -302,7 +302,7 @@ EDGE_REFUSED = [
       for val in ("0", "-1")),
     *(f"{sub} --omega={val}" for sub in ("fixed-point", "shoot --a=1", "functionals --in={in}")
       for val in ("0", "-1", "nan", "inf")),
-    "functionals --in={in} --v=1,5",
+    "functionals --in={in} --v=1,5", "evolve --in={in} --v=1,5",
     *(f"{sub} --v={val}" for sub in ("fixed-point", "shoot --a=1")
       for val in ("nan", "inf", "1e300")),
     "fixed-point --v=0",
@@ -391,6 +391,21 @@ def test_sweep_bad_value_is_precondition(tmp_path, capsys):
     assert code == 2
     assert "abc" in capsys.readouterr().err
     assert not (tmp_path / "aggregate.csv").exists()
+
+
+def test_sweep_unknown_parameter_is_precondition(tmp_path, capsys):
+    code = main(["sweep", "--sub", "ground-state", "--param", "nosuchkey",
+                 "--values", "3", "--out", str(tmp_path)])
+    assert code == 2
+    assert "unknown sweep parameter" in capsys.readouterr().err
+    assert not (tmp_path / "aggregate.csv").exists()
+
+
+def test_config_line_without_a_value_is_precondition(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("p 3\n")
+    assert _contract_code(tmp_path, ["ground-state", "--config", str(bad)]) == 2
+    assert "expected key=value" in capsys.readouterr().err
 
 
 def test_fixed_point_writes_iteration_diagnostics(tmp_path):
@@ -487,6 +502,17 @@ def test_single_shoot_fits_the_growth_rate(tmp_path):
     assert summary["exit_reason"] == "alpha_bound"
     assert np.isfinite(summary["fitted_growth_rate"])
     assert summary["Mprime"] == summary["M"] ** 2
+
+
+def test_single_shoot_without_a_growth_rate_reports_null(tmp_path, monkeypatch):
+    def no_fit(log):
+        raise cli_mod.mod.ModulationError("not enough growth range to fit a rate")
+
+    monkeypatch.setattr(cli_mod.mod, "growth_rate_fit", no_fit)
+    assert _contract_code(tmp_path, _SHOOT) == 0
+    text = (tmp_path / "out" / "summary.json").read_text()
+    assert json.loads(text)["exit_reason"] == "alpha_bound"
+    assert '"fitted_growth_rate": null' in text
 
 
 def test_functionals_run_reports_the_field(tmp_path):

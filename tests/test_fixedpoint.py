@@ -127,7 +127,7 @@ def test_forcing_in_blocks_is_the_row_by_row_forcing_bit_for_bit(gs3, box, lo):
     rng = np.random.default_rng(7)
     shape = (len(ts), src.grid.n_active)
     rows = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    at = mesh.source(fp_mod._ALL_SOURCES, rows)
+    stream = mesh.source(fp_mod._ALL_SOURCES, rows)
     for k in range(len(ts) - 1, lo - 1, -1):
         R, r = mesh.R[k - lo], rows[k]
         f = fp_mod._a1(R, r, 3.0)
@@ -135,7 +135,7 @@ def test_forcing_in_blocks_is_the_row_by_row_forcing_bit_for_bit(gs3, box, lo):
         f[idx] += vals
         f += fp_mod._a2(R, r, 3.0)
         f += fp_mod._a3(R, r, 3.0)
-        assert at(k).tobytes() == f.tobytes()
+        assert next(stream).tobytes() == f.tobytes()
 
 
 def test_a0_decay_rate(gs3, box):
@@ -566,20 +566,21 @@ def _picard_bytes(rep, traj):
     return repr(numbers), traj.times.tobytes(), [traj.snapshot(k).values.tobytes() for k in range(len(traj))]
 
 
+def _numbered(mesh, stream):
+    """(k, the forcing at row k) of a band's stream, k from hi - 1 down to lo."""
+    return zip(range(mesh.hi - 1, mesh.lo - 1, -1), stream)
+
+
 def _feedback_rows(monkeypatch):
     """Record the mesh rows at which this process evaluates a forcing with
     feedback (the first sweep's is a0 alone)."""
     rows, source = [], fp_mod._MeshSources.source
 
     def recorded(mesh, which, iterate):
-        at = source(mesh, which, iterate)
-
-        def at_k(k):
+        for k, f in _numbered(mesh, source(mesh, which, iterate)):
             if iterate is not None:
                 rows.append(k)
-            return at(k)
-
-        return at_k
+            yield f
 
     monkeypatch.setattr(fp_mod._MeshSources, "source", recorded)
     return rows
@@ -606,6 +607,40 @@ def test_picard_on_two_cores_is_the_one_core_picard_bit_for_bit(gs3, box, monkey
     assert min(here) == 0
     assert rep.non_contracting == (v == 2.0)
     assert _picard_bytes(rep, traj) == _picard_bytes(rep1, traj1)
+
+
+@pytest.mark.parametrize("v, horizon", [(8.0, 4.0), (2.0, 3.0)],
+                         ids=["contracting", "non-contracting"])
+def test_the_j_probes_leave_the_iterate_as_they_found_it(gs3, box, v, horizon):
+    # the worker puts a probe's rows back on both bands behind the march, so
+    # the iterate is whole after the last probe, with or without a residual
+    _two_cores()
+    rep, traj, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon)
+    rep_j, traj_j, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=True)
+    assert rep_j.non_contracting == (v == 2.0)
+    assert _picard_bytes(rep, traj)[1:] == _picard_bytes(rep_j, traj_j)[1:]
+
+
+@pytest.mark.parametrize("v, horizon, j_diag", [(8.0, 4.0, False), (2.0, 3.0, True)],
+                         ids=["contracting", "non-contracting-J"])
+def test_the_caller_reads_two_answers_a_sweep_and_one_residual(gs3, box, monkeypatch,
+                                                               v, horizon, j_diag):
+    # a sweep's forcing and its sups; the residual part only when one is
+    # taken, with no answer that only waits on the worker
+    _two_cores()
+    caller, answers, receive = os.getpid(), [], fp_mod.receive
+
+    def counted(stream):
+        answer = receive(stream)
+        if os.getpid() == caller:
+            answers.append(answer)
+        return answer
+
+    monkeypatch.setattr(fp_mod, "receive", counted)
+    rep, _, _ = run_picard(gs3, box, v, n_iters=5, horizon=horizon, j_diag=j_diag)
+    sweeps = len(rep.iterate_norms) + 3 * j_diag
+    assert rep.converged == (v == 8.0) and len(rep.iterate_norms) >= 3
+    assert len(answers) == 2 * sweeps + rep.converged
 
 
 def test_picard_on_one_core_forks_nothing(gs3, box, monkeypatch):
@@ -635,10 +670,10 @@ def _nan_forcing_at(monkeypatch, row, feedback_only=False):
     source = fp_mod._MeshSources.source
 
     def poisoned(mesh, which, rows):
-        at = source(mesh, which, rows)
+        stream = source(mesh, which, rows)
         if feedback_only and rows is None:
-            return at
-        return lambda k: at(k) * (np.nan if k == row else 1.0)
+            return stream
+        return (f * (np.nan if k == row else 1.0) for k, f in _numbered(mesh, stream))
 
     monkeypatch.setattr(fp_mod._MeshSources, "source", poisoned)
 
@@ -784,23 +819,24 @@ def _nan_forcing_after(monkeypatch, sweeps, log):
     source, calls = fp_mod._MeshSources.source, []
 
     def poisoned(mesh, which, rows):
-        at = source(mesh, which, rows)
+        stream = source(mesh, which, rows)
         if mesh.lo != 0 or rows is None:
-            return at
+            return stream
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {fp_mod._SWEEPS.index(which)}\n")
         if which != fp_mod._ALL_SOURCES:
-            return at
+            return stream
         calls.append(1)
         if len(calls) <= sweeps[0]:
-            return at
+            return stream
 
-        def nan_at(k):
-            if k == mesh.lo:
-                raise FloatingPointError("a forcing that no sweep reads")
-            return at(k) * np.nan
+        def nan_rows():
+            for k, f in _numbered(mesh, stream):
+                if k == mesh.lo:
+                    raise FloatingPointError("a forcing that no sweep reads")
+                yield f * np.nan
 
-        return nan_at
+        return nan_rows()
 
     monkeypatch.setattr(fp_mod._MeshSources, "source", poisoned)
     return calls

@@ -321,6 +321,58 @@ def test_short_horizon_zero_alpha_reaches_T0(shoot_ctx, evolve_cfg):
     assert np.all(log.r_h1 <= bound)
 
 
+def _logged_times(cfg, evolve_cfg):
+    """The times after Tn at which backward_shoot logs a state, computed as
+    it computes them."""
+    n_steps = evolve.step_count(cfg.T0 - cfg.Tn, evolve_cfg.dt)
+    dt = (cfg.T0 - cfg.Tn) / n_steps
+    return [cfg.Tn + k * dt for k in range(cfg.log_every, n_steps + 1, cfg.log_every)]
+
+
+@pytest.mark.parametrize("order", [("r", "y", "fail"), ("y", "r", "fail"),
+                                   ("fail", "r", "y")],
+                         ids=["r_bound", "y_mu_bound", "modulation_failure"])
+def test_a_shoot_exits_at_the_first_bound_it_breaks(shoot_ctx, evolve_cfg, monkeypatch,
+                                                    order):
+    # at alpha+ = 0 no bound breaks before T0 = 7.3; here r_H1 is inflated
+    # at one logged t, y at another, and the decomposition fails at a third,
+    # the first of them at the third logged t after Tn
+    cfg = ShootConfig(T0=7.0, Tn=8.0, delta=0.4, log_every=10)
+    ts = _logged_times(cfg, evolve_cfg)
+    at = {name: ts[2 * i + 2] for i, name in enumerate(order)}
+    r_norms, decompose_ = modulation._r_norms, modulation.decompose
+    times = []
+
+    def inflated_r(grid, r):
+        l2, h1 = r_norms(grid, r)
+        return (l2, 1e6) if times and times[-1] == at["r"] else (l2, h1)
+
+    def inflated_y(ctx, u, t, guess=None):
+        times.append(t)
+        if t == at["fail"]:
+            raise ModulationError("decomposition refused")
+        state = decompose_(ctx, u, t, guess)
+        return replace(state, y=state.y + 1e9) if t == at["y"] else state
+
+    monkeypatch.setattr(modulation, "_r_norms", inflated_r)
+    monkeypatch.setattr(modulation, "decompose", inflated_y)
+    log = backward_shoot(shoot_ctx, 0.0, cfg, evolve_cfg)
+    reason = {"r": "r_bound", "y": "y_mu_bound", "fail": "modulation_failure"}[order[0]]
+    assert (log.exit_reason, log.exit_time) == (reason, ts[2])
+    bound = np.exp(-log.rate * log.t[-1])
+    if reason == "modulation_failure":
+        # the failed decomposition's row is not logged
+        assert list(log.t) == [cfg.Tn, ts[0], ts[1]]
+    else:
+        # the violating row is
+        assert list(log.t) == [cfg.Tn, *ts[:3]]
+        broken = log.r_h1[-1] / log.M if reason == "r_bound" else log.y[-1].max() / log.Mprime
+        assert broken > bound
+    assert np.all(log.r_h1[:-1] <= log.M * np.exp(-log.rate * log.t[:-1]))
+    assert len(log.trajectory) == len(log.t)
+    assert list(log.trajectory.times) == list(log.t)
+
+
 def test_shoot_builds_final_data_and_h1_once(shoot_ctx, evolve_cfg, monkeypatch):
     # the benchmark traces solve_modulated_final_data as a layer, and r's
     # norms are one _r_norms pass per row: a shoot that routes around either
